@@ -16,29 +16,25 @@ import configparser
 import hashlib
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from . import metrics, pmi, similarity, svm, wordlists
+from . import artifact, metrics, pmi, similarity, svm, wordlists
 from .neural import model as neural_model
 from .svm import decision_function, grid_search_cv
 
-SYSTEMS = ("ortho_svm", "pmi_svm", "manhattan", "two_channel", "siamese_euclid")
 NEURAL_SYSTEMS = ("manhattan", "two_channel", "siamese_euclid")
+SYSTEMS = svm.SYSTEMS + NEURAL_SYSTEMS
+# width of each SVM system's feature vectors
+N_FEATURES = {"ortho_svm": len(similarity.FEATURE_NAMES), "pmi_svm": 4}
 
+# the package's own data exceptions; a bare ValueError is a bug, not bad input
 DATA_ERRORS = (
-    OSError,
-    wordlists.SchemaError,
-    wordlists.OverlappingFamilies,
-    wordlists.EmptySide,
-    pmi.EmptySeedSet,
-    neural_model.EmptyDataset,
-    svm.TooFewSamples,
-    svm.SingleClass,
-    metrics.SingleClassLabels,
-    metrics.NoPositives,
-    ValueError,
+    OSError, artifact.ArtifactError, wordlists.SchemaError, wordlists.OverlappingFamilies,
+    wordlists.EmptySide, pmi.EmptySeedSet, neural_model.EmptyDataset, svm.TooFewSamples,
+    svm.SingleClass, metrics.SingleClassLabels, metrics.NoPositives,
 )
 
 
@@ -46,28 +42,34 @@ class UsageError(Exception):
     pass
 
 
+@contextmanager
+def _user_values():
+    """Report an invalid option value as a usage error, not a data error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise UsageError(message)
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _write_manifest(out_dir: Path, command: str, options: dict, inputs: list) -> None:
     manifest = {
         "command": command,
-        "options": {k: v for k, v in sorted(options.items())},
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
+        "options": options,
+        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                                           encoding="utf-8")
+
+
+def _write_tsv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in [header, *rows]:
+            fh.write("\t".join(row) + "\n")
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -81,34 +83,40 @@ def _load_config(path: str | None) -> dict[str, str]:
         raise UsageError(f"bad config file {path}: {exc}") from exc
     if not read:
         raise UsageError(f"config file not found: {path}")
-    flat: dict[str, str] = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            flat[key.replace("-", "_")] = value
-    return flat
+    return {k.replace("-", "_"): v for section in parser.sections() for k, v in parser.items(section)}
 
 
 def _resolve(args: argparse.Namespace, config: dict[str, str], key: str, cast, default):
     value = getattr(args, key, None)
     if value is not None:
         return value
-    if key in config:
-        try:
-            return cast(config[key])
-        except ValueError as exc:
-            raise UsageError(f"config key {key!r}: {exc}") from exc
-    return default
+    if key not in config:
+        return default
+    try:
+        value = cast(config[key])
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"config key {key!r}: {exc}") from exc
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise UsageError(f"config key {key!r}: {value!r} is not one of {_CHOICES[key]}")
+    return value
 
 
 def _parse_kernel(text: str) -> tuple[int, int]:
-    parts = text.lower().replace("x", ",").split(",")
-    if len(parts) != 2:
-        raise ValueError(f"kernel must look like '2x3', got {text!r}")
-    return int(parts[0]), int(parts[1])
+    try:
+        kh, kw = artifact.parse_dims(text.lower().replace(",", "x"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"kernel must look like '2x3', got {text!r}") from None
+    return kh, kw
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(","))
+    try:
+        grid = tuple(artifact.finite_float(v) for v in text.split(","))
+        if min(grid) > 0:
+            return grid
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"C grid must list positive numbers like '0.1,1,10', got {text!r}")
 
 
 def _parse_families(text: str | None) -> set[str] | None:
@@ -117,71 +125,55 @@ def _parse_families(text: str | None) -> set[str] | None:
     return {f.strip() for f in text.split(",") if f.strip()}
 
 
-def _kernel_type(text: str) -> tuple[int, int]:
-    try:
-        return _parse_kernel(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+_ALL = ("featurize", "pmi-train", "train", "evaluate", "pipeline")
+_FIT = ("train", "pipeline")
+_RUN = ("train", "evaluate", "pipeline")
+
+# Every option: its parser, default, the subcommands that take it as a flag,
+# and its help.  Any option may also come from the config file.
+_OPTIONS = {
+    "data": (str, None, _ALL, "word-list TSV"),
+    "seed": (int, None, _ALL, "master random seed (required)"),
+    "out": (str, None, ("featurize", "pmi-train"), "output file"),
+    "cutoff": (float, 0.5, ("pmi-train",), None),
+    "max_iterations": (int, 10, ("pmi-train",), None),
+    "tol": (float, 1e-4, ("pmi-train",), None),
+    "pseudocount": (float, 1.0, ("pmi-train",), None),
+    "gap_penalty": (float, -2.5, ("pmi-train",), None),
+    "system": (str, None, _RUN, None),
+    "out_dir": (str, None, _RUN, None),
+    "model": (str, None, ("evaluate",), "checkpoint (neural) or model file (svm)"),
+    "pmi_matrix": (str, None, _RUN, "saved PMI matrix (pmi_svm)"),
+    "epochs": (int, 20, _FIT, None),
+    "batch_size": (int, 128, _FIT, None),
+    "margin": (float, 1.0, _FIT, None),
+    "kernel": (_parse_kernel, (2, 3), _FIT, None),
+    "filters": (int, 10, _FIT, None),
+    "fc_units": (int, 8, _FIT, None),
+    "dropout": (float, 0.5, _FIT, None),
+    "pad_len": (int, 10, _FIT, None),
+    "c_grid": (_parse_grid, (0.01, 0.1, 1.0, 10.0, 100.0), _FIT, None),
+    "folds": (int, 10, _FIT, None),
+    "svm_passes": (int, 2000, _FIT, None),
+    "threshold": (float, None, ("evaluate", "pipeline"), None),
+    "mode": (str, None, ("pipeline",), None),
+    "train_fraction": (float, 0.7, ("pipeline",), None),
+    "train_families": (str, None, ("pipeline",), None),
+    "test_families": (str, None, ("pipeline",), None),
+}
+_CHOICES = {"system": SYSTEMS, "mode": ("cross-concept", "cross-family")}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="cognet", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="INI config file with option defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--data", help="word-list TSV")
-        p.add_argument("--seed", type=int, help="master random seed")
-
-    p_feat = sub.add_parser("featurize", help="write similarity features for all pairs")
-    add_common(p_feat)
-    p_feat.add_argument("--out", help="output TSV path")
-
-    p_pmi = sub.add_parser("pmi-train", help="estimate a PMI matrix from word pairs")
-    add_common(p_pmi)
-    p_pmi.add_argument("--out", help="output matrix path")
-    p_pmi.add_argument("--cutoff", type=float)
-    p_pmi.add_argument("--max-iterations", type=int, dest="max_iterations")
-    p_pmi.add_argument("--tol", type=float)
-    p_pmi.add_argument("--pseudocount", type=float)
-    p_pmi.add_argument("--gap-penalty", type=float, dest="gap_penalty")
-
-    def add_train_options(p):
-        p.add_argument("--system", choices=SYSTEMS)
-        p.add_argument("--out-dir", dest="out_dir")
-        p.add_argument("--epochs", type=int)
-        p.add_argument("--batch-size", type=int, dest="batch_size")
-        p.add_argument("--margin", type=float)
-        p.add_argument("--kernel", type=_kernel_type)
-        p.add_argument("--filters", type=int)
-        p.add_argument("--fc-units", type=int, dest="fc_units")
-        p.add_argument("--dropout", type=float)
-        p.add_argument("--pad-len", type=int, dest="pad_len")
-        p.add_argument("--c-grid", dest="c_grid")
-        p.add_argument("--folds", type=int)
-        p.add_argument("--svm-passes", type=int, dest="svm_passes")
-        p.add_argument("--pmi-matrix", dest="pmi_matrix", help="reuse a saved PMI matrix")
-
-    p_train = sub.add_parser("train", help="train one system on every pair in the data")
-    add_common(p_train)
-    add_train_options(p_train)
-
-    p_eval = sub.add_parser("evaluate", help="score a trained model on a word list")
-    add_common(p_eval)
-    p_eval.add_argument("--system", choices=SYSTEMS)
-    p_eval.add_argument("--model", help="checkpoint (neural) or model file (svm)")
-    p_eval.add_argument("--out-dir", dest="out_dir")
-    p_eval.add_argument("--pmi-matrix", dest="pmi_matrix")
-    p_eval.add_argument("--threshold", type=float)
-
-    p_pipe = sub.add_parser("pipeline", help="split, train, and evaluate one system")
-    add_common(p_pipe)
-    add_train_options(p_pipe)
-    p_pipe.add_argument("--mode", choices=("cross-concept", "cross-family"))
-    p_pipe.add_argument("--train-fraction", type=float, dest="train_fraction")
-    p_pipe.add_argument("--train-families", dest="train_families")
-    p_pipe.add_argument("--test-families", dest="test_families")
-    p_pipe.add_argument("--threshold", type=float)
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key, (cast, _, commands, option_help) in _OPTIONS.items():
+            if command in commands:
+                p.add_argument("--" + key.replace("_", "-"), dest=key, type=cast,
+                               choices=_CHOICES.get(key), help=option_help)
     return parser
 
 
@@ -193,13 +185,34 @@ def _require(options: dict, *keys: str) -> None:
 
 def _load_pairs(options: dict) -> tuple[list[wordlists.Lexeme], list[wordlists.WordPair]]:
     lexemes = wordlists.load_wordlist(options["data"])
-    pairs = wordlists.generate_pairs(lexemes)
-    return lexemes, pairs
+    return lexemes, wordlists.generate_pairs(lexemes)
 
 
-def _pair_columns(pair: wordlists.WordPair) -> list[str]:
-    return [pair.family, pair.concept, pair.a.language, pair.a.form,
-            pair.b.language, pair.b.form, str(pair.label)]
+def _out_dir(options: dict) -> Path:
+    out_dir = Path(options["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
+def _finish(out_dir: Path, command: str, options: dict, message: str) -> int:
+    """Write the manifest over every input file named in ``options`` and print ``message``."""
+    inputs = [options[k] for k in ("data", "model", "pmi_matrix") if options[k]]
+    _write_manifest(out_dir, command, options, inputs)
+    print(message, end="" if message.endswith("\n") else "\n")
+    return 0
+
+
+def features_for(system: str, pairs: list[wordlists.WordPair], artifacts: dict):
+    """What ``system`` classifies: rendered (xa, xb, y) for a ConvNet, else a feature matrix."""
+    if system in NEURAL_SYSTEMS:
+        return neural_model.encode_pairs(pairs, artifacts["net"].spec.pad_len)
+    if system == "pmi_svm":
+        return np.array([pmi.pmi_features(p.a.form, p.b.form, artifacts["pmi_matrix"]) for p in pairs])
+    return np.array([similarity.extract_features(p.a.form, p.b.form).vector() for p in pairs])
+
+
+def _g(value: float) -> str:
+    return format(value, ".12g")
 
 
 def cmd_featurize(options: dict) -> int:
@@ -208,238 +221,146 @@ def cmd_featurize(options: dict) -> int:
     out = Path(options["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     header = ["family", "concept", "language_a", "form_a", "language_b", "form_b", "label"]
-    header += list(similarity.FEATURE_NAMES)
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for pair in pairs:
-            feats = similarity.extract_features(pair.a.form, pair.b.form)
-            row = _pair_columns(pair) + [format(v, ".12g") for v in feats.vector()]
-            fh.write("\t".join(row) + "\n")
-    _write_manifest(out.parent, "featurize", options, [options["data"]])
-    print(f"wrote {len(pairs)} feature rows to {out}")
-    return 0
+    _write_tsv(out, header + list(similarity.FEATURE_NAMES), (
+        [p.family, p.concept, p.a.language, p.a.form, p.b.language, p.b.form, str(p.label)]
+        + [_g(v) for v in feats]
+        for p, feats in zip(pairs, features_for("ortho_svm", pairs, {}))
+    ))
+    return _finish(out.parent, "featurize", options, f"wrote {len(pairs)} feature rows to {out}")
 
 
 def _pmi_config(options: dict) -> pmi.PMIConfig:
-    return pmi.PMIConfig(
-        initial_cutoff=options["cutoff"],
-        max_iterations=options["max_iterations"],
-        convergence_tol=options["tol"],
-        pseudocount=options["pseudocount"],
-        gap_penalty=options["gap_penalty"],
-    )
+    with _user_values():
+        return pmi.PMIConfig(options["cutoff"], options["max_iterations"], options["tol"],
+                             options["pseudocount"], options["gap_penalty"])
 
 
 def cmd_pmi_train(options: dict) -> int:
     _require(options, "data", "out")
+    cfg = _pmi_config(options)
     _, pairs = _load_pairs(options)
-    matrix = pmi.estimate_pmi([(p.a.form, p.b.form) for p in pairs], _pmi_config(options))
+    matrix = pmi.estimate_pmi([(p.a.form, p.b.form) for p in pairs], cfg)
     out = Path(options["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     pmi.save_matrix(matrix, out)
-    _write_manifest(out.parent, "pmi-train", options, [options["data"]])
-    print(f"PMI matrix written to {out} "
-          f"(iterations={matrix.iterations}, delta={matrix.final_delta:.3g}, "
-          f"converged={matrix.converged})")
-    return 0
+    return _finish(out.parent, "pmi-train", options,
+                   f"PMI matrix written to {out} (iterations={matrix.iterations}, "
+                   f"delta={matrix.final_delta:.3g}, converged={matrix.converged})")
 
 
-def _model_spec(options: dict, architecture: str) -> neural_model.ModelSpec:
-    return neural_model.ModelSpec(
-        architecture=architecture,
-        conv_filters=options["filters"],
-        kernel=options["kernel"],
-        fc_units=options["fc_units"],
-        dropout_rate=options["dropout"],
-        pad_len=options["pad_len"],
-    )
-
-
-def _train_system(options: dict, train_pairs: list[wordlists.WordPair], out_dir: Path):
-    """Train the chosen system; returns (kind, artifacts dict)."""
-    system = options["system"]
-    seed = options["seed"]
+def _train_system(options: dict, train_pairs: list[wordlists.WordPair], out_dir: Path) -> dict:
+    """Train the chosen system, write its artifacts to ``out_dir`` and return them."""
+    system, seed = options["system"], options["seed"]
     if system in NEURAL_SYSTEMS:
-        spec = _model_spec(options, system)
-        net = neural_model.build(spec, seed=seed)
-        cfg = neural_model.TrainConfig(
-            batch_size=options["batch_size"],
-            epochs=options["epochs"],
-            margin=options["margin"],
-            seed=seed,
-        )
-        _, history = neural_model.train(net, train_pairs, cfg)
+        with _user_values():
+            spec = neural_model.ModelSpec(system, options["filters"], options["kernel"],
+                                          options["fc_units"], options["dropout"], options["pad_len"])
+            net = neural_model.build(spec, seed=seed)
+            cfg = neural_model.TrainConfig(options["batch_size"], options["epochs"], options["margin"],
+                                           seed)
+        artifacts = {"net": net}
+        _, history = neural_model.train(net, features_for(system, train_pairs, artifacts), cfg)
         neural_model.save_checkpoint(net, out_dir / "model.txt")
-        with open(out_dir / "loss_history.tsv", "w", encoding="utf-8") as fh:
-            fh.write("epoch\tmean_loss\n")
-            for epoch, loss in enumerate(history, 1):
-                fh.write(f"{epoch}\t{format(loss, '.12g')}\n")
-        return {"net": net}
+        _write_tsv(out_dir / "loss_history.tsv", ["epoch", "mean_loss"],
+                   ([str(epoch), _g(loss)] for epoch, loss in enumerate(history, 1)))
+        return artifacts
 
+    if options["folds"] < 2:
+        raise UsageError("--folds must be >= 2")
+    artifacts = {}
     if system == "pmi_svm":
-        if options.get("pmi_matrix"):
-            matrix = pmi.load_matrix(options["pmi_matrix"])
-        else:
-            matrix = pmi.estimate_pmi(
-                [(p.a.form, p.b.form) for p in train_pairs], _pmi_config(options)
-            )
+        matrix = (pmi.load_matrix(options["pmi_matrix"]) if options["pmi_matrix"] else
+                  pmi.estimate_pmi([(p.a.form, p.b.form) for p in train_pairs], _pmi_config(options)))
         pmi.save_matrix(matrix, out_dir / "pmi_matrix.tsv")
-        X = np.array([pmi.pmi_features(p.a.form, p.b.form, matrix) for p in train_pairs])
-    else:  # ortho_svm
-        matrix = None
-        X = np.array([
-            similarity.extract_features(p.a.form, p.b.form).vector()
-            for p in train_pairs
-        ])
+        artifacts["pmi_matrix"] = matrix
+    X = features_for(system, train_pairs, artifacts)
     y = np.array([p.label for p in train_pairs])
-    search = grid_search_cv(
-        X, y, C_grid=options["c_grid"], folds=options["folds"],
-        seed=seed, passes=options["svm_passes"],
-    )
-    fitted = svm.fit(X, y, C=search.best_C, seed=seed, passes=options["svm_passes"])
-    svm.save_model(fitted, out_dir / "model.txt")
-    with open(out_dir / "cv_results.tsv", "w", encoding="utf-8") as fh:
-        fh.write("C\tmean_accuracy\n")
-        for c in sorted(search.cv_scores):
-            fh.write(f"{format(c, '.12g')}\t{format(search.cv_scores[c], '.12g')}\n")
-    return {"svm": fitted, "pmi_matrix": matrix, "best_C": search.best_C}
+    search = grid_search_cv(X, y, C_grid=options["c_grid"], folds=options["folds"],
+                            seed=seed, passes=options["svm_passes"])
+    artifacts["svm"] = svm.fit(X, y, C=search.best_C, passes=options["svm_passes"])
+    svm.save_model(artifacts["svm"], out_dir / "model.txt", system)
+    _write_tsv(out_dir / "cv_results.tsv", ["C", "mean_accuracy"],
+               ([_g(c), _g(search.cv_scores[c])] for c in sorted(search.cv_scores)))
+    return artifacts
 
 
-def _score_pairs(options: dict, artifacts: dict, pairs: list[wordlists.WordPair]) -> np.ndarray:
-    system = options["system"]
+def load_artifacts(options: dict) -> dict:
+    """Read what ``--system`` was trained into; each file must record that system."""
+    system, path = options["system"], options["model"]
     if system in NEURAL_SYSTEMS:
-        net = artifacts["net"]
-        xa, xb, _ = neural_model.encode_pairs(pairs, net.spec.pad_len)
-        return net.predict(xa, xb)
+        return {"net": neural_model.load_checkpoint(path, system)}
+    artifacts = {}
     if system == "pmi_svm":
-        matrix = artifacts["pmi_matrix"]
-        X = np.array([pmi.pmi_features(p.a.form, p.b.form, matrix) for p in pairs])
+        _require(options, "pmi_matrix")
+        artifacts["pmi_matrix"] = pmi.load_matrix(options["pmi_matrix"])
+    artifacts["svm"] = svm.load_model(path, system, N_FEATURES[system])
+    return artifacts
+
+
+def _score_and_report(options: dict, artifacts: dict, pairs: list[wordlists.WordPair],
+                      out_dir: Path, title: str) -> str:
+    """Score ``pairs``, threshold, evaluate, and write report.txt and report.tsv."""
+    system = options["system"]
+    features = features_for(system, pairs, artifacts)
+    if system in NEURAL_SYSTEMS:
+        scores = artifacts["net"].predict(features[0], features[1])
     else:
-        X = np.array([
-            similarity.extract_features(p.a.form, p.b.form).vector()
-            for p in pairs
-        ])
-    return decision_function(artifacts["svm"], X)
-
-
-def _default_threshold(system: str) -> float:
-    # SVM scores are uncalibrated margins; split at zero
-    return 0.0 if system.endswith("_svm") else 0.5
-
-
-def _write_report(out_dir: Path, report: metrics.EvalReport, title: str) -> str:
+        scores = decision_function(artifacts["svm"], features)
+    threshold = options["threshold"]
+    if threshold is None:  # SVM scores are uncalibrated margins; split at zero
+        threshold = 0.5 if system in NEURAL_SYSTEMS else 0.0
+    report = metrics.evaluate(np.array([p.label for p in pairs]), scores, threshold=threshold)
     text = metrics.render_report(report, title=title)
-    with open(out_dir / "report.txt", "w", encoding="utf-8") as fh:
-        fh.write(text)
-    with open(out_dir / "report.tsv", "w", encoding="utf-8") as fh:
-        fh.write(metrics.report_tsv(report))
+    (out_dir / "report.txt").write_text(text, encoding="utf-8")
+    (out_dir / "report.tsv").write_text(metrics.report_tsv(report), encoding="utf-8")
     return text
 
 
 def cmd_train(options: dict) -> int:
     _require(options, "data", "system", "out_dir")
     _, pairs = _load_pairs(options)
-    out_dir = Path(options["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(options)
     _train_system(options, pairs, out_dir)
-    inputs = [options["data"]] + ([options["pmi_matrix"]] if options.get("pmi_matrix") else [])
-    _write_manifest(out_dir, "train", options, inputs)
-    print(f"trained {options['system']} on {len(pairs)} pairs; artifacts in {out_dir}")
-    return 0
+    return _finish(out_dir, "train", options,
+                   f"trained {options['system']} on {len(pairs)} pairs; artifacts in {out_dir}")
 
 
 def cmd_evaluate(options: dict) -> int:
     _require(options, "data", "system", "model", "out_dir")
-    system = options["system"]
+    artifacts = load_artifacts(options)
     _, pairs = _load_pairs(options)
-    out_dir = Path(options["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if system in NEURAL_SYSTEMS:
-        artifacts = {"net": neural_model.load_checkpoint(options["model"])}
-    else:
-        artifacts = {"svm": svm.load_model(options["model"])}
-        if system == "pmi_svm":
-            _require(options, "pmi_matrix")
-            artifacts["pmi_matrix"] = pmi.load_matrix(options["pmi_matrix"])
-    scores = _score_pairs(options, artifacts, pairs)
-    threshold = options["threshold"] if options.get("threshold") is not None else _default_threshold(system)
-    labels = np.array([p.label for p in pairs])
-    report = metrics.evaluate(labels, scores, threshold=threshold)
-    text = _write_report(out_dir, report, title=f"system: {system}")
-    inputs = [options["data"], options["model"]]
-    if options.get("pmi_matrix"):
-        inputs.append(options["pmi_matrix"])
-    _write_manifest(out_dir, "evaluate", options, inputs)
-    print(text, end="")
-    return 0
+    out_dir = _out_dir(options)
+    text = _score_and_report(options, artifacts, pairs, out_dir, f"system: {options['system']}")
+    return _finish(out_dir, "evaluate", options, text)
 
 
 def cmd_pipeline(options: dict) -> int:
     _require(options, "data", "system", "out_dir", "mode")
+    if options["mode"] == "cross-family":
+        _require(options, "train_families", "test_families")
+    with _user_values():
+        spec = wordlists.SplitSpec(options["mode"].replace("-", "_"), options["train_fraction"],
+                                   options["seed"])
     lexemes, pairs = _load_pairs(options)
-    mode = wordlists.CROSS_CONCEPT if options["mode"] == "cross-concept" else wordlists.CROSS_FAMILY
-    spec = wordlists.SplitSpec(
-        mode=mode,
-        train_fraction=options["train_fraction"],
-        seed=options["seed"],
-    )
     train_pairs, test_pairs = wordlists.split(
         pairs, lexemes, spec,
-        train_families=_parse_families(options.get("train_families")),
-        test_families=_parse_families(options.get("test_families")),
+        train_families=_parse_families(options["train_families"]),
+        test_families=_parse_families(options["test_families"]),
     )
-    out_dir = Path(options["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(options)
     artifacts = _train_system(options, train_pairs, out_dir)
-    scores = _score_pairs(options, artifacts, test_pairs)
-    labels = np.array([p.label for p in test_pairs])
-    threshold = options["threshold"] if options.get("threshold") is not None else _default_threshold(options["system"])
-    report = metrics.evaluate(labels, scores, threshold=threshold)
     title = (f"system: {options['system']}  mode: {options['mode']}  "
              f"train pairs: {len(train_pairs)}  test pairs: {len(test_pairs)}")
-    text = _write_report(out_dir, report, title=title)
-    _write_manifest(out_dir, "pipeline", options, [options["data"]])
-    print(text, end="")
-    return 0
+    return _finish(out_dir, "pipeline", options,
+                   _score_and_report(options, artifacts, test_pairs, out_dir, title))
 
-
-_DEFAULTS = {
-    "seed": (int, None),  # mandatory, see run()
-    "out": (str, None),
-    "out_dir": (str, None),
-    "data": (str, None),
-    "system": (str, None),
-    "model": (str, None),
-    "mode": (str, None),
-    "cutoff": (float, 0.5),
-    "max_iterations": (int, 10),
-    "tol": (float, 1e-4),
-    "pseudocount": (float, 1.0),
-    "gap_penalty": (float, -2.5),
-    "epochs": (int, 20),
-    "batch_size": (int, 128),
-    "margin": (float, 1.0),
-    "kernel": (_parse_kernel, (2, 3)),
-    "filters": (int, 10),
-    "fc_units": (int, 8),
-    "dropout": (float, 0.5),
-    "pad_len": (int, 10),
-    "c_grid": (_parse_grid, (0.01, 0.1, 1.0, 10.0, 100.0)),
-    "folds": (int, 10),
-    "svm_passes": (int, 2000),
-    "pmi_matrix": (str, None),
-    "threshold": (float, None),
-    "train_fraction": (float, 0.7),
-    "train_families": (str, None),
-    "test_families": (str, None),
-}
 
 _COMMANDS = {
-    "featurize": cmd_featurize,
-    "pmi-train": cmd_pmi_train,
-    "train": cmd_train,
-    "evaluate": cmd_evaluate,
-    "pipeline": cmd_pipeline,
+    "featurize": (cmd_featurize, "write similarity features for all pairs"),
+    "pmi-train": (cmd_pmi_train, "estimate a PMI matrix from word pairs"),
+    "train": (cmd_train, "train one system on every pair in the data"),
+    "evaluate": (cmd_evaluate, "score a trained model on a word list"),
+    "pipeline": (cmd_pipeline, "split, train, and evaluate one system"),
 }
 
 
@@ -449,16 +370,11 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _load_config(args.config)
-        options: dict = {}
-        for key, (cast, default) in _DEFAULTS.items():
-            options[key] = _resolve(args, config, key, cast, default)
-        if isinstance(options.get("c_grid"), str):
-            options["c_grid"] = _parse_grid(options["c_grid"])
-        if isinstance(options.get("kernel"), str):
-            options["kernel"] = _parse_kernel(options["kernel"])
+        options = {key: _resolve(args, config, key, cast, default)
+                   for key, (cast, default, _, _) in _OPTIONS.items()}
         if options["seed"] is None:
             raise UsageError("a --seed is required (reproducibility contract)")
-        return _COMMANDS[args.command](options)
+        return _COMMANDS[args.command][0](options)
     except UsageError as exc:
         print(f"cognet: usage error: {exc}", file=sys.stderr)
         return 1

@@ -8,11 +8,11 @@ channels of a single input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .. import phoneme
+from .. import artifact, phoneme
 from . import losses, ops
 from .adadelta import AdadeltaState, adadelta_step
 
@@ -266,19 +266,15 @@ def encode_pairs(pairs, pad_len: int = 10):
 def train(model: Model, pairs, cfg: TrainConfig = TrainConfig()):
     """Mini-batch adadelta training; returns (params, per-epoch mean loss).
 
-    ``pairs`` is (xa, xb, y) from :func:`encode_pairs` or a sequence of
-    triples.  A single generator seeded with cfg.seed drives both the
-    epoch shuffles and the dropout masks, so runs are reproducible.
+    ``pairs`` is (xa, xb, y) as :func:`encode_pairs` renders them.  A
+    single generator seeded with cfg.seed drives both the epoch shuffles
+    and the dropout masks, so runs are reproducible.
     """
     if cfg.loss is not None and cfg.loss != model.spec.loss:
         raise InvalidSpec(
             f"{model.spec.architecture} trains with {model.spec.loss} loss, not {cfg.loss}"
         )
-    if (isinstance(pairs, tuple) and len(pairs) == 3
-            and all(isinstance(p, np.ndarray) for p in pairs)):
-        xa, xb, y = pairs
-    else:
-        xa, xb, y = encode_pairs(pairs, model.spec.pad_len)
+    xa, xb, y = pairs
     n = xa.shape[0]
     if n == 0:
         raise EmptyDataset("training set is empty")
@@ -301,57 +297,27 @@ def train(model: Model, pairs, cfg: TrainConfig = TrainConfig()):
     return model.params, history
 
 
+# ModelSpec's fields in order, the architecture recorded as the system
+_CHECKPOINT_HEADER = {
+    "system": artifact.one_of(*ARCHITECTURES), "conv_filters": int, "kernel": artifact.parse_dims,
+    "fc_units": int, "dropout_rate": artifact.finite_float, "pad_len": int, "pool": artifact.parse_dims,
+}
+
+
 def save_checkpoint(model: Model, path) -> None:
-    """Self-describing text checkpoint; floats use repr and round-trip exactly."""
-    s = model.spec
-    lines = [
-        "cognet-checkpoint\t1",
-        f"architecture\t{s.architecture}",
-        f"conv_filters\t{s.conv_filters}",
-        f"kernel\t{s.kernel[0]}\t{s.kernel[1]}",
-        f"fc_units\t{s.fc_units}",
-        f"dropout_rate\t{s.dropout_rate!r}",
-        f"pad_len\t{s.pad_len}",
-        f"pool\t{s.pool[0]}\t{s.pool[1]}",
-    ]
-    for name in sorted(model.params):
-        tensor = model.params[name]
-        shape = "\t".join(str(d) for d in tensor.shape)
-        lines.append(f"tensor\t{name}\t{shape}")
-        lines.append("\t".join(repr(float(v)) for v in tensor.ravel()))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write spec and parameters as a ``checkpoint`` artifact."""
+    header = dict(zip(_CHECKPOINT_HEADER, astuple(model.spec)))
+    artifact.save(path, "checkpoint", header, {k: model.params[k] for k in sorted(model.params)})
 
 
-def load_checkpoint(path) -> Model:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or not lines[0].startswith("cognet-checkpoint"):
-        raise ValueError(f"{path}: not a checkpoint file")
-    header: dict[str, list[str]] = {}
-    i = 1
-    while i < len(lines) and not lines[i].startswith("tensor\t"):
-        parts = lines[i].split("\t")
-        header[parts[0]] = parts[1:]
-        i += 1
-    spec = ModelSpec(
-        architecture=header["architecture"][0],
-        conv_filters=int(header["conv_filters"][0]),
-        kernel=(int(header["kernel"][0]), int(header["kernel"][1])),
-        fc_units=int(header["fc_units"][0]),
-        dropout_rate=float(header["dropout_rate"][0]),
-        pad_len=int(header["pad_len"][0]),
-        pool=(int(header["pool"][0]), int(header["pool"][1])),
-    )
-    model = Model(spec, seed=0)
-    while i < len(lines):
-        _, name, *shape = lines[i].split("\t")
-        if name not in model.params:
-            raise ValueError(f"{path}: unexpected tensor {name!r}")
-        values = np.array([float(v) for v in lines[i + 1].split("\t")])
-        target = tuple(int(d) for d in shape)
-        if target != model.params[name].shape:
-            raise ValueError(f"{path}: tensor {name!r} shape {target} does not fit the spec")
-        model.params[name] = values.reshape(target)
-        i += 2
+def load_checkpoint(path, system: str | None = None) -> Model:
+    """Read a checkpoint; ``system``, when given, must be the recorded architecture."""
+    def spec(header: dict) -> ModelSpec:
+        return ModelSpec(*(header[k] for k in _CHECKPOINT_HEADER))
+
+    values, tensors, _ = artifact.load(
+        path, "checkpoint", _CHECKPOINT_HEADER,
+        lambda h: {k: v.shape for k, v in Model(spec(h)).params.items()}, system)
+    model = Model(spec(values))
+    model.params.update(tensors)
     return model

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import phoneme, similarity
+from . import artifact, phoneme, similarity
 
 N = len(phoneme.INVENTORY)
 
@@ -144,32 +144,26 @@ def pmi_features(a: str, b: str, matrix: PMIMatrix) -> list[float]:
     return [pmi_score(a, b, matrix), float(len(a)), float(len(b)), float(abs(len(a) - len(b)))]
 
 
+def _gap_penalty(text: str) -> float:
+    value = artifact.finite_float(text)
+    if value >= 0:
+        raise ValueError("must be < 0")
+    return value
+
+
+_SYMBOLS = "".join(phoneme.INVENTORY)
+# the header of a PMI matrix file; score rows and columns follow the symbols
+_HEADER = {"system": artifact.one_of("pmi_svm"), "symbols": artifact.one_of(_SYMBOLS),
+           "gap_penalty": _gap_penalty}
+
+
 def save_matrix(matrix: PMIMatrix, path) -> None:
-    """Write the matrix as TSV: symbol header, 35 score rows, GAP line."""
-    lines = ["\t".join(phoneme.INVENTORY)]
-    for row in matrix.scores:
-        lines.append("\t".join(format(v, ".12g") for v in row))
-    lines.append(f"GAP\t{format(matrix.gap_penalty, '.12g')}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write the matrix as a ``pmi-matrix`` artifact."""
+    header = {"system": "pmi_svm", "symbols": _SYMBOLS, "gap_penalty": float(matrix.gap_penalty)}
+    artifact.save(path, "pmi-matrix", header, {"scores": matrix.scores})
 
 
 def load_matrix(path) -> PMIMatrix:
     """Read a matrix written by :func:`save_matrix`."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if len(lines) != N + 2:
-        raise ValueError(f"{path}: expected {N + 2} lines, found {len(lines)}")
-    header = lines[0].split("\t")
-    if sorted(header) != sorted(phoneme.INVENTORY) or len(header) != N:
-        raise ValueError(f"{path}: header must list the {N} inventory symbols")
-    raw = np.array([[float(v) for v in ln.split("\t")] for ln in lines[1:-1]])
-    if raw.shape != (N, N):
-        raise ValueError(f"{path}: expected a {N}x{N} score block")
-    # reorder into canonical inventory order in case the header permutes it
-    order = [header.index(s) for s in phoneme.INVENTORY]
-    scores = raw[np.ix_(order, order)]
-    gap_label, gap_value = lines[-1].split("\t")
-    if gap_label != "GAP":
-        raise ValueError(f"{path}: final line must be 'GAP<TAB>value'")
-    return PMIMatrix(scores=scores, gap_penalty=float(gap_value))
+    values, tensors, _ = artifact.load(path, "pmi-matrix", _HEADER, lambda h: {"scores": (N, N)})
+    return PMIMatrix(scores=tensors["scores"], gap_penalty=values["gap_penalty"])

@@ -46,15 +46,10 @@ class ScoringScheme:
 
     substitution: Callable[[str, str], float]
     gap_open: float = -1.0
-    gap_extend: float | None = None
 
     def __post_init__(self):
-        if self.gap_extend is None:
-            object.__setattr__(self, "gap_extend", self.gap_open)
-        if self.gap_open > 0 or self.gap_extend > 0:
-            raise ValueError("gap penalties must be <= 0")
-        if self.gap_extend != self.gap_open:
-            raise ValueError("affine gaps are not supported; gap_extend must equal gap_open")
+        if self.gap_open > 0:
+            raise ValueError("gap penalty must be <= 0")
 
 
 DEFAULT_SCHEME = ScoringScheme(match_mismatch(), gap_open=-1.0)

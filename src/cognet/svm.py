@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifact
+
+# the systems an SVM model can be trained for; each has its own feature set
+SYSTEMS = ("ortho_svm", "pmi_svm")
+
 
 class SingleClass(ValueError):
     pass
@@ -49,13 +54,8 @@ def _objective(Z: np.ndarray, ys: np.ndarray, w: np.ndarray, b: float, C: float)
     return 0.5 * float(w @ w) + C * float(hinge.mean())
 
 
-def fit(X, y, C: float = 1.0, seed: int = 0, passes: int = 2000) -> LinearModel:
-    """Fit the linear classifier; deterministic for fixed inputs.
-
-    ``seed`` is accepted for interface consistency; the full-batch solver
-    has no stochastic component.
-    """
-    del seed
+def fit(X, y, C: float = 1.0, passes: int = 2000) -> LinearModel:
+    """Fit the linear classifier; deterministic for fixed inputs."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0:
@@ -171,34 +171,26 @@ def grid_search_cv(X, y, C_grid=(0.01, 0.1, 1.0, 10.0, 100.0), folds: int = 10,
     return GridSearchResult(best_C=best_C, cv_scores=cv_scores, folds=folds)
 
 
-def save_model(model: LinearModel, path) -> None:
-    """Plain-text serialization; floats use repr and round-trip exactly."""
-    lines = [
-        f"dim\t{model.weights.shape[0]}",
-        f"C\t{float(model.C)!r}",
-        "mean\t" + "\t".join(repr(float(v)) for v in model.mean),
-        "std\t" + "\t".join(repr(float(v)) for v in model.std),
-        "weights\t" + "\t".join(repr(float(v)) for v in model.weights),
-        f"bias\t{float(model.bias)!r}",
-    ]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_model(path) -> LinearModel:
-    fields: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            fields[parts[0]] = parts[1:]
-    dim = int(fields["dim"][0])
-    model = LinearModel(
-        weights=np.array([float(v) for v in fields["weights"]]),
-        bias=float(fields["bias"][0]),
-        mean=np.array([float(v) for v in fields["mean"]]),
-        std=np.array([float(v) for v in fields["std"]]),
-        C=float(fields["C"][0]),
+def save_model(model: LinearModel, path, system: str = "ortho_svm") -> None:
+    """Write the model as an ``svm-model`` artifact for ``system`` (its feature set)."""
+    artifact.save(
+        path, "svm-model", {"system": system, "dim": len(model.weights), "C": float(model.C)},
+        {"weights": model.weights, "mean": model.mean, "std": model.std, "bias": np.array([model.bias])},
     )
-    if model.weights.shape[0] != dim:
-        raise ValueError(f"{path}: weight count does not match declared dim {dim}")
-    return model
+
+
+def load_model(path, system: str | None = None, dim: int | None = None) -> LinearModel:
+    """Read a model; ``system`` and ``dim``, when given, must match the file."""
+    def n_features(text: str) -> int:
+        n = int(text)
+        if n < 1 or (dim is not None and n != dim):
+            raise ValueError(f"{n} features, expected {dim or 'at least 1'}")
+        return n
+
+    header = {"system": artifact.one_of(*SYSTEMS), "dim": n_features, "C": artifact.finite_float}
+    values, t, lines = artifact.load(path, "svm-model", header, lambda h: {
+        "weights": (h["dim"],), "mean": (h["dim"],), "std": (h["dim"],), "bias": (1,)}, system)
+    if (t["std"] <= 0.0).any():
+        raise artifact.ArtifactError(path, lines["std"], "feature scales must be > 0")
+    return LinearModel(weights=t["weights"], bias=float(t["bias"][0]), mean=t["mean"], std=t["std"],
+                       C=values["C"])

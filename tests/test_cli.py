@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -146,3 +147,114 @@ def test_cli_flags_override_config(family_tsv, tmp_path):
 
 def test_missing_config_file_exits_1(capsys):
     assert cli.run(["--config", "/nonexistent.cfg", "featurize"]) == 1
+
+
+@pytest.fixture(scope="module")
+def trained(family_tsv, tmp_path_factory):
+    """Artifacts of a quick `cognet train` for three systems, keyed by system."""
+    root = tmp_path_factory.mktemp("trained")
+    for system, extra in (("two_channel", ["--epochs", "1"]), ("manhattan", ["--epochs", "1"]),
+                          ("pmi_svm", ["--c-grid", "1", "--folds", "5", "--svm-passes", "50"])):
+        assert cli.run(["train", "--data", str(family_tsv), "--system", system,
+                        "--out-dir", str(root / system), "--seed", "3", *extra]) == 0
+    return root
+
+
+def _tensor_line(lines, tensor):
+    return next(i for i, ln in enumerate(lines) if ln.startswith(f"tensor\t{tensor}\t"))
+
+
+def _drop_tensor(tensor):
+    def corrupt(lines):
+        i = _tensor_line(lines, tensor)
+        return lines[:i] + lines[i + 2:]
+    return corrupt
+
+
+def _drop_key(key):
+    return lambda lines: [ln for ln in lines if not ln.startswith(key + "\t")]
+
+
+def _values_after(tensor, edit):
+    def corrupt(lines):
+        i = _tensor_line(lines, tensor) + 1
+        return lines[:i] + [edit(lines[i])] + lines[i + 1:]
+    return corrupt
+
+
+# (trained system, file, corruption, --system for evaluate, text the error names)
+ARTIFACT_DEFECTS = {
+    "checkpoint_without_out_w": ("two_channel", "model.txt", _drop_tensor("out_w"), "two_channel", "out_w"),
+    "checkpoint_without_fc_units": ("two_channel", "model.txt", _drop_key("fc_units"), "two_channel",
+                                    "fc_units"),
+    "checkpoint_missing_last_line": ("two_channel", "model.txt", lambda lines: lines[:-1], "two_channel",
+                                     "out_w"),
+    "svm_model_without_weights": ("pmi_svm", "model.txt", _drop_tensor("weights"), "pmi_svm", "weights"),
+    "svm_mean_row_short": ("pmi_svm", "model.txt", _values_after("mean", lambda v: v.split("\t")[0]),
+                           "pmi_svm", "mean"),
+    "pmi_matrix_nan_cell": ("pmi_svm", "pmi_matrix.tsv",
+                            _values_after("scores", lambda v: "nan\t" + v.split("\t", 1)[1]),
+                            "pmi_svm", "nan"),
+    "checkpoint_of_other_system": ("two_channel", "model.txt", None, "manhattan", "two_channel"),
+    "checkpoint_as_svm_model": ("manhattan", "model.txt", None, "ortho_svm", "checkpoint"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARTIFACT_DEFECTS))
+def test_defective_artifact_is_a_data_error_naming_file_and_line(case, trained, family_tsv, tmp_path,
+                                                                 capsys):
+    system, name, corrupt, eval_system, named = ARTIFACT_DEFECTS[case]
+    files = {"model.txt": trained / system / "model.txt"}
+    if system == "pmi_svm":
+        files["pmi_matrix.tsv"] = trained / system / "pmi_matrix.tsv"
+    if corrupt is not None:
+        lines = files[name].read_text(encoding="utf-8").splitlines()
+        files[name] = tmp_path / name
+        files[name].write_text("".join(ln + "\n" for ln in corrupt(lines)), encoding="utf-8")
+    args = ["evaluate", "--data", str(family_tsv), "--system", eval_system, "--seed", "3",
+            "--model", str(files["model.txt"]), "--out-dir", str(tmp_path / "eval")]
+    if eval_system == "pmi_svm":
+        args += ["--pmi-matrix", str(files["pmi_matrix.tsv"])]
+    assert cli.run(args) == 2
+    err = capsys.readouterr().err
+    assert re.search(re.escape(f"data error: {files[name]}:") + r"\d+: ", err), err
+    assert named in err
+    assert not (tmp_path / "eval" / "report.txt").exists()
+
+
+def _write_config(tmp_path, text):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text, encoding="utf-8")
+    return ["--config", str(path)]
+
+
+USAGE_ERRORS = {
+    "filters_0": ["train", "--system", "manhattan", "--filters", "0"],
+    "epochs_negative": ["train", "--system", "manhattan", "--epochs", "-1"],
+    "batch_size_0": ["train", "--system", "two_channel", "--batch-size", "0"],
+    "dropout_1": ["train", "--system", "manhattan", "--dropout", "1.0"],
+    "kernel_exhausts_input": ["train", "--system", "manhattan", "--kernel", "11x3"],
+    "kernel_malformed": ["train", "--system", "manhattan", "--kernel", "2x"],
+    "c_grid_not_a_number": ["train", "--system", "ortho_svm", "--c-grid", "1,x"],
+    "c_grid_not_positive": ["train", "--system", "ortho_svm", "--c-grid", "0,1"],
+    "folds_1": ["train", "--system", "ortho_svm", "--folds", "1"],
+    "cutoff_0": ["pmi-train", "--cutoff", "0", "--out", "OUT/pmi.tsv"],
+    "train_fraction_1.5": ["pipeline", "--system", "ortho_svm", "--mode", "cross-concept",
+                           "--train-fraction", "1.5"],
+    "cross_family_without_families": ["pipeline", "--system", "ortho_svm", "--mode", "cross-family"],
+    "config_c_grid": ["CONFIG:[svm]\nc_grid = 1,x\n", "train", "--system", "ortho_svm"],
+    "config_kernel": ["CONFIG:[net]\nkernel = 2\n", "train", "--system", "manhattan"],
+    "config_system": ["CONFIG:[run]\nsystem = nope\n", "train"],
+    "config_epochs": ["CONFIG:[net]\nepochs = 1.5\n", "train", "--system", "manhattan"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_bad_option_values_are_usage_errors(case, family_tsv, tmp_path, capsys):
+    args = [a.replace("OUT", str(tmp_path)) for a in USAGE_ERRORS[case]]
+    prefix = _write_config(tmp_path, args.pop(0)[len("CONFIG:"):]) if args[0].startswith("CONFIG:") else []
+    common = ["--data", str(family_tsv), "--seed", "3"]
+    if args[0] != "pmi-train":
+        common += ["--out-dir", str(tmp_path / "run")]
+    assert cli.run(prefix + args + common) == 1
+    assert "usage error" in capsys.readouterr().err

@@ -145,7 +145,7 @@ def test_matrix_file_round_trip(tmp_path):
     path = tmp_path / "matrix.tsv"
     pmi.save_matrix(m, path)
     loaded = pmi.load_matrix(path)
-    assert np.allclose(loaded.scores, m.scores, rtol=1e-11, atol=0)
+    assert np.array_equal(loaded.scores, m.scores)
     assert loaded.gap_penalty == m.gap_penalty
     # a second save of the loaded matrix is byte-identical
     path2 = tmp_path / "matrix2.tsv"

@@ -151,8 +151,6 @@ def test_semiglobal_alignment_achieves_score_with_free_end_gaps():
 def test_scoring_scheme_validation():
     with pytest.raises(ValueError):
         sim.ScoringScheme(MM, gap_open=0.5)
-    with pytest.raises(ValueError):
-        sim.ScoringScheme(MM, gap_open=-1.0, gap_extend=-2.0)
 
 
 def _random_pairs(rng, count, max_len, alphabet="ptkV"):

@@ -75,8 +75,8 @@ def test_zero_variance_feature_is_inert():
 
 def test_determinism_bit_identical():
     X, y = _separable(n=50, seed=7)
-    m1 = svm.fit(X, y, C=10.0, seed=42)
-    m2 = svm.fit(X, y, C=10.0, seed=42)
+    m1 = svm.fit(X, y, C=10.0)
+    m2 = svm.fit(X, y, C=10.0)
     assert np.array_equal(m1.weights, m2.weights)
     assert m1.bias == m2.bias
 
