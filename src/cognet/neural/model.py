@@ -24,6 +24,8 @@ ARCHITECTURES = (SIAMESE_EUCLID, MANHATTAN, TWO_CHANNEL)
 CONTRASTIVE = "contrastive"
 LOG = "log"
 
+PREDICT_CHUNK = 128  # rows per forward pass in Model.predict
+
 
 class InvalidSpec(ValueError):
     pass
@@ -143,18 +145,18 @@ class Model:
         flat = pooled.reshape(x.shape[0], -1)
         return flat, (c1, cr1, c2, cr2, cp, pooled.shape)
 
-    def _trunk_backward(self, cache, gflat, grads: dict[str, np.ndarray]):
+    def _trunk_backward(self, cache, gflat, grads: dict[str, np.ndarray]) -> None:
         c1, cr1, c2, cr2, cp, pooled_shape = cache
         g = ops.maxpool2_backward(cp, gflat.reshape(pooled_shape))
         g = ops.relu_backward(cr2, g)
         g, gk2, gb2 = ops.conv2d_backward(c2, g)
         g = ops.relu_backward(cr1, g)
-        g, gk1, gb1 = ops.conv2d_backward(c1, g)
+        # nothing upstream of the input needs its gradient
+        _, gk1, gb1 = ops.conv2d_backward(c1, g, input_grad=False)
         grads["conv1_w"] += gk1
         grads["conv1_b"] += gb1
         grads["conv2_w"] += gk2
         grads["conv2_b"] += gb2
-        return g
 
     def _head(self, h: np.ndarray, training: bool, rng):
         p = self.params
@@ -229,10 +231,14 @@ class Model:
     def predict(self, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
         """Pair scores in [0, 1]; dropout disabled.
 
-        Siamese-Euclid returns exp(-D): a monotone score, not a calibrated
-        probability.
+        Pairs are scored PREDICT_CHUNK rows at a time, so memory does not
+        grow with the number of pairs.  Siamese-Euclid returns exp(-D): a
+        monotone score, not a calibrated probability.
         """
-        out, _ = self.forward(xa, xb, training=False)
+        out = np.concatenate([
+            self.forward(xa[i:i + PREDICT_CHUNK], xb[i:i + PREDICT_CHUNK])[0]
+            for i in range(0, xa.shape[0], PREDICT_CHUNK)
+        ])
         if self.spec.architecture == SIAMESE_EUCLID:
             return np.exp(-out)
         return out
@@ -247,20 +253,23 @@ def encode_pairs(pairs, pad_len: int = 10):
     """Render (word_a, word_b, label) triples as matrix arrays.
 
     Accepts WordPair objects or plain (str, str, label) tuples; returns
-    (xa, xb, y) with xa and xb shaped [n, pad_len, 16].
+    (xa, xb, y) with xa and xb shaped [n, pad_len, 16].  Each distinct form
+    is rendered once, in order of first appearance.
     """
-    xa, xb, y = [], [], []
+    index: dict[str, int] = {}  # form -> row of the rendered table
+    ia, ib, y = [], [], []
     for item in pairs:
         if hasattr(item, "a"):
             wa, wb, label = item.a.form, item.b.form, item.label
         else:
             wa, wb, label = item
-        xa.append(phoneme.word_to_matrix(wa, pad_len).rows)
-        xb.append(phoneme.word_to_matrix(wb, pad_len).rows)
+        ia.append(index.setdefault(wa, len(index)))
+        ib.append(index.setdefault(wb, len(index)))
         y.append(label)
-    if not xa:
+    if not y:
         raise EmptyDataset("no pairs to encode")
-    return np.array(xa), np.array(xb), np.array(y, dtype=np.float64)
+    table = np.array([phoneme.word_to_matrix(form, pad_len).rows for form in index])
+    return table[ia], table[ib], np.array(y, dtype=np.float64)
 
 
 def train(model: Model, pairs, cfg: TrainConfig = TrainConfig()):

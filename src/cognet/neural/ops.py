@@ -9,6 +9,7 @@ is float64.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class ShapeMismatch(ValueError):
@@ -35,17 +36,30 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray):
     return out, (x, kernels)
 
 
-def conv2d_backward(cache, grad):
+def _unfold(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """im2col: every kh x kw window of [B,H,W,C] as one row of [B*oh*ow, kh*kw*C]."""
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))  # [B,oh,ow,C,kh,kw]
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * x.shape[3])
+
+
+def conv2d_backward(cache, grad, input_grad: bool = True):
+    """Gradients (gx, gk, gb) of conv2d; gx is None when ``input_grad`` is false.
+
+    Each of gk and gx is one GEMM over an unfolded operand (im2col): gk
+    correlates the unfolded input with ``grad``; gx is the full correlation
+    of the zero-padded ``grad`` with the flipped kernels.
+    """
     x, kernels = cache
-    kh, kw, _, _ = kernels.shape
-    _, oh, ow, _ = grad.shape
-    gx = np.zeros_like(x)
-    gk = np.zeros_like(kernels)
+    kh, kw, C, F = kernels.shape
+    B, oh, ow, _ = grad.shape
+    gk = (_unfold(x, kh, kw).T @ grad.reshape(-1, F)).reshape(kernels.shape)
     gb = grad.sum(axis=(0, 1, 2))
-    for a in range(kh):
-        for b in range(kw):
-            gk[a, b] = np.einsum("bijc,bijf->cf", x[:, a:a + oh, b:b + ow, :], grad)
-            gx[:, a:a + oh, b:b + ow, :] += grad @ kernels[a, b].T
+    if not input_grad:
+        return None, gk, gb
+    padded = np.zeros((B, oh + 2 * (kh - 1), ow + 2 * (kw - 1), F))
+    padded[:, kh - 1:kh - 1 + oh, kw - 1:kw - 1 + ow] = grad
+    flipped = kernels[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, C)
+    gx = (_unfold(padded, kh, kw) @ flipped).reshape(x.shape)
     return gx, gk, gb
 
 

@@ -24,9 +24,11 @@ CROSS_FAMILY = "cross_family"
 
 
 class SchemaError(ValueError):
-    def __init__(self, line: int, message: str):
-        self.line = line
-        super().__init__(f"line {line}: {message}")
+    """A word list that does not follow the schema, reported as ``FILE:LINE: msg``."""
+
+    def __init__(self, path, line: int, message: str):
+        super().__init__(f"{path}:{line}: {message}")
+        self.path, self.line = path, line
 
 
 class OverlappingFamilies(ValueError):
@@ -92,11 +94,11 @@ def load_wordlist(path, counters: dict | None = None) -> list[Lexeme]:
             fields = line.split("\t")
             if not header_seen:
                 if tuple(f.strip().lower() for f in fields) != HEADER:
-                    raise SchemaError(lineno, f"expected header {list(HEADER)}")
+                    raise SchemaError(path, lineno, f"expected header {list(HEADER)}")
                 header_seen = True
                 continue
             if len(fields) != len(HEADER) or any(not f.strip() for f in fields):
-                raise SchemaError(lineno, f"expected {len(HEADER)} nonempty fields, got {fields!r}")
+                raise SchemaError(path, lineno, f"expected {len(HEADER)} nonempty fields, got {fields!r}")
             family, language, concept, raw_form, cognate_class = (f.strip() for f in fields)
             try:
                 form = phoneme.parse_word(raw_form, counters)
@@ -111,7 +113,7 @@ def load_wordlist(path, counters: dict | None = None) -> list[Lexeme]:
             seen.add(key)
             lexemes.append(Lexeme(family, language, concept, form, cognate_class))
     if not header_seen:
-        raise SchemaError(0, "missing header")
+        raise SchemaError(path, 1, "missing header")
     if skipped:
         logger.warning("%s: skipped %d unparseable row(s)", path, skipped)
     if counters is not None:

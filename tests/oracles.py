@@ -4,12 +4,15 @@ Everything here follows the mathematical definitions directly: plain
 recursion over edit scripts, explicit subsequence enumeration, and
 exhaustive alignment-path enumeration.  Memoized variants exist only so
 random tests can afford slightly longer strings; they share no code with
-the production dynamic programs.
+the production dynamic programs.  The convolution gradient is computed one
+kernel offset at a time, with no unfolding.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
 
 
 def edit_distance_enum(a: str, b: str) -> int:
@@ -124,3 +127,21 @@ def semiglobal_best(a: str, b: str, sub, gap: float, global_fn=global_memo) -> f
             if best is None or v > best:
                 best = v
     return best
+
+
+def conv2d_backward_offsets(cache, grad):
+    """Gradients (gx, gk, gb) of a valid convolution, one kernel offset at a time.
+
+    ``cache`` is conv2d's ``(x, kernels)``: x is [B,H,W,C], kernels [kh,kw,C,F].
+    """
+    x, kernels = cache
+    kh, kw, _, _ = kernels.shape
+    _, oh, ow, _ = grad.shape
+    gx = np.zeros_like(x)
+    gk = np.zeros_like(kernels)
+    gb = grad.sum(axis=(0, 1, 2))
+    for a in range(kh):
+        for b in range(kw):
+            gk[a, b] = np.einsum("bijc,bijf->cf", x[:, a:a + oh, b:b + ow, :], grad)
+            gx[:, a:a + oh, b:b + ow, :] += grad @ kernels[a, b].T
+    return gx, gk, gb

@@ -33,6 +33,14 @@ def test_missing_data_file_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_word_list_schema_error_names_file_and_line(tmp_path, capsys):
+    data = tmp_path / "headerless.tsv"
+    data.write_text("fam\tL1\thand\tpat\tc1\n", encoding="utf-8")
+    code = cli.run(["featurize", "--data", str(data), "--out", str(tmp_path / "f.tsv"), "--seed", "1"])
+    assert code == 2
+    assert f"data error: {data}:1: expected header" in capsys.readouterr().err
+
+
 def test_featurize_writes_feature_tsv(family_tsv, tmp_path):
     out = tmp_path / "features.tsv"
     assert cli.run(["featurize", "--data", str(family_tsv), "--out", str(out), "--seed", "1"]) == 0

@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+from cognet.neural import model as neural_model
 from cognet.neural import (
     MANHATTAN,
     SIAMESE_EUCLID,
@@ -170,6 +173,30 @@ def test_encode_pairs_shapes_and_errors():
     assert np.array_equal(y, [1.0, 0.0])
     with pytest.raises(EmptyDataset):
         encode_pairs([], pad_len=10)
+
+
+def test_encode_pairs_renders_each_form_once(caplog):
+    long_word = "ptkbdszmnlrw"  # 12 symbols, truncated at pad_len 10
+    pairs = [(long_word, "fVt", 1), ("mVn", long_word, 0), (long_word, long_word, 1)]
+    with caplog.at_level(logging.WARNING, logger="cognet.phoneme"):
+        xa, xb, y = encode_pairs(pairs, pad_len=10)
+    assert [r.message for r in caplog.records if "truncated" in r.message] == [
+        f"word {long_word!r} truncated from 12 to 10 symbols"
+    ]
+    assert np.array_equal(xa[0], xa[2]) and np.array_equal(xa[0], xb[1])
+
+
+@pytest.mark.parametrize("arch", [SIAMESE_EUCLID, MANHATTAN, TWO_CHANNEL])
+def test_chunked_predict_equals_one_forward(arch):
+    n = 2 * neural_model.PREDICT_CHUNK + 44  # two full chunks and a ragged tail
+    net = build(ModelSpec(arch), seed=3)
+    xa, xb, _ = _toy_pairs(n, seed=4)
+    scores = net.predict(xa, xb)
+    out, _ = net.forward(xa, xb, training=False)
+    expected = np.exp(-out) if arch == SIAMESE_EUCLID else out
+    assert scores.shape == (n,)
+    assert np.allclose(scores, expected, rtol=1e-12, atol=0)
+    assert np.array_equal(scores, net.predict(xa, xb))
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):

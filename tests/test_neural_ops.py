@@ -5,6 +5,7 @@ from cognet.neural import ops, losses
 from cognet.neural.adadelta import AdadeltaState, adadelta_step
 
 from conftest import max_rel_err, numeric_grad
+from oracles import conv2d_backward_offsets
 
 TOL = 1e-4
 
@@ -144,6 +145,25 @@ def test_conv2d_gradients():
         assert max_rel_err(gx, numeric_grad(f, x)) < TOL
         assert max_rel_err(gk, numeric_grad(f, k)) < TOL
         assert max_rel_err(gb, numeric_grad(f, b)) < TOL
+
+
+@pytest.mark.parametrize("B", [1, 5, 128])
+@pytest.mark.parametrize("kernel", [(1, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("C", [1, 2, 10])
+def test_conv2d_backward_matches_per_offset_oracle(C, kernel, B):
+    rng = np.random.default_rng(C * 1000 + B)
+    x = rng.normal(size=(B, 10, 16, C))
+    k = rng.normal(size=(*kernel, C, 10))
+    _, cache = ops.conv2d(x, k, rng.normal(size=10))
+    grad = rng.normal(size=(B, 11 - kernel[0], 17 - kernel[1], 10))
+    expected = conv2d_backward_offsets(cache, grad)
+    got = ops.conv2d_backward(cache, grad)
+    for g, e in zip(got, expected):
+        assert g.shape == e.shape
+        assert np.allclose(g, e, rtol=1e-12, atol=1e-12)
+    gx, gk, gb = ops.conv2d_backward(cache, grad, input_grad=False)
+    assert gx is None
+    assert np.array_equal(gk, got[1]) and np.array_equal(gb, got[2])
 
 
 def test_relu_gradients():

@@ -70,7 +70,8 @@ def test_load_malformed_row_raises(tmp_path):
     path = _write(tmp_path, "fam\tL1\thand\tpat\n")
     with pytest.raises(SchemaError) as exc:
         load_wordlist(path)
-    assert exc.value.line == 2
+    assert exc.value.line == 2 and exc.value.path == path
+    assert str(exc.value).startswith(f"{path}:2: ")
 
 
 def test_load_missing_file_raises():
