@@ -208,7 +208,7 @@ def features_for(system: str, pairs: list[wordlists.WordPair], artifacts: dict):
         return neural_model.encode_pairs(pairs, artifacts["net"].spec.pad_len)
     if system == "pmi_svm":
         return np.array([pmi.pmi_features(p.a.form, p.b.form, artifacts["pmi_matrix"]) for p in pairs])
-    return np.array([similarity.extract_features(p.a.form, p.b.form).vector() for p in pairs])
+    return similarity.feature_matrix([(p.a.form, p.b.form) for p in pairs])
 
 
 def _g(value: float) -> str:

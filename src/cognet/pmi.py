@@ -88,6 +88,13 @@ def _count_pairs(alignments: list[list[tuple[str, str]]]) -> np.ndarray:
     return counts
 
 
+def seed_pairs(pairs: list[tuple[str, str]], cutoff: float) -> list[tuple[str, str]]:
+    """The nonempty pairs whose edit distance over the longer length is at most ``cutoff``."""
+    words = [(a, b) for a, b in pairs if a and b]
+    edits = similarity.measure_table(words, ("edit",))[:, 0]
+    return [(a, b) for (a, b), e in zip(words, edits) if e / max(len(a), len(b)) <= cutoff]
+
+
 def estimate_pmi(pairs: list[tuple[str, str]], cfg: PMIConfig = PMIConfig()) -> PMIMatrix:
     """Learn a PMI matrix from word pairs by align-count-rescore iteration.
 
@@ -97,10 +104,7 @@ def estimate_pmi(pairs: list[tuple[str, str]], cfg: PMIConfig = PMIConfig()) -> 
     when the largest matrix change drops below ``cfg.convergence_tol`` or
     after ``cfg.max_iterations`` realignments.
     """
-    seeds = [
-        (a, b) for a, b in pairs
-        if a and b and similarity.edit_distance(a, b) / max(len(a), len(b)) <= cfg.initial_cutoff
-    ]
+    seeds = seed_pairs(pairs, cfg.initial_cutoff)
     if not seeds:
         raise EmptySeedSet(
             f"no pair passed the cutoff {cfg.initial_cutoff} out of {len(pairs)}"

@@ -48,10 +48,12 @@ def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def _objective(Z: np.ndarray, ys: np.ndarray, w: np.ndarray, b: float, C: float) -> float:
+def _objective(Z: np.ndarray, ys: np.ndarray, w: np.ndarray, b: float,
+               C: float) -> tuple[float, np.ndarray]:
+    """The objective at (w, b), and the margins it was computed from."""
     margins = ys * (Z @ w + b)
     hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * float(w @ w) + C * float(hinge.mean())
+    return 0.5 * float(w @ w) + C * float(hinge.mean()), margins
 
 
 def fit(X, y, C: float = 1.0, passes: int = 2000) -> LinearModel:
@@ -74,19 +76,18 @@ def fit(X, y, C: float = 1.0, passes: int = 2000) -> LinearModel:
 
     w = np.zeros(Z.shape[1])
     b = 0.0
-    best_obj = _objective(Z, ys, w, b, C)
+    best_obj, margins = _objective(Z, ys, w, b, C)
     best_w, best_b = w.copy(), b
     history = [best_obj]
     checkpoint = max(1, passes // 40)
     for t in range(1, passes + 1):
-        margins = ys * (Z @ w + b)
         active = margins < 1.0
         grad_w = w - (C / n) * (ys[active] @ Z[active])
         grad_b = -(C / n) * float(ys[active].sum())
         eta = 1.0 / t
         w = w - eta * grad_w
         b = b - eta * grad_b
-        obj = _objective(Z, ys, w, b, C)
+        obj, margins = _objective(Z, ys, w, b, C)
         if obj < best_obj:
             best_obj = obj
             best_w, best_b = w.copy(), b

@@ -1,11 +1,18 @@
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 TESTS_DIR = Path(__file__).parent
 sys.path.insert(0, str(TESTS_DIR))  # make `oracles` importable from tests
+
+# HYPOTHESIS_PROFILE=ci: reproducible examples, and more of them for the
+# properties that leave the example count to the profile
+settings.register_profile("ci", derandomize=True, max_examples=300)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def pytest_runtest_logreport(report):

@@ -5,14 +5,20 @@ recursion over edit scripts, explicit subsequence enumeration, and
 exhaustive alignment-path enumeration.  Memoized variants exist only so
 random tests can afford slightly longer strings; they share no code with
 the production dynamic programs.  The convolution gradient is computed one
-kernel offset at a time, with no unfolding.
+kernel offset at a time, with no unfolding.  The similarity features are
+computed one pair at a time, with Python dynamic programs, ``Counter``
+n-gram multisets and ``similarity.align`` scores.  The SVM fit recomputes
+the margins at the top of every pass.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
+
+from cognet import phoneme, similarity, svm
 
 
 def edit_distance_enum(a: str, b: str) -> int:
@@ -145,3 +151,179 @@ def conv2d_backward_offsets(cache, grad):
             gk[a, b] = np.einsum("bijc,bijf->cf", x[:, a:a + oh, b:b + ow, :], grad)
             gx[:, a:a + oh, b:b + ow, :] += grad @ kernels[a, b].T
     return gx, gk, gb
+
+
+# ------------------------------------------------- per-pair similarity features
+
+def edit_distance_dp(a: str, b: str) -> int:
+    """Levenshtein distance with unit insert/delete/substitute costs."""
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, ca in enumerate(a, 1):
+        cur = [i]
+        for j, cb in enumerate(b, 1):
+            cur.append(min(
+                prev[j - 1] + (ca != cb),
+                prev[j] + 1,
+                cur[j - 1] + 1,
+            ))
+        prev = cur
+    return prev[-1]
+
+
+def _common_ngrams(a: str, b: str, n: int) -> int:
+    if len(a) < n or len(b) < n:
+        return 0
+    grams_a = Counter(a[i:i + n] for i in range(len(a) - n + 1))
+    grams_b = Counter(b[i:i + n] for i in range(len(b) - n + 1))
+    return sum((grams_a & grams_b).values())
+
+
+def common_bigrams(a: str, b: str) -> int:
+    """Size of the multiset intersection of contiguous bigrams."""
+    return _common_ngrams(a, b, 2)
+
+
+def common_trigrams(a: str, b: str) -> int:
+    """Size of the multiset intersection of contiguous trigrams."""
+    return _common_ngrams(a, b, 3)
+
+
+def lcs_length_dp(a: str, b: str) -> int:
+    """Length of the longest common subsequence."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for ca in a:
+        cur = [0]
+        for j, cb in enumerate(b, 1):
+            if ca == cb:
+                cur.append(prev[j - 1] + 1)
+            else:
+                cur.append(max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def lcp_length(a: str, b: str) -> int:
+    """Length of the longest common prefix."""
+    n = 0
+    for ca, cb in zip(a, b):
+        if ca != cb:
+            break
+        n += 1
+    return n
+
+
+def _extended_bigrams(s: str) -> list[tuple[str, int]]:
+    # extended bigram = trigram with the middle symbol dropped, tagged with
+    # its start position
+    return [(s[i] + s[i + 2], i) for i in range(len(s) - 2)]
+
+
+def xdice(a: str, b: str) -> float:
+    """Dice coefficient over extended (skip-one) bigrams."""
+    xa = [g for g, _ in _extended_bigrams(a)]
+    xb = [g for g, _ in _extended_bigrams(b)]
+    total = len(xa) + len(xb)
+    if total == 0:
+        return 0.0
+    shared = sum((Counter(xa) & Counter(xb)).values())
+    return 2.0 * shared / total
+
+
+def xxdice(a: str, b: str) -> float:
+    """Positional XDICE: shared extended bigrams weighted by 1/(1+d^2).
+
+    Repeated extended bigrams pair up in order of appearance, so the i-th
+    occurrence in one word matches the i-th occurrence in the other.
+    """
+    xa = _extended_bigrams(a)
+    xb = _extended_bigrams(b)
+    total = len(xa) + len(xb)
+    if total == 0:
+        return 0.0
+    pos_b: dict[str, list[int]] = {}
+    for g, p in xb:
+        pos_b.setdefault(g, []).append(p)
+    used: dict[str, int] = {}
+    weight = 0.0
+    for g, pa in xa:
+        k = used.get(g, 0)
+        positions = pos_b.get(g, ())
+        if k < len(positions):
+            d = pa - positions[k]
+            weight += 1.0 / (1.0 + d * d)
+            used[g] = k + 1
+    return 2.0 * weight / total
+
+
+def _measure_row(a: str, b: str) -> tuple[float, ...]:
+    return (
+        float(edit_distance_dp(a, b)),
+        float(common_bigrams(a, b)),
+        float(lcs_length_dp(a, b)),
+        float(lcp_length(a, b)),
+        float(common_trigrams(a, b)),
+        similarity.align(a, b, mode=similarity.GLOBAL)[0],
+        similarity.align(a, b, mode=similarity.LOCAL)[0],
+        similarity.align(a, b, mode=similarity.SEMIGLOBAL)[0],
+        xdice(a, b),
+        xxdice(a, b),
+    )
+
+
+def features_per_pair(a_asjp: str, b_asjp: str) -> list[float]:
+    """The 33 similarity features of one ASJP word pair, in ``FEATURE_NAMES`` order."""
+    if not a_asjp or not b_asjp:
+        raise ValueError("features_per_pair requires nonempty words")
+    schemes = phoneme.builtin_schemes()
+    rows = [_measure_row(phoneme.to_sound_class(a_asjp, schemes[alph]),
+                         phoneme.to_sound_class(b_asjp, schemes[alph]))
+            for alph in similarity.ALPHABETS]
+    measures = [rows[k][m] for m in range(len(similarity.MEASURES)) for k in range(len(rows))]
+    return measures + [float(len(a_asjp)), float(len(b_asjp)), float(abs(len(a_asjp) - len(b_asjp)))]
+
+
+# ------------------------------------------------------------------ SVM fit
+
+def svm_fit_recomputed(X, y, C: float = 1.0, passes: int = 2000) -> svm.LinearModel:
+    """``svm.fit`` computing ``Z @ w + b`` afresh for each pass's subgradient."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std = np.where(std == 0.0, 1.0, std)
+    Z = (X - mean) / std
+    ys = np.where(y == 1, 1.0, -1.0)
+    n = Z.shape[0]
+
+    def objective(w, b):
+        hinge = np.maximum(0.0, 1.0 - ys * (Z @ w + b))
+        return 0.5 * float(w @ w) + C * float(hinge.mean())
+
+    w = np.zeros(Z.shape[1])
+    b = 0.0
+    best_obj = objective(w, b)
+    best_w, best_b = w.copy(), b
+    history = [best_obj]
+    checkpoint = max(1, passes // 40)
+    for t in range(1, passes + 1):
+        margins = ys * (Z @ w + b)
+        active = margins < 1.0
+        grad_w = w - (C / n) * (ys[active] @ Z[active])
+        grad_b = -(C / n) * float(ys[active].sum())
+        eta = 1.0 / t
+        w = w - eta * grad_w
+        b = b - eta * grad_b
+        obj = objective(w, b)
+        if obj < best_obj:
+            best_obj = obj
+            best_w, best_b = w.copy(), b
+        if t % checkpoint == 0:
+            history.append(best_obj)
+    return svm.LinearModel(weights=best_w, bias=best_b, mean=mean, std=std, C=C,
+                           objective_history=tuple(history))

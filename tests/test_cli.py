@@ -3,8 +3,10 @@ import re
 
 import pytest
 
-from cognet import cli, pmi, synthetic, wordlists
+from cognet import cli, pmi, similarity, synthetic, wordlists
 from cognet.neural import load_checkpoint
+
+import oracles
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +52,17 @@ def test_featurize_writes_feature_tsv(family_tsv, tmp_path):
     assert header[-1] == "abs_len_diff"
     assert len(lines) > 100
     assert (tmp_path / "manifest.json").exists()
+
+
+def test_featurize_rows_are_the_per_pair_oracle_bytes(family_tsv, tmp_path):
+    out = tmp_path / "features.tsv"
+    assert cli.run(["featurize", "--data", str(family_tsv), "--out", str(out), "--seed", "1"]) == 0
+    header = ["family", "concept", "language_a", "form_a", "language_b", "form_b", "label",
+              *similarity.FEATURE_NAMES]
+    rows = [[p.family, p.concept, p.a.language, p.a.form, p.b.language, p.b.form, str(p.label)]
+            + [format(v, ".12g") for v in oracles.features_per_pair(p.a.form, p.b.form)]
+            for p in wordlists.generate_pairs(wordlists.load_wordlist(family_tsv))]
+    assert out.read_bytes() == "".join("\t".join(r) + "\n" for r in [header, *rows]).encode("utf-8")
 
 
 def test_pmi_train_writes_matrix(family_tsv, tmp_path):

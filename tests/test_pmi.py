@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from cognet import phoneme, pmi
+from cognet import phoneme, pmi, synthetic, wordlists
 
 import oracles
 
@@ -158,3 +158,31 @@ def test_load_matrix_rejects_malformed(tmp_path):
     path.write_text("p\tq\n1\t2\n", encoding="utf-8")
     with pytest.raises(ValueError):
         pmi.load_matrix(path)
+
+
+def _per_pair_seeds(pairs, cutoff):
+    return [(a, b) for a, b in pairs
+            if a and b and oracles.edit_distance_dp(a, b) / max(len(a), len(b)) <= cutoff]
+
+
+def _fixture_pairs():
+    lexemes = synthetic.generate_family(n_concepts=12, n_languages=6, seed=7)
+    return [(p.a.form, p.b.form) for p in wordlists.generate_pairs(lexemes)] + [
+        ("", "pVt"), ("pVt", ""), ("pppp", "tttt"), ("pVt", "pVt")]
+
+
+@pytest.mark.parametrize("cutoff", [0.2, 0.5, 0.75, 1.0])
+def test_seed_pairs_equal_per_pair_edit_distance_cutoff(cutoff):
+    pairs = _fixture_pairs()
+    assert pmi.seed_pairs(pairs, cutoff) == _per_pair_seeds(pairs, cutoff)
+
+
+def test_matrix_equals_one_from_per_pair_seeds(monkeypatch):
+    pairs = _fixture_pairs()
+    got = pmi.estimate_pmi(pairs)
+    monkeypatch.setattr(pmi, "seed_pairs", _per_pair_seeds)
+    want = pmi.estimate_pmi(pairs)
+    assert np.array_equal(got.scores, want.scores)
+    assert (got.iterations, got.final_delta, got.converged) == (
+        want.iterations, want.final_delta, want.converged)
+

@@ -1,13 +1,19 @@
+import functools
 import itertools
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from cognet import similarity as sim
+from cognet import phoneme, similarity as sim, synthetic, wordlists
 
 import oracles
 
 MM = sim.match_mismatch()
+DP_NAMES = tuple(sim.DP_MEASURES)
 
 
 def test_edit_distance_examples():
@@ -206,8 +212,9 @@ def test_measures_are_symmetric():
 def test_edit_distance_triangle_inequality():
     rng = random.Random(17)
     words = ["".join(rng.choice("ptkV") for _ in range(rng.randint(0, 7))) for _ in range(40)]
-    for a, b, c in itertools.combinations(words, 3):
-        assert sim.edit_distance(a, c) <= sim.edit_distance(a, b) + sim.edit_distance(b, c)
+    d = sim.measure_table([(a, b) for a in words for b in words], ("edit",)).reshape(40, 40)
+    for i, j, k in itertools.combinations(range(len(words)), 3):
+        assert d[i, k] <= d[i, j] + d[j, k]
 
 
 def test_mode_score_ordering():
@@ -248,3 +255,82 @@ def test_extract_features_self_comparison():
 def test_extract_features_rejects_empty_words():
     with pytest.raises(ValueError):
         sim.extract_features("", "fVt")
+
+
+def test_feature_matrix_rejects_empty_words():
+    with pytest.raises(ValueError):
+        sim.feature_matrix([("fVt", "fVd"), ("fVt", "")])
+
+
+# ------------------------------------------------ the batched engine vs oracles
+
+def _enum_values(a, b):
+    return [oracles.edit_distance_enum(a, b), oracles.lcs_enum(a, b),
+            oracles.global_enum(a, b, MM, -1.0),
+            oracles.local_best(a, b, MM, -1.0, global_fn=oracles.global_enum),
+            oracles.semiglobal_best(a, b, MM, -1.0, global_fn=oracles.global_enum)]
+
+
+@pytest.mark.parametrize("chunk", [7, sim.CHUNK])
+def test_dp_engine_matches_enumeration_oracles_exhaustive(chunk):
+    # every pair of {p,t} strings up to length 3, mixed lengths in each chunk
+    strings = ["".join(t) for n in range(4) for t in itertools.product("pt", repeat=n)]
+    pairs = [(a, b) for a in strings for b in strings]
+    with mock.patch.object(sim, "CHUNK", chunk):
+        table = sim.measure_table(pairs, DP_NAMES)
+    assert table.tolist() == [_enum_values(a, b) for a, b in pairs]
+
+
+def test_dp_engine_matches_memo_oracles_random():
+    rng = random.Random(12)
+    pairs = list(_random_pairs(rng, 30, 12))
+    table = sim.measure_table(pairs, DP_NAMES)
+    best = functools.lru_cache(maxsize=None)(lambda x, y: oracles.global_memo(x, y, MM, -1.0))
+    cached = lambda x, y, _sub, _gap: best(x, y)  # noqa: E731
+    for (a, b), row in zip(pairs, table):
+        assert row.tolist() == [
+            oracles.edit_distance_memo(a, b), oracles.lcs_enum(a, b), best(a, b),
+            oracles.local_best(a, b, MM, -1.0, global_fn=cached),
+            oracles.semiglobal_best(a, b, MM, -1.0, global_fn=cached),
+        ], (a, b)
+
+
+def _assert_bitwise_equal_to_oracle(pairs, features):
+    want = np.array([oracles.features_per_pair(a, b) for a, b in pairs])
+    assert features.shape == want.shape == (len(pairs), len(sim.FEATURE_NAMES))
+    # int64 views tell -0.0 from 0.0, which a featurize TSV would print as "-0"
+    assert np.array_equal(features.view(np.int64), want.view(np.int64))
+
+
+def test_feature_matrix_equals_per_pair_oracle_on_synthetic_family():
+    lexemes = synthetic.generate_family(n_concepts=30, n_languages=8, seed=7)
+    pairs = [(p.a.form, p.b.form) for p in wordlists.generate_pairs(lexemes)]
+    assert len(pairs) * len(sim.ALPHABETS) > 2 * sim.CHUNK
+    _assert_bitwise_equal_to_oracle(pairs, sim.feature_matrix(pairs))
+
+
+def _asjp_words(symbols=phoneme.INVENTORY):
+    return st.text(alphabet=symbols, min_size=1, max_size=14)
+
+
+# two halves of the inventory, for words that share no symbol
+_HALVES = (phoneme.INVENTORY[:17], phoneme.INVENTORY[17:])
+
+
+@settings(deadline=None)
+@given(words=st.lists(_asjp_words(), min_size=1, max_size=8),
+       apart=st.lists(st.tuples(_asjp_words(_HALVES[0]), _asjp_words(_HALVES[1])), max_size=4),
+       chunk=st.integers(1, 12))
+@example(words=["p", "pV", "pVt", "pVt", "tVptVpVt"], apart=[("p", "V"), ("pbf", "VkVk")], chunk=2)
+# XXDICE weights summed right to left, or pairwise, would change the last bit here
+@example(words=["pVpttVtpt", "VtptpptV", "VVpVpVppVV", "pppVVVppVpppp"], apart=[], chunk=12)
+def test_feature_matrix_equals_per_pair_oracle(words, apart, chunk):
+    # every pair of the words with itself and the later ones, so identical
+    # words and words shorter than an n-gram occur; a small chunk splits the
+    # pairs across several chunks
+    pairs = [(a, b) for i, a in enumerate(words) for b in words[i:]] + apart
+    with mock.patch.object(sim, "CHUNK", chunk):
+        features = sim.feature_matrix(pairs)
+    _assert_bitwise_equal_to_oracle(pairs, features)
+    assert (features[len(pairs) - len(apart):, sim.FEATURE_NAMES.index("local_asjp")] == 0.0).all()
+

@@ -3,6 +3,8 @@ import pytest
 
 from cognet import svm
 
+import oracles
+
 
 def _separable(n=40, d=3, seed=0, gap=2.0):
     rng = np.random.default_rng(seed)
@@ -173,3 +175,15 @@ def test_model_file_round_trip(tmp_path):
     probe = _separable(n=10, seed=18)[0]
     assert np.array_equal(svm.decision_function(loaded, probe),
                           svm.decision_function(model, probe))
+
+
+@pytest.mark.parametrize("C", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("passes", [1, 7, 40, 300])
+def test_fit_reusing_margins_equals_recomputing_oracle(C, passes):
+    X, y = _separable(n=60, d=4, seed=11, gap=0.5)
+    got = svm.fit(X, y, C=C, passes=passes)
+    want = oracles.svm_fit_recomputed(X, y, C=C, passes=passes)
+    assert np.array_equal(got.weights, want.weights)
+    assert got.bias == want.bias
+    assert got.objective_history == want.objective_history
+
