@@ -119,10 +119,12 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     raise argparse.ArgumentTypeError(f"C grid must list positive numbers like '0.1,1,10', got {text!r}")
 
 
-def _parse_families(text: str | None) -> set[str] | None:
-    if text is None:
-        return None
-    return {f.strip() for f in text.split(",") if f.strip()}
+def _families(options: dict, key: str) -> set[str]:
+    """The comma-separated family names of ``options[key]``; at least one."""
+    families = {f.strip() for f in options[key].split(",") if f.strip()}
+    if not families:
+        raise UsageError(f"--{key.replace('_', '-')} names no family")
+    return families
 
 
 _ALL = ("featurize", "pmi-train", "train", "evaluate", "pipeline")
@@ -336,17 +338,15 @@ def cmd_evaluate(options: dict) -> int:
 
 def cmd_pipeline(options: dict) -> int:
     _require(options, "data", "system", "out_dir", "mode")
+    families = {}
     if options["mode"] == "cross-family":
         _require(options, "train_families", "test_families")
+        families = {key: _families(options, key) for key in ("train_families", "test_families")}
     with _user_values():
         spec = wordlists.SplitSpec(options["mode"].replace("-", "_"), options["train_fraction"],
                                    options["seed"])
     lexemes, pairs = _load_pairs(options)
-    train_pairs, test_pairs = wordlists.split(
-        pairs, lexemes, spec,
-        train_families=_parse_families(options["train_families"]),
-        test_families=_parse_families(options["test_families"]),
-    )
+    train_pairs, test_pairs = wordlists.split(pairs, lexemes, spec, **families)
     out_dir = _out_dir(options)
     artifacts = _train_system(options, train_pairs, out_dir)
     title = (f"system: {options['system']}  mode: {options['mode']}  "

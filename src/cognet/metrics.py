@@ -57,30 +57,34 @@ def _f1(tp: int, fp: int, fn: int) -> float:
     return 2.0 * tp / denom
 
 
-def f_scores(labels, predictions, weighted: bool = True) -> tuple[float, float, float]:
-    """Per-class F1 scores and their combination.
-
-    Returns (f_negative, f_positive, f_combined).  The combined score is
-    the support-weighted mean of the two class F1s; pass weighted=False
-    for the unweighted mean.  F1 is 0 when precision + recall is 0.
-    """
-    y, p = _check_labels(labels, predictions, "predictions")
-    p = p.astype(np.int64)
-    if len(set(y.tolist())) < 2:
-        raise SingleClassLabels("labels must contain both classes")
+def _confusion(y: np.ndarray, p: np.ndarray) -> tuple[int, int, int, int]:
+    """(tp, fp, tn, fn) of 0/1 predictions ``p`` against labels ``y``."""
     tp = int(np.sum((y == 1) & (p == 1)))
     fp = int(np.sum((y == 0) & (p == 1)))
     tn = int(np.sum((y == 0) & (p == 0)))
     fn = int(np.sum((y == 1) & (p == 0)))
-    f_pos = _f1(tp, fp, fn)
-    f_neg = _f1(tn, fn, fp)  # negative class as the positive one
+    return tp, fp, tn, fn
+
+
+def _f_from_confusion(tp: int, fp: int, tn: int, fn: int) -> tuple[float, float, float]:
     n_pos = tp + fn
     n_neg = tn + fp
-    if weighted:
-        f_comb = (n_neg * f_neg + n_pos * f_pos) / (n_neg + n_pos)
-    else:
-        f_comb = 0.5 * (f_neg + f_pos)
-    return f_neg, f_pos, f_comb
+    if n_pos == 0 or n_neg == 0:
+        raise SingleClassLabels("labels must contain both classes")
+    f_pos = _f1(tp, fp, fn)
+    f_neg = _f1(tn, fn, fp)  # negative class as the positive one
+    return f_neg, f_pos, (n_neg * f_neg + n_pos * f_pos) / (n_neg + n_pos)
+
+
+def f_scores(labels, predictions) -> tuple[float, float, float]:
+    """Per-class F1 scores and their combination.
+
+    Returns (f_negative, f_positive, f_combined).  The combined score is
+    the support-weighted mean of the two class F1s.  F1 is 0 when
+    precision + recall is 0.
+    """
+    y, p = _check_labels(labels, predictions, "predictions")
+    return _f_from_confusion(*_confusion(y, p.astype(np.int64)))
 
 
 def average_precision(labels, scores) -> float:
@@ -106,12 +110,8 @@ def average_precision(labels, scores) -> float:
 def evaluate(labels, scores, threshold: float = 0.5) -> EvalReport:
     """Threshold scores into predictions and compute the full report."""
     y, s = _check_labels(labels, scores, "scores")
-    preds = (s >= threshold).astype(np.int64)
-    tp = int(np.sum((y == 1) & (preds == 1)))
-    fp = int(np.sum((y == 0) & (preds == 1)))
-    tn = int(np.sum((y == 0) & (preds == 0)))
-    fn = int(np.sum((y == 1) & (preds == 0)))
-    f_neg, f_pos, f_comb = f_scores(y, preds)
+    tp, fp, tn, fn = _confusion(y, (s >= threshold).astype(np.int64))
+    f_neg, f_pos, f_comb = _f_from_confusion(tp, fp, tn, fn)
     return EvalReport(
         accuracy=(tp + tn) / len(y),
         f_negative=f_neg,

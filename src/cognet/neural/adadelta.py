@@ -8,6 +8,10 @@ import numpy as np
 
 from .ops import ShapeMismatch
 
+RHO = 0.95  # decay of both running averages
+EPSILON = 1e-6
+LR = 1.0
+
 
 @dataclass
 class AdadeltaState:
@@ -15,19 +19,12 @@ class AdadeltaState:
 
     eg2: dict[str, np.ndarray] = field(default_factory=dict)
     edx2: dict[str, np.ndarray] = field(default_factory=dict)
-    rho: float = 0.95
-    epsilon: float = 1e-6
-    lr: float = 1.0
 
     @classmethod
-    def for_params(cls, params: dict[str, np.ndarray], rho: float = 0.95,
-                   epsilon: float = 1e-6, lr: float = 1.0) -> "AdadeltaState":
+    def for_params(cls, params: dict[str, np.ndarray]) -> "AdadeltaState":
         return cls(
             eg2={k: np.zeros_like(v) for k, v in params.items()},
             edx2={k: np.zeros_like(v) for k, v in params.items()},
-            rho=rho,
-            epsilon=epsilon,
-            lr=lr,
         )
 
 
@@ -35,7 +32,8 @@ def adadelta_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                   state: AdadeltaState) -> dict[str, np.ndarray]:
     """Apply one adadelta update in place; returns the params dict.
 
-    Per element: E[g^2] <- rho E[g^2] + (1-rho) g^2;
+    Per element, with rho, eps and lr the module's RHO, EPSILON and LR:
+    E[g^2] <- rho E[g^2] + (1-rho) g^2;
     dx = -sqrt((E[dx^2]+eps)/(E[g^2]+eps)) g;
     E[dx^2] <- rho E[dx^2] + (1-rho) dx^2;  param <- param + lr dx.
     """
@@ -47,10 +45,10 @@ def adadelta_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
             raise ShapeMismatch(f"{name}: grad shape {g.shape} != param shape {p.shape}")
         eg2 = state.eg2[name]
         edx2 = state.edx2[name]
-        eg2 *= state.rho
-        eg2 += (1.0 - state.rho) * g * g
-        dx = -np.sqrt((edx2 + state.epsilon) / (eg2 + state.epsilon)) * g
-        edx2 *= state.rho
-        edx2 += (1.0 - state.rho) * dx * dx
-        p += state.lr * dx
+        eg2 *= RHO
+        eg2 += (1.0 - RHO) * g * g
+        dx = -np.sqrt((edx2 + EPSILON) / (eg2 + EPSILON)) * g
+        edx2 *= RHO
+        edx2 += (1.0 - RHO) * dx * dx
+        p += LR * dx
     return params

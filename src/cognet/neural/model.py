@@ -21,9 +21,6 @@ MANHATTAN = "manhattan"
 TWO_CHANNEL = "two_channel"
 ARCHITECTURES = (SIAMESE_EUCLID, MANHATTAN, TWO_CHANNEL)
 
-CONTRASTIVE = "contrastive"
-LOG = "log"
-
 PREDICT_CHUNK = 128  # rows per forward pass in Model.predict
 
 
@@ -57,10 +54,6 @@ class ModelSpec:
     def in_channels(self) -> int:
         return 2 if self.architecture == TWO_CHANNEL else 1
 
-    @property
-    def loss(self) -> str:
-        return CONTRASTIVE if self.architecture == SIAMESE_EUCLID else LOG
-
     def shape_pipeline(self) -> list[tuple[int, ...] | int]:
         """Intermediate shapes from input to output; raises InvalidSpec."""
         kh, kw = self.kernel
@@ -90,7 +83,6 @@ class TrainConfig:
     epochs: int = 20
     margin: float = 1.0
     seed: int = 0
-    loss: str | None = None  # None: use the architecture's loss
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -182,50 +174,44 @@ class Model:
 
     def forward(self, xa: np.ndarray, xb: np.ndarray, training: bool = False,
                 rng: np.random.Generator | None = None):
-        """Score each pair: probability for log-loss heads, distance for Euclid."""
+        """Score each pair: probability for log-loss heads, distance for Euclid.
+
+        Trunk, pair layer, then the dense head unless the distance is the score.
+        """
         arch = self.spec.architecture
-        if arch == TWO_CHANNEL:
-            x = np.stack([xa, xb], axis=-1)
-            flat, ct = self._trunk(x)
-            prob, ch = self._head(flat, training, rng)
-            return prob, (ct, ch)
-        fa, ca = self._trunk(xa[..., None])
-        fb, cb = self._trunk(xb[..., None])
+        if arch == TWO_CHANNEL:  # one trunk pass over the pair as two channels
+            h, trunk = self._trunk(np.stack([xa, xb], axis=-1))
+            trunks, cpair = [trunk], None
+        else:  # one trunk pass per word, with shared weights
+            (fa, ca), (fb, cb) = self._trunk(xa[..., None]), self._trunk(xb[..., None])
+            trunks = [ca, cb]
+            h, cpair = ops.euclid(fa, fb) if arch == SIAMESE_EUCLID else ops.abs_diff(fa, fb)
         if arch == SIAMESE_EUCLID:
-            d, cd = ops.euclid(fa, fb)
-            return d, (ca, cb, cd)
-        h, cabs = ops.abs_diff(fa, fb)
-        prob, ch = self._head(h, training, rng)
-        return prob, (ca, cb, cabs, ch)
+            return h, (trunks, cpair, None)
+        prob, chead = self._head(h, training, rng)
+        return prob, (trunks, cpair, chead)
 
     def loss_and_grads(self, xa: np.ndarray, xb: np.ndarray, y: np.ndarray,
                        margin: float = 1.0, rng: np.random.Generator | None = None,
                        training: bool = True):
-        """Mean loss over the batch and gradients for every parameter."""
+        """Mean loss over the batch and gradients for every parameter.
+
+        Siamese-Euclid trains its distance with the contrastive loss, the
+        others their probability with the log loss.
+        """
         arch = self.spec.architecture
         n = xa.shape[0]
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        out, cache = self.forward(xa, xb, training=training, rng=rng)
+        out, (trunks, cpair, chead) = self.forward(xa, xb, training=training, rng=rng)
         if arch == SIAMESE_EUCLID:
-            ca, cb, cd = cache
             loss = float(losses.contrastive_loss(out, y, margin).mean())
-            gd = losses.contrastive_loss_grad(out, y, margin) / n
-            gfa, gfb = ops.euclid_backward(cd, gd)
-            self._trunk_backward(ca, gfa, grads)
-            self._trunk_backward(cb, gfb, grads)
-            return loss, grads
-        loss = float(losses.log_loss(out, y).mean())
-        gp = losses.log_loss_grad(out, y) / n
-        if arch == TWO_CHANNEL:
-            ct, ch = cache
-            gh = self._head_backward(ch, gp, grads)
-            self._trunk_backward(ct, gh, grads)
-            return loss, grads
-        ca, cb, cabs, ch = cache
-        gh = self._head_backward(ch, gp, grads)
-        gfa, gfb = ops.abs_diff_backward(cabs, gh)
-        self._trunk_backward(ca, gfa, grads)
-        self._trunk_backward(cb, gfb, grads)
+            gflats = ops.euclid_backward(cpair, losses.contrastive_loss_grad(out, y, margin) / n)
+        else:
+            loss = float(losses.log_loss(out, y).mean())
+            gh = self._head_backward(chead, losses.log_loss_grad(out, y) / n, grads)
+            gflats = [gh] if arch == TWO_CHANNEL else ops.abs_diff_backward(cpair, gh)
+        for cache, gflat in zip(trunks, gflats):
+            self._trunk_backward(cache, gflat, grads)
         return loss, grads
 
     def predict(self, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -250,22 +236,18 @@ def build(spec: ModelSpec, seed: int = 0) -> Model:
 
 
 def encode_pairs(pairs, pad_len: int = 10):
-    """Render (word_a, word_b, label) triples as matrix arrays.
+    """Render word pairs as matrix arrays.
 
-    Accepts WordPair objects or plain (str, str, label) tuples; returns
-    (xa, xb, y) with xa and xb shaped [n, pad_len, 16].  Each distinct form
-    is rendered once, in order of first appearance.
+    Returns (xa, xb, y) for the WordPair objects ``pairs``, with xa and xb
+    shaped [n, pad_len, 16].  Each distinct form is rendered once, in order
+    of first appearance.
     """
     index: dict[str, int] = {}  # form -> row of the rendered table
     ia, ib, y = [], [], []
-    for item in pairs:
-        if hasattr(item, "a"):
-            wa, wb, label = item.a.form, item.b.form, item.label
-        else:
-            wa, wb, label = item
-        ia.append(index.setdefault(wa, len(index)))
-        ib.append(index.setdefault(wb, len(index)))
-        y.append(label)
+    for pair in pairs:
+        ia.append(index.setdefault(pair.a.form, len(index)))
+        ib.append(index.setdefault(pair.b.form, len(index)))
+        y.append(pair.label)
     if not y:
         raise EmptyDataset("no pairs to encode")
     table = np.array([phoneme.word_to_matrix(form, pad_len).rows for form in index])
@@ -279,10 +261,6 @@ def train(model: Model, pairs, cfg: TrainConfig = TrainConfig()):
     single generator seeded with cfg.seed drives both the epoch shuffles
     and the dropout masks, so runs are reproducible.
     """
-    if cfg.loss is not None and cfg.loss != model.spec.loss:
-        raise InvalidSpec(
-            f"{model.spec.architecture} trains with {model.spec.loss} loss, not {cfg.loss}"
-        )
     xa, xb, y = pairs
     n = xa.shape[0]
     if n == 0:

@@ -129,11 +129,6 @@ def binarize(symbol: str) -> tuple[int, ...]:
     return _VECTORS[symbol]
 
 
-def feature_matrix() -> np.ndarray:
-    """The full 35 x 16 binarization table, rows in INVENTORY order."""
-    return np.array([_VECTORS[s] for s in INVENTORY], dtype=np.float64)
-
-
 @dataclass(frozen=True, eq=False)
 class WordMatrix:
     """A word rendered as a pad_len x 16 binary matrix plus its true length."""
@@ -165,9 +160,6 @@ class SoundClassScheme:
 
     id: str
     mapping: dict[str, str]
-
-    def classes(self) -> set[str]:
-        return set(self.mapping.values())
 
 
 def to_sound_class(word: str, scheme: SoundClassScheme) -> str:

@@ -77,11 +77,12 @@ def _counts_to_pmi(counts: np.ndarray, pseudocount: float) -> np.ndarray:
     return np.log2(joint) - np.log2(np.outer(marginal, marginal))
 
 
-def _count_pairs(alignments: list[list[tuple[str, str]]]) -> np.ndarray:
+def _count_pairs(seeds: list[tuple[str, str]], scheme: similarity.ScoringScheme) -> np.ndarray:
+    """Symmetric counts of the symbol pairs that the seeds' alignments under ``scheme`` match up."""
     idx = phoneme.SYMBOL_INDEX
     counts = np.zeros((N, N), dtype=np.float64)
-    for pairs in alignments:
-        for x, y in pairs:
+    for a, b in seeds:
+        for x, y in similarity.align(a, b, scheme)[1]:
             if x != similarity.GAP and y != similarity.GAP:
                 counts[idx[x], idx[y]] += 1.0
                 counts[idx[y], idx[x]] += 1.0
@@ -110,19 +111,14 @@ def estimate_pmi(pairs: list[tuple[str, str]], cfg: PMIConfig = PMIConfig()) -> 
             f"no pair passed the cutoff {cfg.initial_cutoff} out of {len(pairs)}"
         )
 
-    alignments = [similarity.align(a, b, _EDIT_SCHEME, similarity.GLOBAL)[1] for a, b in seeds]
-    scores = _counts_to_pmi(_count_pairs(alignments), cfg.pseudocount)
+    scores = _counts_to_pmi(_count_pairs(seeds, _EDIT_SCHEME), cfg.pseudocount)
 
     iterations = 0
     delta = float("nan")
     converged = False
-    idx = phoneme.SYMBOL_INDEX
     for iterations in range(1, cfg.max_iterations + 1):
-        scheme = similarity.ScoringScheme(
-            lambda x, y: scores[idx[x], idx[y]], gap_open=cfg.gap_penalty
-        )
-        alignments = [similarity.align(a, b, scheme, similarity.GLOBAL)[1] for a, b in seeds]
-        new_scores = _counts_to_pmi(_count_pairs(alignments), cfg.pseudocount)
+        scheme = PMIMatrix(scores, cfg.gap_penalty).scoring_scheme()
+        new_scores = _counts_to_pmi(_count_pairs(seeds, scheme), cfg.pseudocount)
         delta = float(np.max(np.abs(new_scores - scores)))
         scores = new_scores
         if delta < cfg.convergence_tol:
@@ -139,8 +135,7 @@ def estimate_pmi(pairs: list[tuple[str, str]], cfg: PMIConfig = PMIConfig()) -> 
 
 def pmi_score(a: str, b: str, matrix: PMIMatrix) -> float:
     """Best global alignment score of two words under the PMI matrix."""
-    score, _ = similarity.align(a, b, matrix.scoring_scheme(), similarity.GLOBAL)
-    return score
+    return similarity.align(a, b, matrix.scoring_scheme())[0]
 
 
 def pmi_features(a: str, b: str, matrix: PMIMatrix) -> list[float]:

@@ -7,8 +7,9 @@ padded row of integers, and handles a chunk of pairs at a time with numpy
 working across the pair axis.  One score-only DP fill gives five measures
 (Needleman-Wunsch global, Smith-Waterman local, semi-global with free end
 gaps, edit distance and LCS); the n-gram measures pair up equal n-grams by
-occurrence rank.  :func:`align` also returns the aligned symbol pairs; the
-PMI module uses it with its own scoring matrix.
+occurrence rank.  :func:`align` is the one aligner that also returns the
+aligned symbol pairs.  It is global only: its caller, the PMI module,
+aligns under its own scoring matrix and needs nothing else.
 """
 
 from __future__ import annotations
@@ -21,11 +22,6 @@ import numpy as np
 from . import phoneme
 
 GAP = "-"
-
-GLOBAL = "global"
-LOCAL = "local"
-SEMIGLOBAL = "semiglobal"
-MODES = (GLOBAL, LOCAL, SEMIGLOBAL)
 
 # Ten measures, in the order they appear in feature vectors.
 MEASURES = (
@@ -60,33 +56,23 @@ class ScoringScheme:
 DEFAULT_SCHEME = ScoringScheme(match_mismatch(), gap_open=-1.0)
 
 
-def align(
-    a: str,
-    b: str,
-    scheme: ScoringScheme = DEFAULT_SCHEME,
-    mode: str = GLOBAL,
-) -> tuple[float, list[tuple[str, str]]]:
-    """Align two symbol strings, returning (score, aligned pairs).
+def align(a: str, b: str, scheme: ScoringScheme = DEFAULT_SCHEME) -> tuple[float, list[tuple[str, str]]]:
+    """Globally align two symbol strings, returning (score, aligned pairs).
 
     Gaps appear as the marker ``"-"`` on the gapped side.  Traceback ties
     resolve substitution > deletion (gap in b) > insertion (gap in a), so
-    alignments are deterministic.  LOCAL scores are >= 0 and may return an
-    empty alignment; SEMIGLOBAL treats leading and trailing gaps on either
-    string as free and includes them in the returned alignment.
+    alignments are deterministic.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown alignment mode {mode!r}")
     sub = scheme.substitution
     gap = scheme.gap_open
     m, n = len(a), len(b)
 
     # score matrix, (m+1) x (n+1)
     S = [[0.0] * (n + 1) for _ in range(m + 1)]
-    if mode == GLOBAL:
-        for i in range(1, m + 1):
-            S[i][0] = i * gap
-        for j in range(1, n + 1):
-            S[0][j] = j * gap
+    for i in range(1, m + 1):
+        S[i][0] = i * gap
+    for j in range(1, n + 1):
+        S[0][j] = j * gap
     for i in range(1, m + 1):
         row = S[i]
         prev = S[i - 1]
@@ -99,37 +85,11 @@ def align(
             left = row[j - 1] + gap
             if left > best:
                 best = left
-            if mode == LOCAL and best < 0.0:
-                best = 0.0
             row[j] = best
 
-    # pick the traceback start
-    if mode == GLOBAL:
-        end = (m, n)
-        score = S[m][n]
-    elif mode == LOCAL:
-        score, end = 0.0, (0, 0)
-        for i in range(m + 1):
-            for j in range(n + 1):
-                if S[i][j] > score:
-                    score, end = S[i][j], (i, j)
-        if score == 0.0:
-            return 0.0, []
-    else:  # SEMIGLOBAL: best cell on the last column or last row
-        score, end = S[0][n], (0, n)
-        for i in range(1, m + 1):
-            if S[i][n] > score:
-                score, end = S[i][n], (i, n)
-        for j in range(n + 1):
-            if S[m][j] > score:
-                score, end = S[m][j], (m, j)
-
-    # traceback
     pairs: list[tuple[str, str]] = []
-    i, j = end
+    i, j = m, n
     while i > 0 and j > 0:
-        if mode == LOCAL and S[i][j] == 0.0:
-            break
         here = S[i][j]
         if here == S[i - 1][j - 1] + sub(a[i - 1], b[j - 1]):
             pairs.append((a[i - 1], b[j - 1]))
@@ -140,31 +100,21 @@ def align(
         else:
             pairs.append((GAP, b[j - 1]))
             j -= 1
-    if mode == GLOBAL:
-        while i > 0:
-            pairs.append((a[i - 1], GAP))
-            i -= 1
-        while j > 0:
-            pairs.append((GAP, b[j - 1]))
-            j -= 1
+    pairs.extend((a[k], GAP) for k in reversed(range(i)))
+    pairs.extend((GAP, b[k]) for k in reversed(range(j)))
     pairs.reverse()
-    if mode == SEMIGLOBAL:
-        # free end gaps, included for completeness
-        lead = [(a[k], GAP) for k in range(i)] if i > 0 else [(GAP, b[k]) for k in range(j)]
-        ei, ej = end
-        trail = [(a[k], GAP) for k in range(ei, m)] if ei < m else [(GAP, b[k]) for k in range(ej, n)]
-        pairs = lead + pairs + trail
-    return float(score), pairs
+    return float(S[m][n]), pairs
 
 
-# The score-only DP measures as (match, mismatch, gap, mode).  Edit distance
-# is the negated global score of its parametrisation.
+# The score-only DP measures as (match, mismatch, gap, mode), where the mode
+# is "global", "local" or "semiglobal".  Edit distance is the negated global
+# score of its parametrisation.
 DP_MEASURES = {
-    "edit": (0, -1, -1, GLOBAL),
-    "lcs": (1, 0, 0, GLOBAL),
-    "global": (1, -1, -1, GLOBAL),
-    "local": (1, -1, -1, LOCAL),
-    "semiglobal": (1, -1, -1, SEMIGLOBAL),
+    "edit": (0, -1, -1, "global"),
+    "lcs": (1, 0, 0, "global"),
+    "global": (1, -1, -1, "global"),
+    "local": (1, -1, -1, "local"),
+    "semiglobal": (1, -1, -1, "semiglobal"),
 }
 # symbol offsets of each n-gram kind; an extended bigram is a trigram with
 # its middle symbol dropped
@@ -216,8 +166,8 @@ def _dp_scores(eq: np.ndarray, la: np.ndarray, lb: np.ndarray, params) -> list[n
     match, mismatch, gap = scores[:, 0], scores[:, 1], scores[:, 2]
     modes = [p[3] for p in params]
     kind = np.array(modes)[:, None, None]
-    edge = np.where(kind == GLOBAL, gap, 0).astype(np.int32)  # score per step along row and column 0
-    floor = np.where(kind == LOCAL, 0, _NONE).astype(np.int32)
+    edge = np.where(kind == "global", gap, 0).astype(np.int32)  # score per step along row and column 0
+    floor = np.where(kind == "local", 0, _NONE).astype(np.int32)
     j = np.arange(n + 1, dtype=np.int32)
     left = gap * j
     r = np.arange(rows)
@@ -238,7 +188,7 @@ def _dp_scores(eq: np.ndarray, la: np.ndarray, lb: np.ndarray, params) -> list[n
         corner = np.where(i == la, cell, corner)
         local = np.maximum(local, np.where(i <= la, reach, _NONE))
         semi = np.maximum(semi, np.where(i == la, reach, np.where(i <= la, cell, _NONE)))
-    best = {GLOBAL: corner, LOCAL: local, SEMIGLOBAL: semi}
+    best = {"global": corner, "local": local, "semiglobal": semi}
     return [best[mode][p] for p, mode in enumerate(modes)]
 
 

@@ -103,33 +103,23 @@ def fit(X, y, C: float = 1.0, passes: int = 2000) -> LinearModel:
     )
 
 
-def decision_function(model: LinearModel, X) -> np.ndarray | float:
-    """w . scale(x) + b; accepts a single vector or a matrix of rows."""
+def decision_function(model: LinearModel, X) -> np.ndarray:
+    """w . scale(x) + b for each row x of the matrix X."""
     X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
-    if X.shape[1] != model.weights.shape[0]:
-        raise DimensionMismatch(
-            f"expected {model.weights.shape[0]} features, got {X.shape[1]}"
-        )
-    values = ((X - model.mean) / model.std) @ model.weights + model.bias
-    return float(values[0]) if single else values
+    if X.ndim != 2 or X.shape[1] != model.weights.shape[0]:
+        raise DimensionMismatch(f"expected rows of {model.weights.shape[0]} features, got shape {X.shape}")
+    return ((X - model.mean) / model.std) @ model.weights + model.bias
 
 
-def predict(model: LinearModel, X) -> np.ndarray | int:
-    """1 iff the decision function is >= 0."""
-    values = decision_function(model, X)
-    if np.isscalar(values):
-        return int(values >= 0.0)
-    return (values >= 0.0).astype(np.int64)
+def predict(model: LinearModel, X) -> np.ndarray:
+    """1 iff the decision function of the row is >= 0."""
+    return (decision_function(model, X) >= 0.0).astype(np.int64)
 
 
 @dataclass(frozen=True)
 class GridSearchResult:
     best_C: float
     cv_scores: dict[float, float]
-    folds: int
 
 
 def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
@@ -169,7 +159,7 @@ def grid_search_cv(X, y, C_grid=(0.01, 0.1, 1.0, 10.0, 100.0), folds: int = 10,
         cv_scores[float(C)] = float(np.mean(accs))
     best_score = max(cv_scores.values())
     best_C = min(c for c, v in cv_scores.items() if v == best_score)
-    return GridSearchResult(best_C=best_C, cv_scores=cv_scores, folds=folds)
+    return GridSearchResult(best_C=best_C, cv_scores=cv_scores)
 
 
 def save_model(model: LinearModel, path, system: str = "ortho_svm") -> None:

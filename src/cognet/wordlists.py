@@ -129,22 +129,11 @@ def write_wordlist(lexemes: list[Lexeme], path) -> None:
             fh.write("\t".join((lex.family, lex.language, lex.concept, lex.form, lex.cognate_class)) + "\n")
 
 
-def subset_languages(lexemes: list[Lexeme], n_languages: int, seed: int = 0) -> list[Lexeme]:
-    """Keep a seeded sample of languages (for working at reduced scale)."""
-    languages = sorted({lex.language for lex in lexemes})
-    if n_languages >= len(languages):
-        return list(lexemes)
-    rng = random.Random(seed)
-    keep = set(rng.sample(languages, n_languages))
-    return [lex for lex in lexemes if lex.language in keep]
-
-
-def generate_pairs(lexemes: list[Lexeme], include_same_language: bool = False) -> list[WordPair]:
+def generate_pairs(lexemes: list[Lexeme]) -> list[WordPair]:
     """All within-concept pairs per family, labeled by cognate-class equality.
 
-    Pairs from the same language are excluded by default (they are synonym
-    pairs, not cognacy judgments); pass include_same_language=True to match
-    raw pair counts of sources that keep them.
+    Pairs from the same language are excluded: they are synonym pairs, not
+    cognacy judgments.
     """
     groups: dict[tuple[str, str], list[Lexeme]] = {}
     for lex in lexemes:
@@ -156,7 +145,7 @@ def generate_pairs(lexemes: list[Lexeme], include_same_language: bool = False) -
             key=lambda l: (l.language, l.form, l.cognate_class),
         )
         for a, b in itertools.combinations(members, 2):
-            if not include_same_language and a.language == b.language:
+            if a.language == b.language:
                 continue
             pairs.append(WordPair(
                 a=a, b=b,

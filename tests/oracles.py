@@ -6,9 +6,10 @@ exhaustive alignment-path enumeration.  Memoized variants exist only so
 random tests can afford slightly longer strings; they share no code with
 the production dynamic programs.  The convolution gradient is computed one
 kernel offset at a time, with no unfolding.  The similarity features are
-computed one pair at a time, with Python dynamic programs, ``Counter``
-n-gram multisets and ``similarity.align`` scores.  The SVM fit recomputes
-the margins at the top of every pass.
+computed one pair at a time, with Python dynamic programs (the global,
+local and semi-global scores from the score-only :func:`dp_score`) and
+``Counter`` n-gram multisets.  The SVM fit recomputes the margins at the
+top of every pass.
 """
 
 from __future__ import annotations
@@ -133,6 +134,29 @@ def semiglobal_best(a: str, b: str, sub, gap: float, global_fn=global_memo) -> f
             if best is None or v > best:
                 best = v
     return best
+
+
+def dp_score(a: str, b: str, sub, gap: float, mode: str) -> float:
+    """Best "global", "local" or "semiglobal" score by the textbook score-only DP.
+
+    Row and column 0 cost a gap per step in global mode and nothing in the
+    others.  Local cells never drop below 0 and the best cell anywhere
+    counts; semi-global counts the best cell of the last row or column.
+    """
+    m, n = len(a), len(b)
+    edge = gap if mode == "global" else 0.0
+    H = [[0.0] + [j * edge for j in range(1, n + 1)]]
+    for i in range(1, m + 1):
+        row = [i * edge]
+        for j in range(1, n + 1):
+            v = max(H[i - 1][j - 1] + sub(a[i - 1], b[j - 1]), H[i - 1][j] + gap, row[j - 1] + gap)
+            row.append(max(v, 0.0) if mode == "local" else v)
+        H.append(row)
+    if mode == "global":
+        return H[m][n]
+    if mode == "local":
+        return max(max(row) for row in H)
+    return max(max(H[m]), max(row[n] for row in H))
 
 
 def conv2d_backward_offsets(cache, grad):
@@ -261,6 +285,9 @@ def xxdice(a: str, b: str) -> float:
     return 2.0 * weight / total
 
 
+_UNIT = similarity.match_mismatch()  # match 1, mismatch -1
+
+
 def _measure_row(a: str, b: str) -> tuple[float, ...]:
     return (
         float(edit_distance_dp(a, b)),
@@ -268,9 +295,7 @@ def _measure_row(a: str, b: str) -> tuple[float, ...]:
         float(lcs_length_dp(a, b)),
         float(lcp_length(a, b)),
         float(common_trigrams(a, b)),
-        similarity.align(a, b, mode=similarity.GLOBAL)[0],
-        similarity.align(a, b, mode=similarity.LOCAL)[0],
-        similarity.align(a, b, mode=similarity.SEMIGLOBAL)[0],
+        *(dp_score(a, b, _UNIT, -1.0, mode) for mode in ("global", "local", "semiglobal")),
         xdice(a, b),
         xxdice(a, b),
     )

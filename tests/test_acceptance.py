@@ -90,13 +90,15 @@ class _OracleCache:
         return self.bundle[key]
 
 
-def _assert_matches_oracle(a: str, b: str, cache: _OracleCache):
-    edit_o, lcs_o, glob_o, loc_o, semi_o = cache.values(a, b)
-    assert sim.edit_distance(a, b) == edit_o, (a, b)
-    assert sim.lcs_length(a, b) == lcs_o, (a, b)
-    assert sim.align(a, b, mode=sim.GLOBAL)[0] == pytest.approx(glob_o), (a, b)
-    assert sim.align(a, b, mode=sim.LOCAL)[0] == pytest.approx(loc_o), (a, b)
-    assert sim.align(a, b, mode=sim.SEMIGLOBAL)[0] == pytest.approx(semi_o), (a, b)
+DP_NAMES = ("edit", "lcs", "global", "local", "semiglobal")
+
+
+def _assert_matches_oracles(pairs, expected):
+    """The engine's five DP measures and align's score, exactly as the oracles give them."""
+    table = sim.measure_table(pairs, DP_NAMES)
+    for (a, b), row, want in zip(pairs, table.tolist(), expected):
+        assert row == list(want), (a, b)
+        assert sim.align(a, b)[0] == want[2], (a, b)
 
 
 def test_alignment_oracles():
@@ -107,31 +109,24 @@ def test_alignment_oracles():
     # exhaustive: every ordered pair with combined length <= 6, against pure
     # path-enumeration oracles
     cache = _OracleCache(oracles.global_enum)
-    n_pairs = 0
-    for la in range(7):
-        for lb in range(7 - la):
-            for a in by_len[la]:
-                for b in by_len[lb]:
-                    _assert_matches_oracle(a, b, cache)
-                    n_pairs += 1
-    assert n_pairs == 36_409
+    pairs = [(a, b) for la in range(7) for lb in range(7 - la) for a in by_len[la] for b in by_len[lb]]
+    assert len(pairs) == 36_409
+    _assert_matches_oracles(pairs, [cache.values(a, b) for a, b in pairs])
 
     # 1,000 random pairs with each string up to length 8, against the
     # memoized-recursion oracles
     rng = np.random.default_rng(2024)
     cache8 = _OracleCache(oracles.global_memo)
+    cg = lambda x, y, _sub, _gap: cache8.cached_global(x, y)
+    pairs, expected = [], []
     for _ in range(1000):
         a = "".join(rng.choice(list(alphabet)) for _ in range(rng.integers(0, 9)))
         b = "".join(rng.choice(list(alphabet)) for _ in range(rng.integers(0, 9)))
-        edit_o = oracles.edit_distance_memo(a, b)
-        assert sim.edit_distance(a, b) == edit_o
-        assert sim.lcs_length(a, b) == oracles.lcs_enum(a, b)
-        cg = lambda x, y, _sub, _gap: cache8.cached_global(x, y)
-        assert sim.align(a, b, mode=sim.GLOBAL)[0] == pytest.approx(cache8.cached_global(a, b))
-        assert sim.align(a, b, mode=sim.LOCAL)[0] == pytest.approx(
-            oracles.local_best(a, b, MM, GAP_PENALTY, global_fn=cg))
-        assert sim.align(a, b, mode=sim.SEMIGLOBAL)[0] == pytest.approx(
-            oracles.semiglobal_best(a, b, MM, GAP_PENALTY, global_fn=cg))
+        pairs.append((a, b))
+        expected.append((oracles.edit_distance_memo(a, b), oracles.lcs_enum(a, b), cache8.cached_global(a, b),
+                         oracles.local_best(a, b, MM, GAP_PENALTY, global_fn=cg),
+                         oracles.semiglobal_best(a, b, MM, GAP_PENALTY, global_fn=cg)))
+    _assert_matches_oracles(pairs, expected)
     assert time.monotonic() - t0 < 120.0
 
 

@@ -263,6 +263,10 @@ USAGE_ERRORS = {
     "train_fraction_1.5": ["pipeline", "--system", "ortho_svm", "--mode", "cross-concept",
                            "--train-fraction", "1.5"],
     "cross_family_without_families": ["pipeline", "--system", "ortho_svm", "--mode", "cross-family"],
+    "train_families_only_commas": ["pipeline", "--system", "ortho_svm", "--mode", "cross-family",
+                                   "--train-families", ",", "--test-families", "fam"],
+    "test_families_blank": ["pipeline", "--system", "ortho_svm", "--mode", "cross-family",
+                            "--train-families", "fam", "--test-families", " "],
     "config_c_grid": ["CONFIG:[svm]\nc_grid = 1,x\n", "train", "--system", "ortho_svm"],
     "config_kernel": ["CONFIG:[net]\nkernel = 2\n", "train", "--system", "manhattan"],
     "config_system": ["CONFIG:[run]\nsystem = nope\n", "train"],

@@ -22,8 +22,6 @@ def test_f_scores_support_weighting():
     preds = [1, 1, 0, 0]
     f_neg, f_pos, f_comb = metrics.f_scores(labels, preds)
     assert f_comb == pytest.approx((3 * f_neg + 1 * f_pos) / 4, abs=1e-12)
-    _, _, unweighted = metrics.f_scores(labels, preds, weighted=False)
-    assert unweighted == pytest.approx(0.5 * (f_neg + f_pos), abs=1e-12)
 
 
 def test_f_scores_zero_division_convention():

@@ -3,8 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cognet import phoneme, pmi, synthetic, wordlists
+from cognet import phoneme, pmi, similarity, synthetic, wordlists
 
 import oracles
 
@@ -186,3 +188,22 @@ def test_matrix_equals_one_from_per_pair_seeds(monkeypatch):
     assert (got.iterations, got.final_delta, got.converged) == (
         want.iterations, want.final_delta, want.converged)
 
+
+N = len(phoneme.INVENTORY)
+
+
+@settings(deadline=None)
+@given(a=st.text(alphabet=phoneme.INVENTORY, max_size=10), b=st.text(alphabet=phoneme.INVENTORY, max_size=10),
+       seed=st.integers(0, 2**32 - 1), gap=st.floats(-8.0, -0.01))
+def test_align_under_a_pmi_matrix_is_optimal_and_scores_its_pairs(a, b, seed, gap):
+    # a random symmetric float matrix over the inventory, as estimate_pmi learns one
+    half = np.random.default_rng(seed).normal(0.0, 2.0, size=(N, N))
+    scheme = pmi.PMIMatrix(half + half.T, gap).scoring_scheme()
+    score, pairs = similarity.align(a, b, scheme)
+    assert score == pytest.approx(oracles.global_memo(a, b, scheme.substitution, gap), rel=0, abs=1e-9)
+    assert "".join(x for x, _ in pairs if x != similarity.GAP) == a
+    assert "".join(y for _, y in pairs if y != similarity.GAP) == b
+    total = 0.0
+    for x, y in pairs:  # left to right
+        total += gap if similarity.GAP in (x, y) else scheme.substitution(x, y)
+    assert total == pytest.approx(score, rel=0, abs=1e-9)

@@ -58,23 +58,16 @@ def test_xdice_self_similarity():
 def test_align_examples():
     score, pairs = sim.align("ab", "ab")
     assert score == 2 and pairs == [("a", "a"), ("b", "b")]
-    score, _ = sim.align("ab", "b", mode=sim.SEMIGLOBAL)
-    assert score == 1
-    score, pairs = sim.align("xxabxx", "ab", mode=sim.LOCAL)
-    assert score == 2 and pairs == [("a", "a"), ("b", "b")]
+    # local and semi-global scores come from the batched engine
+    assert sim.measure_table([("ab", "b"), ("xxabxx", "ab")], ("semiglobal", "local")).tolist() == [
+        [1.0, 1.0], [2.0, 2.0]]
 
 
 def test_align_empty_strings():
     assert sim.align("", "") == (0.0, [])
     score, pairs = sim.align("", "ab")
     assert score == -2 and pairs == [(sim.GAP, "a"), (sim.GAP, "b")]
-    assert sim.align("", "ab", mode=sim.LOCAL) == (0.0, [])
-    assert sim.align("", "ab", mode=sim.SEMIGLOBAL)[0] == 0.0
-
-
-def test_align_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        sim.align("a", "b", mode="diagonal")
+    assert sim.measure_table([("", "ab")], ("local", "semiglobal")).tolist() == [[0.0, 0.0]]
 
 
 def test_alignment_reaches_reported_score():
@@ -89,67 +82,6 @@ def test_alignment_reaches_reported_score():
         )
         assert total == pytest.approx(score)
         # global alignments consume both strings
-        assert "".join(x for x, _ in pairs if x != sim.GAP) == a
-        assert "".join(y for _, y in pairs if y != sim.GAP) == b
-
-
-def test_local_alignment_achieves_score():
-    rng = random.Random(6)
-    for a, b in _random_pairs(rng, 200, 7):
-        score, pairs = sim.align(a, b, mode=sim.LOCAL)
-        total = sum(
-            sim.DEFAULT_SCHEME.gap_open if sim.GAP in (x, y) else MM(x, y)
-            for x, y in pairs
-        )
-        assert total == pytest.approx(score)
-
-
-def _same_side_gap_run(pairs):
-    n = 0
-    side = None
-    for x, y in pairs:
-        if x == sim.GAP:
-            s = "a"
-        elif y == sim.GAP:
-            s = "b"
-        else:
-            break
-        if side is None:
-            side = s
-        elif s != side:
-            break
-        n += 1
-    return n
-
-
-def _best_semiglobal_value(pairs):
-    """Best score of the alignment over all valid free-end-gap designations.
-
-    A designation marks a same-side gap run at each end as free; interior
-    pairs are charged.  Any designation is a legal semi-global path, so the
-    best one cannot exceed the optimal score.
-    """
-    lead_max = _same_side_gap_run(pairs)
-    trail_max = _same_side_gap_run(list(reversed(pairs)))
-    best = None
-    for lead in range(lead_max + 1):
-        for trail in range(trail_max + 1):
-            if lead + trail > len(pairs):
-                continue
-            value = sum(
-                sim.DEFAULT_SCHEME.gap_open if sim.GAP in (x, y) else MM(x, y)
-                for x, y in pairs[lead:len(pairs) - trail]
-            )
-            best = value if best is None or value > best else best
-    return best
-
-
-def test_semiglobal_alignment_achieves_score_with_free_end_gaps():
-    rng = random.Random(7)
-    for a, b in _random_pairs(rng, 200, 7):
-        score, pairs = sim.align(a, b, mode=sim.SEMIGLOBAL)
-        assert _best_semiglobal_value(pairs) == pytest.approx(score)
-        # both strings are fully consumed once end gaps are included
         assert "".join(x for x, _ in pairs if x != sim.GAP) == a
         assert "".join(y for _, y in pairs if y != sim.GAP) == b
 
@@ -172,41 +104,38 @@ def test_dp_matches_enumeration_oracles_small():
     strings = [""]
     for n in (1, 2, 3):
         strings += ["".join(t) for t in itertools.product(alphabet, repeat=n)]
-    for a in strings:
-        for b in strings:
-            assert sim.edit_distance(a, b) == oracles.edit_distance_enum(a, b)
-            if a:
-                assert sim.lcs_length(a, b) == oracles.lcs_enum(a, b)
-            assert sim.align(a, b)[0] == pytest.approx(oracles.global_enum(a, b, MM, -1.0))
-            assert sim.align(a, b, mode=sim.LOCAL)[0] == pytest.approx(
-                oracles.local_best(a, b, MM, -1.0))
-            assert sim.align(a, b, mode=sim.SEMIGLOBAL)[0] == pytest.approx(
-                oracles.semiglobal_best(a, b, MM, -1.0))
+    pairs = [(a, b) for a in strings for b in strings]
+    for (a, b), (local, semi) in zip(pairs, sim.measure_table(pairs, ("local", "semiglobal"))):
+        assert sim.edit_distance(a, b) == oracles.edit_distance_enum(a, b)
+        if a:
+            assert sim.lcs_length(a, b) == oracles.lcs_enum(a, b)
+        assert sim.align(a, b)[0] == pytest.approx(oracles.global_enum(a, b, MM, -1.0))
+        assert local == pytest.approx(oracles.local_best(a, b, MM, -1.0))
+        assert semi == pytest.approx(oracles.semiglobal_best(a, b, MM, -1.0))
 
 
 def test_dp_matches_memo_oracles_random():
-    rng = random.Random(9)
-    for a, b in _random_pairs(rng, 150, 8):
+    pairs = list(_random_pairs(random.Random(9), 150, 8))
+    for (a, b), (local, semi) in zip(pairs, sim.measure_table(pairs, ("local", "semiglobal"))):
         assert sim.edit_distance(a, b) == oracles.edit_distance_memo(a, b)
         assert sim.align(a, b)[0] == pytest.approx(oracles.global_memo(a, b, MM, -1.0))
-        assert sim.align(a, b, mode=sim.LOCAL)[0] == pytest.approx(
-            oracles.local_best(a, b, MM, -1.0))
-        assert sim.align(a, b, mode=sim.SEMIGLOBAL)[0] == pytest.approx(
-            oracles.semiglobal_best(a, b, MM, -1.0))
+        assert local == pytest.approx(oracles.local_best(a, b, MM, -1.0))
+        assert semi == pytest.approx(oracles.semiglobal_best(a, b, MM, -1.0))
 
 
 def test_measures_are_symmetric():
-    rng = random.Random(13)
-    for a, b in _random_pairs(rng, 200, 7):
+    pairs = list(_random_pairs(random.Random(13), 200, 7))
+    for a, b in pairs:
         assert sim.edit_distance(a, b) == sim.edit_distance(b, a)
         assert sim.common_bigrams(a, b) == sim.common_bigrams(b, a)
         assert sim.common_trigrams(a, b) == sim.common_trigrams(b, a)
         assert sim.lcs_length(a, b) == sim.lcs_length(b, a)
         assert sim.xdice(a, b) == pytest.approx(sim.xdice(b, a))
         assert sim.xxdice(a, b) == pytest.approx(sim.xxdice(b, a))
-        for mode in sim.MODES:
-            assert sim.align(a, b, mode=mode)[0] == pytest.approx(
-                sim.align(b, a, mode=mode)[0]), mode
+        assert sim.align(a, b)[0] == pytest.approx(sim.align(b, a)[0])
+    modes = ("global", "local", "semiglobal")
+    swapped = [(b, a) for a, b in pairs]
+    assert np.array_equal(sim.measure_table(pairs, modes), sim.measure_table(swapped, modes))
 
 
 def test_edit_distance_triangle_inequality():
@@ -218,11 +147,8 @@ def test_edit_distance_triangle_inequality():
 
 
 def test_mode_score_ordering():
-    rng = random.Random(21)
-    for a, b in _random_pairs(rng, 200, 7):
-        g = sim.align(a, b, mode=sim.GLOBAL)[0]
-        s = sim.align(a, b, mode=sim.SEMIGLOBAL)[0]
-        l = sim.align(a, b, mode=sim.LOCAL)[0]
+    pairs = list(_random_pairs(random.Random(21), 200, 7))
+    for g, s, l in sim.measure_table(pairs, ("global", "semiglobal", "local")):
         assert l >= s - 1e-12
         assert s >= g - 1e-12
 

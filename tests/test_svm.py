@@ -107,12 +107,15 @@ def test_predict_agrees_with_decision_sign():
 
 
 def test_predict_single_vector():
+    # one vector is scored as a one-row matrix; a bare vector is rejected
     X, y = _separable(n=20, seed=10)
     model = svm.fit(X, y, C=1.0)
     centroid0 = X[y == 0].mean(axis=0)
-    assert svm.predict(model, centroid0) == 0
+    assert svm.predict(model, centroid0[None, :]).tolist() == [0]
     with pytest.raises(svm.DimensionMismatch):
-        svm.predict(model, np.zeros(X.shape[1] + 1))
+        svm.predict(model, centroid0)
+    with pytest.raises(svm.DimensionMismatch):
+        svm.predict(model, np.zeros((1, X.shape[1] + 1)))
 
 
 def test_grid_search_separable_prefers_smallest_c():

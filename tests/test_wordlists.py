@@ -1,6 +1,5 @@
 import pytest
 
-from cognet import wordlists
 from cognet.wordlists import (
     CROSS_CONCEPT,
     CROSS_FAMILY,
@@ -124,7 +123,6 @@ def test_generate_pairs_excludes_same_language():
         _lex(language="L1", form="pVd", cognate_class="B"),
     ]
     assert generate_pairs(lexemes) == []
-    assert len(generate_pairs(lexemes, include_same_language=True)) == 1
 
 
 def test_generate_pairs_never_crosses_concepts_or_families():
@@ -224,11 +222,3 @@ def test_split_spec_validation():
         SplitSpec(CROSS_CONCEPT, train_fraction=1.0)
 
 
-def test_subset_languages_is_seeded_sample():
-    lexemes = _family(3, langs=tuple(f"L{i}" for i in range(10)))
-    subset = wordlists.subset_languages(lexemes, 4, seed=2)
-    kept = {l.language for l in subset}
-    assert len(kept) == 4
-    assert wordlists.subset_languages(lexemes, 4, seed=2) == subset
-    assert {l.language for l in wordlists.subset_languages(lexemes, 4, seed=3)} != kept
-    assert wordlists.subset_languages(lexemes, 99, seed=0) == lexemes
