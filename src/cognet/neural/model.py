@@ -192,9 +192,8 @@ class Model:
         return prob, (trunks, cpair, chead)
 
     def loss_and_grads(self, xa: np.ndarray, xb: np.ndarray, y: np.ndarray,
-                       margin: float = 1.0, rng: np.random.Generator | None = None,
-                       training: bool = True):
-        """Mean loss over the batch and gradients for every parameter.
+                       margin: float = 1.0, rng: np.random.Generator | None = None):
+        """Mean loss over the batch, with dropout on, and gradients for every parameter.
 
         Siamese-Euclid trains its distance with the contrastive loss, the
         others their probability with the log loss.
@@ -202,7 +201,7 @@ class Model:
         arch = self.spec.architecture
         n = xa.shape[0]
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        out, (trunks, cpair, chead) = self.forward(xa, xb, training=training, rng=rng)
+        out, (trunks, cpair, chead) = self.forward(xa, xb, training=True, rng=rng)
         if arch == SIAMESE_EUCLID:
             loss = float(losses.contrastive_loss(out, y, margin).mean())
             gflats = ops.euclid_backward(cpair, losses.contrastive_loss_grad(out, y, margin) / n)
@@ -250,7 +249,7 @@ def encode_pairs(pairs, pad_len: int = 10):
         y.append(pair.label)
     if not y:
         raise EmptyDataset("no pairs to encode")
-    table = np.array([phoneme.word_to_matrix(form, pad_len).rows for form in index])
+    table = np.array([phoneme.word_to_matrix(form, pad_len) for form in index])
     return table[ia], table[ib], np.array(y, dtype=np.float64)
 
 

@@ -129,16 +129,8 @@ def binarize(symbol: str) -> tuple[int, ...]:
     return _VECTORS[symbol]
 
 
-@dataclass(frozen=True, eq=False)
-class WordMatrix:
-    """A word rendered as a pad_len x 16 binary matrix plus its true length."""
-
-    rows: np.ndarray
-    true_len: int
-
-
-def word_to_matrix(word: str, pad_len: int = 10) -> WordMatrix:
-    """Stack the feature vectors of ``word`` into a zero-padded matrix.
+def word_to_matrix(word: str, pad_len: int = 10) -> np.ndarray:
+    """Stack the feature vectors of ``word`` into a zero-padded [pad_len, 16] matrix.
 
     Words longer than ``pad_len`` keep their first ``pad_len`` symbols; the
     truncation is reported on this module's logger.
@@ -151,7 +143,7 @@ def word_to_matrix(word: str, pad_len: int = 10) -> WordMatrix:
     rows = np.zeros((pad_len, N_FEATURES), dtype=np.float64)
     for i, s in enumerate(word):
         rows[i] = _VECTORS[s]
-    return WordMatrix(rows=rows, true_len=len(word))
+    return rows
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ Word pairs that survive a normalized edit-distance cutoff are aligned,
 aligned symbol pairs are counted, and the counts become a log-odds scoring
 matrix.  Realigning with that matrix and recounting is repeated until the
 matrix stops moving.  The resulting matrix scores new word pairs through
-ordinary global alignment.
+ordinary global alignment, which reads each substitution score from the
+matrix and adds the gap penalty per gap.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from . import artifact, phoneme, similarity
 
 N = len(phoneme.INVENTORY)
 
-_EDIT_SCHEME = similarity.ScoringScheme(similarity.match_mismatch(0.0, -1.0), gap_open=-1.0)
+# unit edit costs as alignment scores (match 0, mismatch and gap -1), for the seed alignment
+_EDIT_SCORES = np.eye(N) - 1.0
 
 
 class EmptySeedSet(ValueError):
@@ -58,14 +60,6 @@ class PMIMatrix:
     def score(self, x: str, y: str) -> float:
         return float(self.scores[phoneme.SYMBOL_INDEX[x], phoneme.SYMBOL_INDEX[y]])
 
-    def scoring_scheme(self) -> similarity.ScoringScheme:
-        idx = phoneme.SYMBOL_INDEX
-        scores = self.scores
-        return similarity.ScoringScheme(
-            lambda x, y: scores[idx[x], idx[y]],
-            gap_open=self.gap_penalty,
-        )
-
 
 def _counts_to_pmi(counts: np.ndarray, pseudocount: float) -> np.ndarray:
     # smooth every cell, normalize, and take log-odds against the marginals;
@@ -77,12 +71,12 @@ def _counts_to_pmi(counts: np.ndarray, pseudocount: float) -> np.ndarray:
     return np.log2(joint) - np.log2(np.outer(marginal, marginal))
 
 
-def _count_pairs(seeds: list[tuple[str, str]], scheme: similarity.ScoringScheme) -> np.ndarray:
-    """Symmetric counts of the symbol pairs that the seeds' alignments under ``scheme`` match up."""
+def _count_pairs(seeds: list[tuple[str, str]], scores: np.ndarray, gap: float) -> np.ndarray:
+    """Symmetric counts of the symbol pairs that the seeds' alignments under ``scores`` and ``gap`` match up."""
     idx = phoneme.SYMBOL_INDEX
     counts = np.zeros((N, N), dtype=np.float64)
     for a, b in seeds:
-        for x, y in similarity.align(a, b, scheme)[1]:
+        for x, y in similarity.align(a, b, scores, gap)[1]:
             if x != similarity.GAP and y != similarity.GAP:
                 counts[idx[x], idx[y]] += 1.0
                 counts[idx[y], idx[x]] += 1.0
@@ -111,14 +105,13 @@ def estimate_pmi(pairs: list[tuple[str, str]], cfg: PMIConfig = PMIConfig()) -> 
             f"no pair passed the cutoff {cfg.initial_cutoff} out of {len(pairs)}"
         )
 
-    scores = _counts_to_pmi(_count_pairs(seeds, _EDIT_SCHEME), cfg.pseudocount)
+    scores = _counts_to_pmi(_count_pairs(seeds, _EDIT_SCORES, -1.0), cfg.pseudocount)
 
     iterations = 0
     delta = float("nan")
     converged = False
     for iterations in range(1, cfg.max_iterations + 1):
-        scheme = PMIMatrix(scores, cfg.gap_penalty).scoring_scheme()
-        new_scores = _counts_to_pmi(_count_pairs(seeds, scheme), cfg.pseudocount)
+        new_scores = _counts_to_pmi(_count_pairs(seeds, scores, cfg.gap_penalty), cfg.pseudocount)
         delta = float(np.max(np.abs(new_scores - scores)))
         scores = new_scores
         if delta < cfg.convergence_tol:
@@ -135,7 +128,7 @@ def estimate_pmi(pairs: list[tuple[str, str]], cfg: PMIConfig = PMIConfig()) -> 
 
 def pmi_score(a: str, b: str, matrix: PMIMatrix) -> float:
     """Best global alignment score of two words under the PMI matrix."""
-    return similarity.align(a, b, matrix.scoring_scheme())[0]
+    return similarity.align(a, b, matrix.scores, matrix.gap_penalty)[0]
 
 
 def pmi_features(a: str, b: str, matrix: PMIMatrix) -> list[float]:

@@ -1,6 +1,6 @@
 """String similarity measures and dynamic-programming alignment.
 
-All measures operate on plain symbol strings, so they apply unchanged to
+The measures operate on plain symbol strings, so they apply unchanged to
 ASJP words and to their coarser sound-class renderings.  They are computed
 in batches: :func:`measure_table` codes each distinct string once as a
 padded row of integers, and handles a chunk of pairs at a time with numpy
@@ -8,8 +8,9 @@ working across the pair axis.  One score-only DP fill gives five measures
 (Needleman-Wunsch global, Smith-Waterman local, semi-global with free end
 gaps, edit distance and LCS); the n-gram measures pair up equal n-grams by
 occurrence rank.  :func:`align` is the one aligner that also returns the
-aligned symbol pairs.  It is global only: its caller, the PMI module,
-aligns under its own scoring matrix and needs nothing else.
+aligned symbol pairs.  It is global only and aligns ASJP words under a
+35 x 35 substitution table plus a linear gap score: the form of the matrix
+that its caller, the PMI module, learns.
 """
 
 from __future__ import annotations
@@ -41,30 +42,24 @@ def match_mismatch(match: float = 1.0, mismatch: float = -1.0) -> Callable[[str,
     return sub
 
 
-@dataclass(frozen=True)
-class ScoringScheme:
-    """Substitution function plus linear gap penalty for the aligner."""
-
-    substitution: Callable[[str, str], float]
-    gap_open: float = -1.0
-
-    def __post_init__(self):
-        if self.gap_open > 0:
-            raise ValueError("gap penalty must be <= 0")
+# match 1, mismatch -1 over the inventory, rows and columns in INVENTORY order
+UNIT_SCORES = 2.0 * np.eye(len(phoneme.INVENTORY)) - 1.0
+UNIT_SCORES.flags.writeable = False
 
 
-DEFAULT_SCHEME = ScoringScheme(match_mismatch(), gap_open=-1.0)
+def align(a: str, b: str, scores: np.ndarray = UNIT_SCORES,
+          gap: float = -1.0) -> tuple[float, list[tuple[str, str]]]:
+    """Globally align two ASJP words, returning (score, aligned pairs).
 
-
-def align(a: str, b: str, scheme: ScoringScheme = DEFAULT_SCHEME) -> tuple[float, list[tuple[str, str]]]:
-    """Globally align two symbol strings, returning (score, aligned pairs).
-
-    Gaps appear as the marker ``"-"`` on the gapped side.  Traceback ties
-    resolve substitution > deletion (gap in b) > insertion (gap in a), so
-    alignments are deterministic.
+    ``scores`` is a 35 x 35 substitution table in ``phoneme.INVENTORY``
+    order and ``gap`` the score of each gap symbol.  Gaps appear as the
+    marker ``"-"`` on the gapped side.  Traceback ties resolve substitution
+    > deletion (gap in b) > insertion (gap in a), so alignments are
+    deterministic.
     """
-    sub = scheme.substitution
-    gap = scheme.gap_open
+    idx = phoneme.SYMBOL_INDEX
+    # the pair's substitution scores as Python floats, looked up once
+    sub = scores.take([idx[x] for x in a], axis=0).take([idx[y] for y in b], axis=1).tolist()
     m, n = len(a), len(b)
 
     # score matrix, (m+1) x (n+1)
@@ -76,9 +71,9 @@ def align(a: str, b: str, scheme: ScoringScheme = DEFAULT_SCHEME) -> tuple[float
     for i in range(1, m + 1):
         row = S[i]
         prev = S[i - 1]
-        ca = a[i - 1]
+        subs = sub[i - 1]
         for j in range(1, n + 1):
-            best = prev[j - 1] + sub(ca, b[j - 1])
+            best = prev[j - 1] + subs[j - 1]
             up = prev[j] + gap
             if up > best:
                 best = up
@@ -91,7 +86,7 @@ def align(a: str, b: str, scheme: ScoringScheme = DEFAULT_SCHEME) -> tuple[float
     i, j = m, n
     while i > 0 and j > 0:
         here = S[i][j]
-        if here == S[i - 1][j - 1] + sub(a[i - 1], b[j - 1]):
+        if here == S[i - 1][j - 1] + sub[i - 1][j - 1]:
             pairs.append((a[i - 1], b[j - 1]))
             i, j = i - 1, j - 1
         elif here == S[i - 1][j] + gap:

@@ -4,7 +4,8 @@ Everything here follows the mathematical definitions directly: plain
 recursion over edit scripts, explicit subsequence enumeration, and
 exhaustive alignment-path enumeration.  Memoized variants exist only so
 random tests can afford slightly longer strings; they share no code with
-the production dynamic programs.  The convolution gradient is computed one
+the production dynamic programs.  The global aligner with traceback calls
+a substitution function for every DP cell.  The convolution gradient is computed one
 kernel offset at a time, with no unfolding.  The similarity features are
 computed one pair at a time, with Python dynamic programs (the global,
 local and semi-global scores from the score-only :func:`dp_score`) and
@@ -103,6 +104,51 @@ def global_memo(a: str, b: str, sub, gap: float) -> float:
             best = v if best is None or v > best else best
         return best
     return go(0, 0)
+
+
+def global_align(a: str, b: str, sub, gap: float) -> tuple[float, list[tuple[str, str]]]:
+    """Best global alignment and its symbol pairs, calling ``sub(x, y)`` for every DP cell.
+
+    Gaps appear as ``similarity.GAP``.  Traceback ties resolve substitution >
+    deletion (gap in b) > insertion (gap in a).
+    """
+    m, n = len(a), len(b)
+    S = [[0.0] * (n + 1) for _ in range(m + 1)]
+    for i in range(1, m + 1):
+        S[i][0] = i * gap
+    for j in range(1, n + 1):
+        S[0][j] = j * gap
+    for i in range(1, m + 1):
+        row = S[i]
+        prev = S[i - 1]
+        ca = a[i - 1]
+        for j in range(1, n + 1):
+            best = prev[j - 1] + sub(ca, b[j - 1])
+            up = prev[j] + gap
+            if up > best:
+                best = up
+            left = row[j - 1] + gap
+            if left > best:
+                best = left
+            row[j] = best
+
+    pairs: list[tuple[str, str]] = []
+    i, j = m, n
+    while i > 0 and j > 0:
+        here = S[i][j]
+        if here == S[i - 1][j - 1] + sub(a[i - 1], b[j - 1]):
+            pairs.append((a[i - 1], b[j - 1]))
+            i, j = i - 1, j - 1
+        elif here == S[i - 1][j] + gap:
+            pairs.append((a[i - 1], similarity.GAP))
+            i -= 1
+        else:
+            pairs.append((similarity.GAP, b[j - 1]))
+            j -= 1
+    pairs.extend((a[k], similarity.GAP) for k in reversed(range(i)))
+    pairs.extend((similarity.GAP, b[k]) for k in reversed(range(j)))
+    pairs.reverse()
+    return float(S[m][n]), pairs
 
 
 def local_best(a: str, b: str, sub, gap: float, global_fn=global_memo) -> float:

@@ -216,6 +216,10 @@ ARTIFACT_DEFECTS = {
     "pmi_matrix_nan_cell": ("pmi_svm", "pmi_matrix.tsv",
                             _values_after("scores", lambda v: "nan\t" + v.split("\t", 1)[1]),
                             "pmi_svm", "nan"),
+    "pmi_matrix_positive_gap": ("pmi_svm", "pmi_matrix.tsv",
+                                lambda lines: [("gap_penalty\t0.5" if ln.startswith("gap_penalty\t") else ln)
+                                               for ln in lines],
+                                "pmi_svm", "gap_penalty"),
     "checkpoint_of_other_system": ("two_channel", "model.txt", None, "manhattan", "two_channel"),
     "checkpoint_as_svm_model": ("manhattan", "model.txt", None, "ortho_svm", "checkpoint"),
 }

@@ -69,27 +69,26 @@ def test_parse_is_idempotent_on_rendered_words():
 
 def test_word_to_matrix_pads_with_zero_rows():
     wm = phoneme.word_to_matrix("fVt", pad_len=10)
-    assert wm.rows.shape == (10, 16)
-    assert wm.true_len == 3
+    assert wm.shape == (10, 16)
     for i, s in enumerate("fVt"):
-        assert tuple(wm.rows[i].astype(int)) == phoneme.binarize(s)
-    assert not wm.rows[3:].any()
+        assert tuple(wm[i].astype(int)) == phoneme.binarize(s)
+    assert not wm[3:].any()
 
 
 def test_word_to_matrix_no_padding_needed():
     wm = phoneme.word_to_matrix("m", pad_len=1)
-    assert wm.rows.shape == (1, 16)
-    assert tuple(wm.rows[0].astype(int)) == phoneme.binarize("m")
+    assert wm.shape == (1, 16)
+    assert tuple(wm[0].astype(int)) == phoneme.binarize("m")
 
 
 def test_word_to_matrix_truncates_and_warns(caplog):
     word = "ptkbdszmnlrw"  # 12 symbols
     with caplog.at_level(logging.WARNING, logger="cognet.phoneme"):
         wm = phoneme.word_to_matrix(word, pad_len=10)
-    assert wm.true_len == 10
+    assert wm.shape == (10, 16)
     assert any("truncated" in rec.message for rec in caplog.records)
     for i, s in enumerate(word[:10]):
-        assert tuple(wm.rows[i].astype(int)) == phoneme.binarize(s)
+        assert tuple(wm[i].astype(int)) == phoneme.binarize(s)
 
 
 def test_word_to_matrix_true_len_property():
@@ -98,8 +97,9 @@ def test_word_to_matrix_true_len_property():
         n = rng.randint(1, 14)
         word = "".join(rng.choice(phoneme.INVENTORY) for _ in range(n))
         wm = phoneme.word_to_matrix(word, pad_len=10)
-        assert wm.true_len == min(n, 10)
-        assert not wm.rows[wm.true_len:].any()
+        # every inventory symbol sets some feature bit, so the word's rows are nonzero
+        assert wm[:min(n, 10)].any(axis=1).all()
+        assert not wm[min(n, 10):].any()
 
 
 def test_word_to_matrix_rejects_bad_pad_len():
@@ -145,6 +145,6 @@ def test_load_scheme_rejects_partial_mapping(tmp_path):
 
 def test_feature_matrix_shape():
     # the full binarization table is the rendering of the inventory
-    fm = phoneme.word_to_matrix(phoneme.INVENTORY, pad_len=len(phoneme.INVENTORY)).rows
+    fm = phoneme.word_to_matrix(phoneme.INVENTORY, pad_len=len(phoneme.INVENTORY))
     assert fm.shape == (35, 16)
     assert set(np.unique(fm)) <= {0.0, 1.0}

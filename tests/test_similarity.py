@@ -56,8 +56,8 @@ def test_xdice_self_similarity():
 
 
 def test_align_examples():
-    score, pairs = sim.align("ab", "ab")
-    assert score == 2 and pairs == [("a", "a"), ("b", "b")]
+    score, pairs = sim.align("pV", "pV")
+    assert score == 2 and pairs == [("p", "p"), ("V", "V")]
     # local and semi-global scores come from the batched engine
     assert sim.measure_table([("ab", "b"), ("xxabxx", "ab")], ("semiglobal", "local")).tolist() == [
         [1.0, 1.0], [2.0, 2.0]]
@@ -65,9 +65,9 @@ def test_align_examples():
 
 def test_align_empty_strings():
     assert sim.align("", "") == (0.0, [])
-    score, pairs = sim.align("", "ab")
-    assert score == -2 and pairs == [(sim.GAP, "a"), (sim.GAP, "b")]
-    assert sim.measure_table([("", "ab")], ("local", "semiglobal")).tolist() == [[0.0, 0.0]]
+    score, pairs = sim.align("", "pV")
+    assert score == -2 and pairs == [(sim.GAP, "p"), (sim.GAP, "V")]
+    assert sim.measure_table([("", "pV")], ("local", "semiglobal")).tolist() == [[0.0, 0.0]]
 
 
 def test_alignment_reaches_reported_score():
@@ -77,7 +77,7 @@ def test_alignment_reaches_reported_score():
         b = "".join(rng.choice("ptkV") for _ in range(rng.randint(0, 7)))
         score, pairs = sim.align(a, b)
         total = sum(
-            sim.DEFAULT_SCHEME.gap_open if sim.GAP in (x, y) else MM(x, y)
+            -1.0 if sim.GAP in (x, y) else MM(x, y)
             for x, y in pairs
         )
         assert total == pytest.approx(score)
@@ -86,9 +86,30 @@ def test_alignment_reaches_reported_score():
         assert "".join(y for _, y in pairs if y != sim.GAP) == b
 
 
-def test_scoring_scheme_validation():
-    with pytest.raises(ValueError):
-        sim.ScoringScheme(MM, gap_open=0.5)
+N = len(phoneme.INVENTORY)
+
+
+def _score_table(kind: str, seed: int) -> np.ndarray:
+    """A seeded 35 x 35 table: symmetric normal floats, or integers in -2..2 (not symmetric)."""
+    rng = np.random.default_rng(seed)
+    if kind == "floats":
+        half = rng.normal(0.0, 2.0, size=(N, N))
+        return half + half.T
+    return rng.integers(-2, 3, size=(N, N)).astype(np.float64)
+
+
+@settings(deadline=None)
+@given(a=st.text(alphabet=phoneme.INVENTORY, max_size=10), b=st.text(alphabet=phoneme.INVENTORY, max_size=10),
+       seed=st.integers(0, 2**32 - 1),
+       # integer scores and gaps force ties, so the traceback's tie order decides the pairs
+       table_gap=st.one_of(st.tuples(st.just("floats"), st.floats(-8.0, -0.01)),
+                           st.tuples(st.just("integers"), st.integers(-3, 0).map(float))))
+@example(a="pVtV", b="tVpVV", seed=0, table_gap=("integers", 0.0))
+def test_align_equals_callback_oracle(a, b, seed, table_gap):
+    kind, gap = table_gap
+    table = _score_table(kind, seed)
+    sub = lambda x, y: table[phoneme.SYMBOL_INDEX[x], phoneme.SYMBOL_INDEX[y]]  # noqa: E731
+    assert sim.align(a, b, table, gap) == oracles.global_align(a, b, sub, gap)
 
 
 def _random_pairs(rng, count, max_len, alphabet="ptkV"):
