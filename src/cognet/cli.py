@@ -269,6 +269,8 @@ def _train_system(options: dict, train_pairs: list[wordlists.WordPair], out_dir:
 
     if options["folds"] < 2:
         raise UsageError("--folds must be >= 2")
+    if options["svm_passes"] < 0:
+        raise UsageError("--svm-passes must be >= 0")
     artifacts = {}
     if system == "pmi_svm":
         matrix = (pmi.load_matrix(options["pmi_matrix"]) if options["pmi_matrix"] else

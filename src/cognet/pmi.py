@@ -74,13 +74,10 @@ def _counts_to_pmi(counts: np.ndarray, pseudocount: float) -> np.ndarray:
 def _count_pairs(seeds: list[tuple[str, str]], scores: np.ndarray, gap: float) -> np.ndarray:
     """Symmetric counts of the symbol pairs that the seeds' alignments under ``scores`` and ``gap`` match up."""
     idx = phoneme.SYMBOL_INDEX
-    counts = np.zeros((N, N), dtype=np.float64)
-    for a, b in seeds:
-        for x, y in similarity.align(a, b, scores, gap)[1]:
-            if x != similarity.GAP and y != similarity.GAP:
-                counts[idx[x], idx[y]] += 1.0
-                counts[idx[y], idx[x]] += 1.0
-    return counts
+    codes = np.fromiter((idx[x] * N + idx[y] for a, b in seeds for x, y in similarity.align(a, b, scores, gap)[1]
+                         if x != similarity.GAP and y != similarity.GAP), dtype=np.int64)
+    counts = np.bincount(codes, minlength=N * N).reshape(N, N).astype(np.float64)
+    return counts + counts.T
 
 
 def seed_pairs(pairs: list[tuple[str, str]], cutoff: float) -> list[tuple[str, str]]:

@@ -10,7 +10,8 @@ kernel offset at a time, with no unfolding.  The similarity features are
 computed one pair at a time, with Python dynamic programs (the global,
 local and semi-global scores from the score-only :func:`dp_score`) and
 ``Counter`` n-gram multisets.  The SVM fit recomputes the margins at the
-top of every pass.
+top of every pass, and the grid search makes one separate fit per C and
+fold.
 """
 
 from __future__ import annotations
@@ -398,3 +399,28 @@ def svm_fit_recomputed(X, y, C: float = 1.0, passes: int = 2000) -> svm.LinearMo
             history.append(best_obj)
     return svm.LinearModel(weights=best_w, bias=best_b, mean=mean, std=std, C=C,
                            objective_history=tuple(history))
+
+
+def grid_search_cv_separate(X, y, C_grid=(0.01, 0.1, 1.0, 10.0, 100.0), folds: int = 10,
+                            seed: int = 0, passes: int = 2000) -> svm.GridSearchResult:
+    """``svm.grid_search_cv`` by one separate ``svm.fit`` per C and fold."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if X.shape[0] < folds:
+        raise svm.TooFewSamples(f"{X.shape[0]} samples cannot fill {folds} folds")
+    if np.bincount(y, minlength=2).min() < 2:
+        raise svm.TooFewSamples("each class needs at least 2 samples for stratified folding")
+    assignment = svm._stratified_folds(y, folds, seed)
+    cv_scores: dict[float, float] = {}
+    for C in C_grid:
+        accs = []
+        for k in range(folds):
+            val = assignment == k
+            if not val.any():
+                continue
+            model = svm.fit(X[~val], y[~val], C=C, passes=passes)
+            accs.append(float(np.mean(svm.predict(model, X[val]) == y[val])))
+        cv_scores[float(C)] = float(np.mean(accs))
+    best_score = max(cv_scores.values())
+    best_C = min(c for c, v in cv_scores.items() if v == best_score)
+    return svm.GridSearchResult(best_C=best_C, cv_scores=cv_scores)

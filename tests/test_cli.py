@@ -263,6 +263,7 @@ USAGE_ERRORS = {
     "c_grid_not_a_number": ["train", "--system", "ortho_svm", "--c-grid", "1,x"],
     "c_grid_not_positive": ["train", "--system", "ortho_svm", "--c-grid", "0,1"],
     "folds_1": ["train", "--system", "ortho_svm", "--folds", "1"],
+    "svm_passes_negative": ["pipeline", "--system", "ortho_svm", "--svm-passes", "-3"],
     "cutoff_0": ["pmi-train", "--cutoff", "0", "--out", "OUT/pmi.tsv"],
     "train_fraction_1.5": ["pipeline", "--system", "ortho_svm", "--mode", "cross-concept",
                            "--train-fraction", "1.5"],

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cognet import svm
+from cognet import pmi, similarity, svm, synthetic, wordlists
 
 import oracles
 
@@ -190,3 +192,82 @@ def test_fit_reusing_margins_equals_recomputing_oracle(C, passes):
     assert got.bias == want.bias
     assert got.objective_history == want.objective_history
 
+
+
+def _family_features():
+    """Ortho and PMI feature matrices, with labels, of a small synthetic family."""
+    pairs = wordlists.generate_pairs(synthetic.generate_family(n_concepts=12, n_languages=6, seed=7))
+    forms = [(p.a.form, p.b.form) for p in pairs]
+    matrix = pmi.estimate_pmi(forms)
+    y = np.array([p.label for p in pairs])
+    return {"ortho": (similarity.feature_matrix(forms), y),
+            "pmi": (np.array([pmi.pmi_features(a, b, matrix) for a, b in forms]), y)}
+
+
+def _shuffled_labels():
+    X = np.random.default_rng(14).normal(size=(80, 5))
+    y = np.array([0] * 40 + [1] * 40)
+    np.random.default_rng(3).shuffle(y)
+    return X, y
+
+
+GRID_FIXTURES = {
+    "separable": lambda: _separable(n=60, seed=11),
+    "shuffled_labels": _shuffled_labels,
+    "family_ortho": lambda: _family_features()["ortho"],
+    "family_pmi": lambda: _family_features()["pmi"],
+}
+
+
+@pytest.mark.parametrize("passes", [50, 2000])
+@pytest.mark.parametrize("fixture", sorted(GRID_FIXTURES))
+def test_grid_search_equals_separate_fits_oracle(fixture, passes):
+    X, y = GRID_FIXTURES[fixture]()
+    got = svm.grid_search_cv(X, y, folds=10, seed=1, passes=passes)
+    want = oracles.grid_search_cv_separate(X, y, folds=10, seed=1, passes=passes)
+    assert got.best_C == want.best_C
+    assert got.cv_scores == want.cv_scores
+
+
+def test_grid_search_unsorted_and_duplicate_grid():
+    X, y = _separable(n=60, d=4, seed=11, gap=0.5)
+    grid = (10.0, 0.1, 10.0, 1.0, 0.1)
+    got = svm.grid_search_cv(X, y, C_grid=grid, folds=5, seed=2, passes=200)
+    want = oracles.grid_search_cv_separate(X, y, C_grid=grid, folds=5, seed=2, passes=200)
+    assert list(got.cv_scores) == [10.0, 0.1, 1.0]
+    assert got.cv_scores == want.cv_scores
+    assert got.best_C == want.best_C == min(c for c, v in got.cv_scores.items()
+                                            if v == max(got.cv_scores.values()))
+
+
+def test_grid_search_single_class_training_fold(monkeypatch):
+    # stratified folds never leave a training fold with one class, so put
+    # every positive into fold 0
+    X, y = _separable(n=40, seed=12)
+
+    def positives_in_fold_0(y, folds, seed):
+        return np.where(y == 1, 0, 1 + np.arange(len(y)) % (folds - 1))
+
+    monkeypatch.setattr(svm, "_stratified_folds", positives_in_fold_0)
+    with pytest.raises(svm.SingleClass):
+        svm.grid_search_cv(X, y, folds=10)
+
+
+# The descent is discontinuous where a margin sits exactly at 1, so rows are
+# drawn from a continuous distribution: there the lockstep and the separate
+# fit differ only by summation order.
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), d=st.integers(1, 6),
+       Cs=st.lists(st.sampled_from([0.01, 0.1, 0.5, 1.0, 3.0, 10.0, 100.0]), min_size=1, max_size=5),
+       passes=st.integers(0, 300))
+def test_descend_rows_match_fit(seed, n, d, Cs, passes):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d) + rng.normal(size=d)
+    y = np.zeros(n, dtype=np.int64)
+    y[rng.permutation(n)[:rng.integers(1, n)]] = 1
+    mean, std = svm._standardize(X)
+    W, b = svm._descend((X - mean) / std, np.where(y == 1, 1.0, -1.0), np.array(Cs), passes)
+    for i, C in enumerate(Cs):
+        model = svm.fit(X, y, C=C, passes=passes)
+        np.testing.assert_allclose(W[i], model.weights, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(b[i], model.bias, rtol=1e-9, atol=1e-9)
