@@ -33,8 +33,8 @@ N_FEATURES = {"ortho_svm": len(similarity.FEATURE_NAMES), "pmi_svm": 4}
 # the package's own data exceptions; a bare ValueError is a bug, not bad input
 DATA_ERRORS = (
     OSError, artifact.ArtifactError, wordlists.SchemaError, wordlists.OverlappingFamilies,
-    wordlists.EmptySide, pmi.EmptySeedSet, neural_model.EmptyDataset, svm.TooFewSamples,
-    svm.SingleClass, metrics.SingleClassLabels, metrics.NoPositives,
+    wordlists.EmptySide, wordlists.NoPairs, pmi.EmptySeedSet, neural_model.EmptyDataset,
+    svm.TooFewSamples, svm.SingleClass, metrics.SingleClassLabels, metrics.NoPositives,
 )
 
 
@@ -83,7 +83,11 @@ def _load_config(path: str | None) -> dict[str, str]:
         raise UsageError(f"bad config file {path}: {exc}") from exc
     if not read:
         raise UsageError(f"config file not found: {path}")
-    return {k.replace("-", "_"): v for section in parser.sections() for k, v in parser.items(section)}
+    config = {k.replace("-", "_"): v for section in parser.sections() for k, v in parser.items(section)}
+    unknown = sorted(set(config) - set(_OPTIONS))
+    if unknown:
+        raise UsageError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
+    return config
 
 
 def _resolve(args: argparse.Namespace, config: dict[str, str], key: str, cast, default):
@@ -137,29 +141,29 @@ _OPTIONS = {
     "data": (str, None, _ALL, "word-list TSV"),
     "seed": (int, None, _ALL, "master random seed (required)"),
     "out": (str, None, ("featurize", "pmi-train"), "output file"),
-    "cutoff": (float, 0.5, ("pmi-train",), None),
+    "cutoff": (artifact.finite_float, 0.5, ("pmi-train",), None),
     "max_iterations": (int, 10, ("pmi-train",), None),
-    "tol": (float, 1e-4, ("pmi-train",), None),
-    "pseudocount": (float, 1.0, ("pmi-train",), None),
-    "gap_penalty": (float, -2.5, ("pmi-train",), None),
+    "tol": (artifact.finite_float, 1e-4, ("pmi-train",), None),
+    "pseudocount": (artifact.finite_float, 1.0, ("pmi-train",), None),
+    "gap_penalty": (artifact.finite_float, -2.5, ("pmi-train",), None),
     "system": (str, None, _RUN, None),
     "out_dir": (str, None, _RUN, None),
     "model": (str, None, ("evaluate",), "checkpoint (neural) or model file (svm)"),
     "pmi_matrix": (str, None, _RUN, "saved PMI matrix (pmi_svm)"),
     "epochs": (int, 20, _FIT, None),
     "batch_size": (int, 128, _FIT, None),
-    "margin": (float, 1.0, _FIT, None),
+    "margin": (artifact.finite_float, 1.0, _FIT, None),
     "kernel": (_parse_kernel, (2, 3), _FIT, None),
     "filters": (int, 10, _FIT, None),
     "fc_units": (int, 8, _FIT, None),
-    "dropout": (float, 0.5, _FIT, None),
+    "dropout": (artifact.finite_float, 0.5, _FIT, None),
     "pad_len": (int, 10, _FIT, None),
     "c_grid": (_parse_grid, (0.01, 0.1, 1.0, 10.0, 100.0), _FIT, None),
     "folds": (int, 10, _FIT, None),
     "svm_passes": (int, 2000, _FIT, None),
-    "threshold": (float, None, ("evaluate", "pipeline"), None),
+    "threshold": (artifact.finite_float, None, ("evaluate", "pipeline"), None),
     "mode": (str, None, ("pipeline",), None),
-    "train_fraction": (float, 0.7, ("pipeline",), None),
+    "train_fraction": (artifact.finite_float, 0.7, ("pipeline",), None),
     "train_families": (str, None, ("pipeline",), None),
     "test_families": (str, None, ("pipeline",), None),
 }
@@ -187,7 +191,10 @@ def _require(options: dict, *keys: str) -> None:
 
 def _load_pairs(options: dict) -> tuple[list[wordlists.Lexeme], list[wordlists.WordPair]]:
     lexemes = wordlists.load_wordlist(options["data"])
-    return lexemes, wordlists.generate_pairs(lexemes)
+    pairs = wordlists.generate_pairs(lexemes)
+    if not pairs:
+        raise wordlists.NoPairs(f"{options['data']}: no word pairs (no concept has words in two languages)")
+    return lexemes, pairs
 
 
 def _out_dir(options: dict) -> Path:

@@ -255,7 +255,8 @@ def feature_matrix(pairs: Sequence[tuple[str, str]]) -> np.ndarray:
     table = measure_table([(r[a], r[b]) for a, b in pairs for r in rendered])
     n = len(pairs)
     # measure-major: the measure index varies slowest
-    measures = table.reshape(n, len(ALPHABETS), len(MEASURES)).transpose(0, 2, 1).reshape(n, -1)
+    measures = table.reshape(n, len(ALPHABETS), len(MEASURES)).transpose(0, 2, 1)
+    measures = measures.reshape(n, len(MEASURES) * len(ALPHABETS))  # not (n, -1): n may be 0
     la = np.array([len(a) for a, _ in pairs], dtype=np.float64)
     lb = np.array([len(b) for _, b in pairs], dtype=np.float64)
     return np.column_stack([measures, la, lb, np.abs(la - lb)])

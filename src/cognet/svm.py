@@ -4,8 +4,8 @@ The objective is ||w||^2 / 2 + C * mean(hinge); using the mean rather
 than the sum keeps the fit invariant under duplicating every row (the sum
 form is recovered by rescaling C).  Optimization is deterministic
 full-batch subgradient descent with a 1/t step, returning the best
-iterate seen, so recorded objectives never increase.  The grid search
-takes the same steps for all of a fold's C values in lockstep.
+iterate seen.  One descent serves both callers: ``fit`` runs it for one
+C, and the grid search for all of a fold's C values in lockstep.
 """
 
 from __future__ import annotations
@@ -39,12 +39,14 @@ class LinearModel:
     mean: np.ndarray  # per-feature scaler, applied before the dot product
     std: np.ndarray
     C: float
-    objective_history: tuple[float, ...] = ()
 
 
-def _training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
-    """``X`` and ``y`` as arrays, checked to be a nonempty two-class training set."""
-    X = np.asarray(X, dtype=np.float64)
+def _standardized(X: np.ndarray, y) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of ``X`` standardised in place, their +-1 labels, and the mean and scale.
+
+    ``X`` and ``y`` must be a nonempty two-class training set; ``X`` is a
+    float64 copy the caller owns.
+    """
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise DimensionMismatch(f"X must be a nonempty 2-D matrix, got shape {X.shape}")
@@ -54,67 +56,27 @@ def _training_set(X, y) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("X contains NaN")
     if len(np.unique(y)) < 2:
         raise SingleClass("training labels are constant")
-    return X, y
-
-
-def _standardize(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
-    return mean, std
-
-
-def _objective(Z: np.ndarray, ys: np.ndarray, w: np.ndarray, b: float,
-               C: float) -> tuple[float, np.ndarray]:
-    """The objective at (w, b), and the margins it was computed from."""
-    margins = ys * (Z @ w + b)
-    hinge = np.maximum(0.0, 1.0 - margins)
-    return 0.5 * float(w @ w) + C * float(hinge.mean()), margins
+    X -= mean
+    X /= std
+    return X, np.where(y == 1, 1.0, -1.0), mean, std
 
 
 def fit(X, y, C: float = 1.0, passes: int = 2000) -> LinearModel:
-    """Fit the linear classifier; deterministic for fixed inputs."""
-    X, y = _training_set(X, y)
-    mean, std = _standardize(X)
-    Z = (X - mean) / std
-    ys = np.where(y == 1, 1.0, -1.0)
-    n = Z.shape[0]
-
-    w = np.zeros(Z.shape[1])
-    b = 0.0
-    best_obj, margins = _objective(Z, ys, w, b, C)
-    best_w, best_b = w.copy(), b
-    history = [best_obj]
-    checkpoint = max(1, passes // 40)
-    for t in range(1, passes + 1):
-        active = margins < 1.0
-        grad_w = w - (C / n) * (ys[active] @ Z[active])
-        grad_b = -(C / n) * float(ys[active].sum())
-        eta = 1.0 / t
-        w = w - eta * grad_w
-        b = b - eta * grad_b
-        obj, margins = _objective(Z, ys, w, b, C)
-        if obj < best_obj:
-            best_obj = obj
-            best_w, best_b = w.copy(), b
-        if t % checkpoint == 0:
-            history.append(best_obj)
-    return LinearModel(
-        weights=best_w,
-        bias=best_b,
-        mean=mean,
-        std=std,
-        C=C,
-        objective_history=tuple(history),
-    )
+    """Fit the linear classifier by the descent for the one value ``C``; deterministic."""
+    Z, ys, mean, std = _standardized(np.array(X, dtype=np.float64), y)
+    W, b = _descend(Z, ys, np.array([C], dtype=np.float64), passes)
+    return LinearModel(weights=W[0], bias=float(b[0]), mean=mean, std=std, C=C)
 
 
 def _descend(Z: np.ndarray, ys: np.ndarray, Cs: np.ndarray, passes: int) -> tuple[np.ndarray, np.ndarray]:
-    """``fit``'s descent on the standardised rows ``Z`` for every C of ``Cs`` at once.
+    """The subgradient descent on the standardised rows ``Z`` for every C of ``Cs`` at once.
 
     Returns the best iterates: weights ``[k, d]`` and biases ``[k]``, row i
-    for ``Cs[i]``.  Row i takes ``fit``'s steps, but its sums run in another
-    order, so it agrees with ``fit`` to rounding.
+    for ``Cs[i]``.  Each row takes its own 1/t steps and keeps its own best
+    iterate, so no row depends on the others.
     """
     k, (n, d) = len(Cs), Z.shape
     # Each row's weights and bias as one [k, d + 1] matrix, against the signed
@@ -201,11 +163,8 @@ def grid_search_cv(X, y, C_grid=(0.01, 0.1, 1.0, 10.0, 100.0), folds: int = 10,
         val = assignment == k
         if not val.any():
             continue
-        Z, y_train = _training_set(X[~val], y[~val])  # a copy, standardised in place
-        mean, std = _standardize(Z)
-        Z -= mean
-        Z /= std
-        W, b = _descend(Z, np.where(y_train == 1, 1.0, -1.0), Cs, passes)
+        Z, ys, mean, std = _standardized(X[~val], y[~val])  # X[~val] is a copy
+        W, b = _descend(Z, ys, Cs, passes)
         decisions = ((X[val] - mean) / std) @ W.T + b
         accs.append(np.mean((decisions >= 0.0) == y[val][:, None], axis=0))
     cv_scores = {C: float(np.mean(fold_accs)) for C, fold_accs in zip(Cs.tolist(), np.transpose(accs))}

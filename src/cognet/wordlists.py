@@ -39,6 +39,10 @@ class EmptySide(ValueError):
     pass
 
 
+class NoPairs(ValueError):
+    """A word list from which ``generate_pairs`` makes no pair."""
+
+
 @dataclass(frozen=True)
 class Lexeme:
     family: str

@@ -363,7 +363,7 @@ def features_per_pair(a_asjp: str, b_asjp: str) -> list[float]:
 # ------------------------------------------------------------------ SVM fit
 
 def svm_fit_recomputed(X, y, C: float = 1.0, passes: int = 2000) -> svm.LinearModel:
-    """``svm.fit`` computing ``Z @ w + b`` afresh for each pass's subgradient."""
+    """``svm.fit`` for one C alone, computing ``Z @ w + b`` afresh for each pass's subgradient."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     mean = X.mean(axis=0)
@@ -381,8 +381,6 @@ def svm_fit_recomputed(X, y, C: float = 1.0, passes: int = 2000) -> svm.LinearMo
     b = 0.0
     best_obj = objective(w, b)
     best_w, best_b = w.copy(), b
-    history = [best_obj]
-    checkpoint = max(1, passes // 40)
     for t in range(1, passes + 1):
         margins = ys * (Z @ w + b)
         active = margins < 1.0
@@ -395,15 +393,12 @@ def svm_fit_recomputed(X, y, C: float = 1.0, passes: int = 2000) -> svm.LinearMo
         if obj < best_obj:
             best_obj = obj
             best_w, best_b = w.copy(), b
-        if t % checkpoint == 0:
-            history.append(best_obj)
-    return svm.LinearModel(weights=best_w, bias=best_b, mean=mean, std=std, C=C,
-                           objective_history=tuple(history))
+    return svm.LinearModel(weights=best_w, bias=best_b, mean=mean, std=std, C=C)
 
 
 def grid_search_cv_separate(X, y, C_grid=(0.01, 0.1, 1.0, 10.0, 100.0), folds: int = 10,
                             seed: int = 0, passes: int = 2000) -> svm.GridSearchResult:
-    """``svm.grid_search_cv`` by one separate ``svm.fit`` per C and fold."""
+    """``svm.grid_search_cv`` by one separate :func:`svm_fit_recomputed` per C and fold."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] < folds:
@@ -418,7 +413,7 @@ def grid_search_cv_separate(X, y, C_grid=(0.01, 0.1, 1.0, 10.0, 100.0), folds: i
             val = assignment == k
             if not val.any():
                 continue
-            model = svm.fit(X[~val], y[~val], C=C, passes=passes)
+            model = svm_fit_recomputed(X[~val], y[~val], C=C, passes=passes)
             accs.append(float(np.mean(svm.predict(model, X[val]) == y[val])))
         cv_scores[float(C)] = float(np.mean(accs))
     best_score = max(cv_scores.values())

@@ -276,6 +276,12 @@ USAGE_ERRORS = {
     "config_kernel": ["CONFIG:[net]\nkernel = 2\n", "train", "--system", "manhattan"],
     "config_system": ["CONFIG:[run]\nsystem = nope\n", "train"],
     "config_epochs": ["CONFIG:[net]\nepochs = 1.5\n", "train", "--system", "manhattan"],
+    "config_unknown_key": ["CONFIG:[net]\nepoch = 1\n", "train", "--system", "manhattan"],
+    "margin_nan": ["train", "--system", "siamese_euclid", "--margin", "nan"],
+    "pseudocount_nan": ["pmi-train", "--pseudocount", "nan", "--out", "OUT/pmi.tsv"],
+    "gap_penalty_nan": ["pmi-train", "--gap-penalty", "nan", "--out", "OUT/pmi.tsv"],
+    "tol_nan": ["pmi-train", "--tol", "nan", "--out", "OUT/pmi.tsv"],
+    "threshold_nan": ["pipeline", "--system", "ortho_svm", "--mode", "cross-concept", "--threshold", "nan"],
 }
 
 
@@ -288,3 +294,46 @@ def test_bad_option_values_are_usage_errors(case, family_tsv, tmp_path, capsys):
         common += ["--out-dir", str(tmp_path / "run")]
     assert cli.run(prefix + args + common) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+def test_unknown_config_key_is_named(family_tsv, tmp_path, capsys):
+    prefix = _write_config(tmp_path, "[net]\nepoch = 1\n")
+    assert cli.run(prefix + ["train", "--system", "manhattan", "--data", str(family_tsv), "--seed", "3",
+                             "--out-dir", str(tmp_path / "run")]) == 1
+    assert re.search(r"usage error: unknown config key\(s\) in .*: epoch$", capsys.readouterr().err.strip())
+
+
+@pytest.fixture(scope="module")
+def pairless_tsv(tmp_path_factory):
+    """A word list whose words are all in one language, so it yields no pairs."""
+    path = tmp_path_factory.mktemp("pairless") / "one_language.tsv"
+    lexemes = synthetic.generate_family(n_concepts=12, n_languages=6, seed=7)
+    wordlists.write_wordlist([lex for lex in lexemes if lex.language == lexemes[0].language], path)
+    assert wordlists.load_wordlist(path) and not wordlists.generate_pairs(wordlists.load_wordlist(path))
+    return path
+
+
+# each command that reads word pairs, with what it needs besides --data and
+# --seed; OUT is a scratch directory and TRAINED the `trained` fixture's root
+PAIRLESS_RUNS = {
+    "featurize": ["featurize", "--out", "OUT/f.tsv"],
+    "pmi_train": ["pmi-train", "--out", "OUT/pmi.tsv"],
+    "train_ortho_svm": ["train", "--system", "ortho_svm", "--out-dir", "OUT/run"],
+    "train_manhattan": ["train", "--system", "manhattan", "--out-dir", "OUT/run"],
+    "evaluate_pmi_svm": ["evaluate", "--system", "pmi_svm", "--model", "TRAINED/pmi_svm/model.txt",
+                         "--pmi-matrix", "TRAINED/pmi_svm/pmi_matrix.tsv", "--out-dir", "OUT/eval"],
+    "evaluate_two_channel": ["evaluate", "--system", "two_channel", "--model", "TRAINED/two_channel/model.txt",
+                             "--out-dir", "OUT/eval"],
+    "pipeline": ["pipeline", "--system", "ortho_svm", "--mode", "cross-concept", "--out-dir", "OUT/run"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIRLESS_RUNS))
+def test_word_list_without_pairs_is_a_data_error_naming_the_file(case, pairless_tsv, trained, tmp_path,
+                                                                  capsys):
+    args = [a.replace("TRAINED", str(trained)).replace("OUT", str(tmp_path)) for a in PAIRLESS_RUNS[case]]
+    args += ["--data", str(pairless_tsv), "--seed", "3"]
+    assert cli.run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"cognet: data error: {pairless_tsv}: no word pairs"), err
+    assert "Traceback" not in err

@@ -209,6 +209,12 @@ def test_feature_matrix_rejects_empty_words():
         sim.feature_matrix([("fVt", "fVd"), ("fVt", "")])
 
 
+def test_feature_matrix_of_no_pairs_has_33_columns():
+    features = sim.feature_matrix([])
+    assert features.shape == (0, 33)
+    assert features.dtype == np.float64
+
+
 # ------------------------------------------------ the batched engine vs oracles
 
 def _enum_values(a, b):

@@ -85,12 +85,17 @@ def test_determinism_bit_identical():
     assert m1.bias == m2.bias
 
 
-def test_objective_history_is_monotone_and_bounded():
+def test_fit_leaves_float64_input_unchanged():
+    X, y = _separable(n=30, seed=7)
+    X[:, 1] *= 100.0
+    before = X.copy()
+    svm.fit(X, y, C=1.0, passes=20)
+    assert np.array_equal(X, before)
+
+
+def test_objective_no_worse_than_zero_solution():
     X, y = _separable(n=50, seed=8, gap=0.5)
     model = svm.fit(X, y, C=5.0)
-    hist = model.objective_history
-    assert all(b <= a * (1 + 1e-6) for a, b in zip(hist, hist[1:]))
-    # no worse than the zero solution
     Z = (X - model.mean) / model.std
     ys = np.where(y == 1, 1.0, -1.0)
     obj_zero = 5.0 * np.maximum(0, 1 - ys * 0.0).mean()
@@ -188,9 +193,8 @@ def test_fit_reusing_margins_equals_recomputing_oracle(C, passes):
     X, y = _separable(n=60, d=4, seed=11, gap=0.5)
     got = svm.fit(X, y, C=C, passes=passes)
     want = oracles.svm_fit_recomputed(X, y, C=C, passes=passes)
-    assert np.array_equal(got.weights, want.weights)
-    assert got.bias == want.bias
-    assert got.objective_history == want.objective_history
+    np.testing.assert_allclose(got.weights, want.weights, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(got.bias, want.bias, rtol=1e-9, atol=1e-9)
 
 
 
@@ -254,8 +258,8 @@ def test_grid_search_single_class_training_fold(monkeypatch):
 
 
 # The descent is discontinuous where a margin sits exactly at 1, so rows are
-# drawn from a continuous distribution: there the lockstep and the separate
-# fit differ only by summation order.
+# drawn from a continuous distribution: there the lockstep descent and the
+# separate recomputing fit differ only by summation order.
 @settings(deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), d=st.integers(1, 6),
        Cs=st.lists(st.sampled_from([0.01, 0.1, 0.5, 1.0, 3.0, 10.0, 100.0]), min_size=1, max_size=5),
@@ -265,9 +269,9 @@ def test_descend_rows_match_fit(seed, n, d, Cs, passes):
     X = rng.normal(size=(n, d)) * rng.uniform(0.1, 10.0, size=d) + rng.normal(size=d)
     y = np.zeros(n, dtype=np.int64)
     y[rng.permutation(n)[:rng.integers(1, n)]] = 1
-    mean, std = svm._standardize(X)
-    W, b = svm._descend((X - mean) / std, np.where(y == 1, 1.0, -1.0), np.array(Cs), passes)
+    Z, ys, _, _ = svm._standardized(X.copy(), y)
+    W, b = svm._descend(Z, ys, np.array(Cs), passes)
     for i, C in enumerate(Cs):
-        model = svm.fit(X, y, C=C, passes=passes)
+        model = oracles.svm_fit_recomputed(X, y, C=C, passes=passes)
         np.testing.assert_allclose(W[i], model.weights, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(b[i], model.bias, rtol=1e-9, atol=1e-9)
