@@ -134,6 +134,7 @@ def _families(options: dict, key: str) -> set[str]:
 _ALL = ("featurize", "pmi-train", "train", "evaluate", "pipeline")
 _FIT = ("train", "pipeline")
 _RUN = ("train", "evaluate", "pipeline")
+_PMI = ("pmi-train", "train", "pipeline")  # the commands that may estimate a PMI matrix
 
 # Every option: its parser, default, the subcommands that take it as a flag,
 # and its help.  Any option may also come from the config file.
@@ -141,11 +142,11 @@ _OPTIONS = {
     "data": (str, None, _ALL, "word-list TSV"),
     "seed": (int, None, _ALL, "master random seed (required)"),
     "out": (str, None, ("featurize", "pmi-train"), "output file"),
-    "cutoff": (artifact.finite_float, 0.5, ("pmi-train",), None),
-    "max_iterations": (int, 10, ("pmi-train",), None),
-    "tol": (artifact.finite_float, 1e-4, ("pmi-train",), None),
-    "pseudocount": (artifact.finite_float, 1.0, ("pmi-train",), None),
-    "gap_penalty": (artifact.finite_float, -2.5, ("pmi-train",), None),
+    "cutoff": (artifact.finite_float, 0.5, _PMI, None),
+    "max_iterations": (int, 10, _PMI, None),
+    "tol": (artifact.finite_float, 1e-4, _PMI, None),
+    "pseudocount": (artifact.finite_float, 1.0, _PMI, None),
+    "gap_penalty": (artifact.finite_float, -2.5, _PMI, None),
     "system": (str, None, _RUN, None),
     "out_dir": (str, None, _RUN, None),
     "model": (str, None, ("evaluate",), "checkpoint (neural) or model file (svm)"),

@@ -218,9 +218,10 @@ class Model:
 
         Pairs are scored PREDICT_CHUNK rows at a time, so memory does not
         grow with the number of pairs.  Siamese-Euclid returns exp(-D): a
-        monotone score, not a calibrated probability.
+        monotone score, not a calibrated probability.  No pairs give an
+        empty (0,) array.
         """
-        out = np.concatenate([
+        out = np.concatenate([np.zeros(0)] + [
             self.forward(xa[i:i + PREDICT_CHUNK], xb[i:i + PREDICT_CHUNK])[0]
             for i in range(0, xa.shape[0], PREDICT_CHUNK)
         ])

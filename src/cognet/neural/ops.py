@@ -29,6 +29,8 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray):
     if bias.shape != (F,):
         raise ShapeMismatch(f"bias shape {bias.shape} != ({F},)")
     oh, ow = H - kh + 1, W - kw + 1
+    if C <= 2:  # the per-offset product below has inner dimension C: thousands of tiny GEMMs
+        return (_unfold(x, kh, kw) @ kernels.reshape(-1, F) + bias).reshape(B, oh, ow, F), (x, kernels)
     out = np.broadcast_to(bias, (B, oh, ow, F)).copy()
     for a in range(kh):
         for b in range(kw):
@@ -73,37 +75,34 @@ def relu_backward(cache, grad):
 
 
 def maxpool2(x: np.ndarray, size: tuple[int, int] = (2, 2)):
-    """Window max with stride = window; excess rows/cols are dropped."""
+    """Window max with stride = window; excess rows/cols are dropped.
+
+    Ties go to the first maximum in row-major window order, as with argmax.
+    """
     if x.ndim != 4:
         raise ShapeMismatch(f"maxpool2 expects [B,H,W,F], got {x.shape}")
     ph, pw = size
-    B, H, W, F = x.shape
+    _, H, W, _ = x.shape
     oh, ow = H // ph, W // pw
     if oh == 0 or ow == 0:
         raise ShapeMismatch(f"input {H}x{W} too small for {ph}x{pw} pooling")
-    win = (
-        x[:, :oh * ph, :ow * pw, :]
-        .reshape(B, oh, ph, ow, pw, F)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(B, oh, ow, F, ph * pw)
-    )
-    idx = win.argmax(axis=-1)
-    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    out = x[:, :oh * ph:ph, :ow * pw:pw].copy()  # every window's element at position 0
+    idx = np.zeros(out.shape, dtype=np.intp)
+    for k in range(1, ph * pw):  # the other positions, in row-major order
+        i, j = divmod(k, pw)
+        at_k = x[:, i:oh * ph:ph, j:ow * pw:pw]
+        np.putmask(idx, at_k > out, k)  # strict: a tie keeps the earlier position
+        np.maximum(out, at_k, out=out)
     return out, (x.shape, size, idx)
 
 
 def maxpool2_backward(cache, grad):
     shape, (ph, pw), idx = cache
-    B, H, W, F = shape
-    oh, ow = H // ph, W // pw
-    gwin = np.zeros((B, oh, ow, F, ph * pw))
-    np.put_along_axis(gwin, idx[..., None], grad[..., None], axis=-1)
+    _, oh, ow, _ = idx.shape
     gx = np.zeros(shape)
-    gx[:, :oh * ph, :ow * pw, :] = (
-        gwin.reshape(B, oh, ow, F, ph, pw)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(B, oh * ph, ow * pw, F)
-    )
+    for k in range(ph * pw):
+        i, j = divmod(k, pw)
+        gx[:, i:oh * ph:ph, j:ow * pw:pw] = np.where(idx == k, grad, 0.0)
     return gx
 
 

@@ -5,9 +5,10 @@ recursion over edit scripts, explicit subsequence enumeration, and
 exhaustive alignment-path enumeration.  Memoized variants exist only so
 random tests can afford slightly longer strings; they share no code with
 the production dynamic programs.  The global aligner with traceback calls
-a substitution function for every DP cell.  The convolution gradient is computed one
-kernel offset at a time, with no unfolding.  The similarity features are
-computed one pair at a time, with Python dynamic programs (the global,
+a substitution function for every DP cell.  The convolution and its
+gradient are computed one kernel offset at a time, with no unfolding, and
+max pooling takes numpy's argmax over each window.  The similarity features
+are computed one pair at a time, with Python dynamic programs (the global,
 local and semi-global scores from the score-only :func:`dp_score`) and
 ``Counter`` n-gram multisets.  The SVM fit recomputes the margins at the
 top of every pass, and the grid search makes one separate fit per C and
@@ -204,6 +205,47 @@ def dp_score(a: str, b: str, sub, gap: float, mode: str) -> float:
     if mode == "local":
         return max(max(row) for row in H)
     return max(max(H[m]), max(row[n] for row in H))
+
+
+def conv2d_offsets(x, kernels, bias):
+    """Valid convolution [B,H,W,C] x [kh,kw,C,F] -> [B,H-kh+1,W-kw+1,F], one kernel offset at a time."""
+    kh, kw, _, F = kernels.shape
+    B, H, W, _ = x.shape
+    oh, ow = H - kh + 1, W - kw + 1
+    out = np.broadcast_to(bias, (B, oh, ow, F)).copy()
+    for a in range(kh):
+        for b in range(kw):
+            out += x[:, a:a + oh, b:b + ow, :] @ kernels[a, b]
+    return out
+
+
+def maxpool2_argmax(x, grad, size=(2, 2)):
+    """Max pooling by argmax over each reshaped window: (out, idx, gx).
+
+    idx is the window position of the first maximum in row-major order; gx
+    routes ``grad`` (shaped like out) to that position.  Excess rows and
+    columns are dropped.
+    """
+    ph, pw = size
+    B, H, W, F = x.shape
+    oh, ow = H // ph, W // pw
+    win = (
+        x[:, :oh * ph, :ow * pw, :]
+        .reshape(B, oh, ph, ow, pw, F)
+        .transpose(0, 1, 3, 5, 2, 4)
+        .reshape(B, oh, ow, F, ph * pw)
+    )
+    idx = win.argmax(axis=-1)
+    out = np.take_along_axis(win, idx[..., None], axis=-1)[..., 0]
+    gwin = np.zeros((B, oh, ow, F, ph * pw))
+    np.put_along_axis(gwin, idx[..., None], grad[..., None], axis=-1)
+    gx = np.zeros(x.shape)
+    gx[:, :oh * ph, :ow * pw, :] = (
+        gwin.reshape(B, oh, ow, F, ph, pw)
+        .transpose(0, 1, 4, 2, 5, 3)
+        .reshape(B, oh * ph, ow * pw, F)
+    )
+    return out, idx, gx
 
 
 def conv2d_backward_offsets(cache, grad):

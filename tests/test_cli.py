@@ -72,6 +72,30 @@ def test_pmi_train_writes_matrix(family_tsv, tmp_path):
     assert matrix.scores.shape == (35, 35)
 
 
+PMI_FLAGS = ["--cutoff", "0.3", "--max-iterations", "4", "--tol", "0.001", "--pseudocount", "0.5",
+             "--gap-penalty", "-2"]
+QUICK_SVM = ["--c-grid", "1", "--folds", "2", "--svm-passes", "10"]
+
+
+def test_train_and_pipeline_take_the_pmi_estimation_flags(family_tsv, tmp_path):
+    common = ["--data", str(family_tsv), "--seed", "5"]
+    assert cli.run(["pmi-train", *common, "--out", str(tmp_path / "pmi.tsv"), *PMI_FLAGS]) == 0
+    expected = (tmp_path / "pmi.tsv").read_bytes()
+    train = ["train", *common, "--system", "pmi_svm", *QUICK_SVM]
+    assert cli.run([*train, "--out-dir", str(tmp_path / "flags"), *PMI_FLAGS]) == 0
+    assert (tmp_path / "flags" / "pmi_matrix.tsv").read_bytes() == expected
+    # the same values through the config file
+    config = _write_config(tmp_path, "[pmi]\n" + "".join(
+        f"{flag[2:].replace('-', '_')} = {value}\n" for flag, value in zip(PMI_FLAGS[::2], PMI_FLAGS[1::2])))
+    assert cli.run([*config, *train, "--out-dir", str(tmp_path / "config")]) == 0
+    assert (tmp_path / "config" / "pmi_matrix.tsv").read_bytes() == expected
+    pipeline = ["pipeline", *common, "--system", "pmi_svm", "--mode", "cross-concept", *QUICK_SVM]
+    assert cli.run([*pipeline, "--out-dir", str(tmp_path / "pipe"), *PMI_FLAGS]) == 0
+    assert cli.run([*pipeline, "--out-dir", str(tmp_path / "pipe_default")]) == 0
+    matrices = [(tmp_path / d / "pmi_matrix.tsv").read_bytes() for d in ("pipe", "pipe_default")]
+    assert matrices[0] != matrices[1]
+
+
 def test_train_writes_checkpoint_and_history(family_tsv, tmp_path):
     out_dir = tmp_path / "run"
     code = cli.run([

@@ -197,6 +197,13 @@ def test_chunked_predict_equals_one_forward(arch):
     assert np.array_equal(scores, net.predict(xa, xb))
 
 
+@pytest.mark.parametrize("arch", [SIAMESE_EUCLID, MANHATTAN, TWO_CHANNEL])
+def test_predict_on_no_pairs_is_empty(arch):
+    net = build(ModelSpec(arch), seed=3)
+    scores = net.predict(np.zeros((0, 10, 16)), np.zeros((0, 10, 16)))
+    assert scores.shape == (0,) and scores.dtype == np.float64
+
+
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     for arch in (MANHATTAN, TWO_CHANNEL, SIAMESE_EUCLID):
         net = build(ModelSpec(arch), seed=30)

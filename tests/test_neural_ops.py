@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cognet.neural import ops, losses
 from cognet.neural.adadelta import AdadeltaState, adadelta_step
 
 from conftest import max_rel_err, numeric_grad
-from oracles import conv2d_backward_offsets
+from oracles import conv2d_backward_offsets, conv2d_offsets, maxpool2_argmax
 
 TOL = 1e-4
 
@@ -62,6 +65,62 @@ def test_maxpool2_takes_window_max():
     x = np.arange(16.0).reshape(1, 4, 4, 1)
     out, _ = ops.maxpool2(x)
     assert np.array_equal(out[0, :, :, 0], [[5.0, 7.0], [13.0, 15.0]])
+
+
+@pytest.mark.parametrize("B", [1, 5, 128])
+@pytest.mark.parametrize("kernel", [(1, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("C", [1, 2, 3, 10])
+def test_conv2d_matches_per_offset_oracle(C, kernel, B):
+    rng = np.random.default_rng(C * 1000 + B + 1)
+    x = rng.normal(size=(B, 10, 16, C))
+    k = rng.normal(size=(*kernel, C, 10))
+    b = rng.normal(size=10)
+    out, cache = ops.conv2d(x, k, b)
+    expected = conv2d_offsets(x, k, b)
+    assert out.shape == expected.shape
+    assert cache[0] is x and cache[1] is k
+    if C > 2:  # still the per-offset sum, in the same float order
+        assert np.array_equal(out, expected)
+    else:
+        assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+
+POOL_SIZES = [(2, 2), (1, 2), (2, 1), (3, 2)]
+
+
+def _assert_maxpool2_matches_argmax_oracle(x, size):
+    out, cache = ops.maxpool2(x, size)
+    grad = np.arange(1.0, out.size + 1).reshape(out.shape)  # distinct, so misrouting shows
+    e_out, e_idx, e_gx = maxpool2_argmax(x, grad, size)
+    assert cache[:2] == (x.shape, size)
+    assert np.array_equal(out, e_out)
+    assert np.array_equal(cache[2], e_idx)
+    assert np.array_equal(ops.maxpool2_backward(cache, grad), e_gx)
+
+
+@pytest.mark.parametrize("shape", [(1, 9, 13, 3), (5, 8, 12, 10), (3, 7, 5, 2), (128, 8, 12, 10)])
+@pytest.mark.parametrize("size", POOL_SIZES)
+def test_maxpool2_matches_argmax_oracle(size, shape):
+    x = np.random.default_rng(sum(shape)).normal(size=shape)
+    _assert_maxpool2_matches_argmax_oracle(x, size)
+
+
+@pytest.mark.parametrize("size", POOL_SIZES)
+def test_maxpool2_ties_go_to_the_first_maximum(size):
+    # zero-padded word rows give one positive activation across whole rows
+    rng = np.random.default_rng(14)
+    z = rng.normal(size=(4, 9, 13, 5))
+    z[:, 4:] = rng.uniform(0.1, 1.0, size=(4, 1, 1, 5))
+    x, _ = ops.relu(z)
+    _assert_maxpool2_matches_argmax_oracle(x, size)
+
+
+@settings(deadline=None)
+@given(x=st.tuples(st.integers(1, 3), st.integers(3, 9), st.integers(3, 9), st.integers(1, 3)).flatmap(
+           lambda shape: arrays(np.float64, shape, elements=st.sampled_from([-1.0, 0.0, 1.0, 2.0]))),
+       size=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+def test_maxpool2_matches_argmax_oracle_on_small_integers(x, size):
+    _assert_maxpool2_matches_argmax_oracle(x, size)
 
 
 def test_dropout_train_vs_inference():
