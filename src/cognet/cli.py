@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import hashlib
 import json
 import sys
@@ -289,8 +290,11 @@ def _train_system(options: dict, train_pairs: list[wordlists.WordPair], out_dir:
     y = np.array([p.label for p in train_pairs])
     search = grid_search_cv(X, y, C_grid=options["c_grid"], folds=options["folds"],
                             seed=seed, passes=options["svm_passes"])
-    artifacts["svm"] = svm.fit(X, y, C=search.best_C, passes=options["svm_passes"])
-    svm.save_model(artifacts["svm"], out_dir / "model.txt", system)
+    model = artifacts["svm"] = svm.fit(X, y, C=search.best_C, passes=options["svm_passes"])
+    if not model.weights.any() and model.bias == 0.0:  # no pass beat the zero start
+        print(f"cognet: warning: the SVM for C = {model.C:g} is all zero: no pass of its descent "
+              "improved on the zero start; a smaller C or more --svm-passes may help", file=sys.stderr)
+    svm.save_model(model, out_dir / "model.txt", system)
     _write_tsv(out_dir / "cv_results.tsv", ["C", "mean_accuracy"],
                ([_g(c), _g(search.cv_scores[c])] for c in sorted(search.cv_scores)))
     return artifacts
@@ -374,8 +378,30 @@ _COMMANDS = {
 }
 
 
+# mallopt(3) parameters and the values _keep_freed_heap pins
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_TRIM_THRESHOLD, _MMAP_THRESHOLD = 32 << 20, 16 << 20  # the smallest pair that ends the faults at batch 128
+
+
+def _keep_freed_heap() -> None:
+    """Keep freed heap pages in the process for its lifetime; a no-op without glibc's mallopt.
+
+    A ConvNet training step frees megabytes of numpy temporaries, and by
+    default glibc returns them to the kernel and faults them back in on the
+    next step.  Fixed thresholds stop that.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+
+
 def run(argv=None) -> int:
     """Parse arguments, dispatch, and map failures to exit codes."""
+    _keep_freed_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -385,7 +411,7 @@ def run(argv=None) -> int:
         if options["seed"] is None:
             raise UsageError("a --seed is required (reproducibility contract)")
         return _COMMANDS[args.command][0](options)
-    except UsageError as exc:
+    except (UsageError, svm.Diverged) as exc:  # a C too large for the descent is a bad option
         print(f"cognet: usage error: {exc}", file=sys.stderr)
         return 1
     except DATA_ERRORS as exc:

@@ -97,14 +97,11 @@ def average_precision(labels, scores) -> float:
     n_pos = int(np.sum(y == 1))
     if n_pos == 0:
         raise NoPositives("average precision needs at least one positive label")
-    order = sorted(range(len(y)), key=lambda i: (-s[i], i))
-    ap = 0.0
-    tp = 0
-    for rank, i in enumerate(order, 1):
-        if y[i] == 1:
-            tp += 1
-            ap += tp / rank  # recall increment is 1/n_pos per positive
-    return ap / n_pos
+    ranks = np.flatnonzero(y[np.argsort(-s, kind="stable")] == 1) + 1  # the positives' ranks
+    # Each positive adds its precision tp/rank (its recall increment is 1/n_pos).
+    # cumsum adds in rank order, as a loop would; np.sum pairs terms up and
+    # could change the last bits.
+    return float(np.cumsum(np.arange(1, n_pos + 1) / ranks)[-1]) / n_pos
 
 
 def evaluate(labels, scores, threshold: float = 0.5) -> EvalReport:

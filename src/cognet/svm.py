@@ -32,6 +32,10 @@ class TooFewSamples(ValueError):
     pass
 
 
+class Diverged(ArithmeticError):
+    """The descent overflowed for some C; its weights would be meaningless."""
+
+
 @dataclass(frozen=True, eq=False)
 class LinearModel:
     weights: np.ndarray
@@ -76,7 +80,9 @@ def _descend(Z: np.ndarray, ys: np.ndarray, Cs: np.ndarray, passes: int) -> tupl
 
     Returns the best iterates: weights ``[k, d]`` and biases ``[k]``, row i
     for ``Cs[i]``.  Each row takes its own 1/t steps and keeps its own best
-    iterate, so no row depends on the others.
+    iterate, so no row depends on the others.  Raises Diverged when a row's
+    last objective is not finite: an overflowed objective never beats the
+    zero start, which would otherwise come back as that row's weights.
     """
     k, (n, d) = len(Cs), Z.shape
     # Each row's weights and bias as one [k, d + 1] matrix, against the signed
@@ -96,7 +102,7 @@ def _descend(Z: np.ndarray, ys: np.ndarray, Cs: np.ndarray, passes: int) -> tupl
         np.maximum(hinge, 0.0, out=hinge)
         return 0.5 * np.einsum("kd,kd->k", theta[:, :d], theta[:, :d]) + Cs * hinge.mean(axis=1)
 
-    best_obj = objective()
+    obj = best_obj = objective()
     best = theta.copy()
     for t in range(1, passes + 1):
         np.less(margins, 1.0, out=active)
@@ -109,6 +115,10 @@ def _descend(Z: np.ndarray, ys: np.ndarray, Cs: np.ndarray, passes: int) -> tupl
         if better.any():
             np.copyto(best_obj, obj, where=better)
             np.copyto(best, theta, where=better[:, None])
+    diverged = ~np.isfinite(obj)
+    if diverged.any():
+        raise Diverged("the SVM descent overflowed for C = "
+                       + ", ".join(format(C, "g") for C in Cs[diverged]) + "; use a smaller C")
     return best[:, :d].copy(), best[:, d].copy()
 
 

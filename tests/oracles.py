@@ -10,9 +10,10 @@ gradient are computed one kernel offset at a time, with no unfolding, and
 max pooling takes numpy's argmax over each window.  The similarity features
 are computed one pair at a time, with Python dynamic programs (the global,
 local and semi-global scores from the score-only :func:`dp_score`) and
-``Counter`` n-gram multisets.  The SVM fit recomputes the margins at the
-top of every pass, and the grid search makes one separate fit per C and
-fold.
+``Counter`` n-gram multisets.  Average precision sorts the ranks in
+Python and sums precision in a loop.  The SVM fit recomputes the margins
+at the top of every pass, and the grid search makes one separate fit per
+C and fold.
 """
 
 from __future__ import annotations
@@ -400,6 +401,22 @@ def features_per_pair(a_asjp: str, b_asjp: str) -> list[float]:
             for alph in similarity.ALPHABETS]
     measures = [rows[k][m] for m in range(len(similarity.MEASURES)) for k in range(len(rows))]
     return measures + [float(len(a_asjp)), float(len(b_asjp)), float(abs(len(a_asjp) - len(b_asjp)))]
+
+
+# ------------------------------------------------------------------ metrics
+
+def average_precision_loop(labels, scores) -> float:
+    """Average precision by a Python sort on (-score, index) and a step-sum over the ranks."""
+    y = np.asarray(labels)
+    s = np.asarray(scores, dtype=np.float64)
+    order = sorted(range(len(y)), key=lambda i: (-s[i], i))
+    ap = 0.0
+    tp = 0
+    for rank, i in enumerate(order, 1):
+        if y[i] == 1:
+            tp += 1
+            ap += tp / rank
+    return ap / tp
 
 
 # ------------------------------------------------------------------ SVM fit

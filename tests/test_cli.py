@@ -1,5 +1,10 @@
 import json
+import os
+import platform
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +170,96 @@ def test_pipeline_rerun_is_byte_identical(family_tsv, tmp_path):
     assert cli.run(args + ["--out-dir", str(dir_b)]) == 0
     for name in ("report.txt", "report.tsv", "model.txt", "loss_history.tsv"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("command", ["pipeline", "train"])
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_overflowing_c_is_a_usage_error_naming_it(command, family_tsv, tmp_path, capsys):
+    args = [command, "--data", str(family_tsv), "--system", "ortho_svm", "--out-dir", str(tmp_path),
+            "--seed", "5", "--c-grid", "1,1e160", "--folds", "5", "--svm-passes", "50"]
+    if command == "pipeline":
+        args += ["--mode", "cross-concept"]
+    assert cli.run(args) == 1
+    assert "usage error: the SVM descent overflowed for C = 1e+160;" in capsys.readouterr().err
+    assert not (tmp_path / "model.txt").exists()
+
+
+# 1e150 never overflows, but no pass of the descent improves on its zero start.
+@pytest.mark.parametrize("c_grid, warned", [("1", False), ("1e150", True)])
+def test_an_all_zero_svm_is_reported(c_grid, warned, family_tsv, tmp_path, capsys):
+    assert cli.run(["train", "--data", str(family_tsv), "--system", "ortho_svm", "--out-dir", str(tmp_path),
+                    "--seed", "5", "--c-grid", c_grid, "--folds", "5", "--svm-passes", "50"]) == 0
+    warning = f"cognet: warning: the SVM for C = {float(c_grid):g} is all zero:"
+    assert (warning in capsys.readouterr().err) == warned
+
+
+def _python(code: str) -> str:
+    """The stdout of ``code`` run in a fresh interpreter that imports this checkout's cognet."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True).stdout
+
+
+# Minor page faults per step over steps 11-30 of Manhattan training on 128
+# random pairs, with the heap kept as the CLI keeps it.
+TRAINING_FAULTS = """
+import resource
+import numpy as np
+from cognet import cli
+from cognet.neural import model
+from cognet.neural.adadelta import AdadeltaState, adadelta_step
+
+cli._keep_freed_heap()
+rng = np.random.default_rng(0)
+net = model.build(model.ModelSpec("manhattan"), seed=0)
+xa, xb = rng.integers(0, 2, (2, 128, 10, 16)).astype(np.float64)
+y = rng.integers(0, 2, 128).astype(np.float64)
+state = AdadeltaState.for_params(net.params)
+for step in range(30):
+    if step == 10:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    _, grads = net.loss_and_grads(xa, xb, y, rng=rng)
+    adadelta_step(net.params, grads, state)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
+def test_kept_heap_ends_page_faults_in_training_steps():
+    assert float(_python(TRAINING_FAULTS)) < 50
+
+
+@pytest.mark.parametrize("error", [OSError, AttributeError])
+def test_run_succeeds_without_mallopt(error, family_tsv, tmp_path, monkeypatch):
+    lookups = []
+
+    def no_mallopt(name):
+        lookups.append(name)
+        raise error("no mallopt")
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_mallopt)
+    out = tmp_path / "f.tsv"
+    assert cli.run(["featurize", "--data", str(family_tsv), "--out", str(out), "--seed", "1"]) == 0
+    assert out.exists()
+    assert lookups == [None]
+
+
+# Records each lookup of the process's own symbols, where mallopt is found.
+OWN_SYMBOL_LOOKUPS = """
+import ctypes
+lookups = []
+real_cdll = ctypes.CDLL
+ctypes.CDLL = lambda name, *args, **kwargs: (lookups.append(name), real_cdll(name, *args, **kwargs))[1]
+import cognet.cli as cli
+print(lookups.count(None))
+cli.run(['frobnicate'])
+print(lookups.count(None))
+"""
+
+
+def test_importing_the_cli_leaves_the_allocator_alone():
+    assert _python(OWN_SYMBOL_LOOKUPS).split() == ["0", "1"]
 
 
 def test_config_file_supplies_defaults(family_tsv, tmp_path):

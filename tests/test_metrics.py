@@ -2,8 +2,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cognet import metrics
+
+import oracles
 
 
 def test_f_scores_perfect():
@@ -67,6 +71,21 @@ def test_average_precision_random_scores_approach_prevalence():
         scores = rng.random(n)
         ap = metrics.average_precision(labels, scores)
         assert abs(ap - prevalence) < 0.05
+
+
+# A few score values (both zeros among them) make most ranks ties.
+@given(st.lists(st.tuples(st.integers(0, 1), st.sampled_from([-1.5, -0.0, 0.0, 0.25, 0.3, 1e-300, 2.0])),
+                min_size=1, max_size=60).filter(lambda rows: any(label for label, _ in rows)))
+def test_average_precision_equals_the_loop_oracle_on_ties(rows):
+    labels, scores = zip(*rows)
+    assert metrics.average_precision(labels, scores) == oracles.average_precision_loop(labels, scores)
+
+
+def test_average_precision_equals_the_loop_oracle_at_scale():
+    rng = np.random.default_rng(2)
+    labels = rng.integers(0, 2, size=15_000)
+    for scores in (rng.random(15_000), rng.integers(0, 50, size=15_000) / 7.0):
+        assert metrics.average_precision(labels, scores) == oracles.average_precision_loop(labels, scores)
 
 
 def test_ap_invariant_under_monotone_transforms():

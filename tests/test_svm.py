@@ -171,6 +171,22 @@ def test_grid_search_errors():
         svm.grid_search_cv(X2, y2, folds=10)
 
 
+# An overflowed objective never beats the zero start; returning that start
+# would be an all-zero model, so the descent fails naming the C instead.
+@np.errstate(over="ignore", invalid="ignore")
+def test_fit_with_an_overflowing_C_raises_naming_it():
+    X, y = _separable(n=30, seed=18)
+    with pytest.raises(svm.Diverged, match=r"C = 1e\+160;"):
+        svm.fit(X, y, C=1e160)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def test_grid_search_names_only_the_overflowing_C():
+    X, y = _separable(n=30, seed=18)
+    with pytest.raises(svm.Diverged, match=r"overflowed for C = 1e\+160;"):
+        svm.grid_search_cv(X, y, C_grid=(1.0, 1e160), folds=3, seed=0, passes=50)
+
+
 def test_model_file_round_trip(tmp_path):
     X, y = _separable(n=30, seed=17)
     model = svm.fit(X, y, C=0.1)
