@@ -49,6 +49,9 @@ class ModelSpec:
             raise InvalidSpec("conv_filters, fc_units, and pad_len must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidSpec("dropout_rate must be in [0, 1)")
+        for name, dims in (("kernel", self.kernel), ("pool", self.pool)):
+            if not (isinstance(dims, tuple) and len(dims) == 2 and all(isinstance(d, int) and d >= 1 for d in dims)):
+                raise InvalidSpec(f"{name} must be a pair of positive ints, got {dims!r}")
 
     @property
     def in_channels(self) -> int:
@@ -134,7 +137,7 @@ class Model:
         z2, c2 = ops.conv2d(a1, p["conv2_w"], p["conv2_b"])
         a2, cr2 = ops.relu(z2)
         pooled, cp = ops.maxpool2(a2, self.spec.pool)
-        flat = pooled.reshape(x.shape[0], -1)
+        flat = pooled.reshape(x.shape[0], -1)  # copies the batch-minor map in [h, w, f] order, fc_w's row order
         return flat, (c1, cr1, c2, cr2, cp, pooled.shape)
 
     def _trunk_backward(self, cache, gflat, grads: dict[str, np.ndarray]) -> None:

@@ -7,7 +7,9 @@ random tests can afford slightly longer strings; they share no code with
 the production dynamic programs.  The global aligner with traceback calls
 a substitution function for every DP cell.  The convolution and its
 gradient are computed one kernel offset at a time, with no unfolding, and
-max pooling takes numpy's argmax over each window.  The similarity features
+also by im2col over channels-last [B,H,W,C] arrays, the layout the
+production ops used before they stored activations batch-minor; max
+pooling takes numpy's argmax over each window.  The similarity features
 are computed one pair at a time, with Python dynamic programs (the global,
 local and semi-global scores from the score-only :func:`dp_score`) and
 ``Counter`` n-gram multisets.  Average precision sorts the ranks in
@@ -22,6 +24,7 @@ from collections import Counter
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from cognet import phoneme, similarity, svm
 
@@ -218,6 +221,46 @@ def conv2d_offsets(x, kernels, bias):
         for b in range(kw):
             out += x[:, a:a + oh, b:b + ow, :] @ kernels[a, b]
     return out
+
+
+def _unfold(x, kh, kw):
+    """im2col: every kh x kw window of [B,H,W,C] as one row of [B*oh*ow, kh*kw*C]."""
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))  # [B,oh,ow,C,kh,kw]
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * x.shape[3])
+
+
+def conv2d_im2col(x, kernels, bias):
+    """Valid convolution over channels-last arrays: (out, (x, kernels)).
+
+    One GEMM over the unfolded windows for C <= 2, else the per-offset sum
+    in (a, b) order: the float order the batch-minor ops must reproduce.
+    """
+    B, H, W, C = x.shape
+    kh, kw, _, F = kernels.shape
+    oh, ow = H - kh + 1, W - kw + 1
+    if C <= 2:
+        return (_unfold(x, kh, kw) @ kernels.reshape(-1, F) + bias).reshape(B, oh, ow, F), (x, kernels)
+    return conv2d_offsets(x, kernels, bias), (x, kernels)
+
+
+def conv2d_backward_im2col(cache, grad, input_grad=True):
+    """Gradients (gx, gk, gb) of a valid convolution by im2col, gx None unless ``input_grad``.
+
+    Each of gk and gx is one GEMM over an unfolded operand: gx is the full
+    correlation of the zero-padded grad with the flipped kernels.
+    """
+    x, kernels = cache
+    kh, kw, C, F = kernels.shape
+    B, oh, ow, _ = grad.shape
+    gk = (_unfold(x, kh, kw).T @ grad.reshape(-1, F)).reshape(kernels.shape)
+    gb = np.ones(B * oh * ow) @ grad.reshape(-1, F)
+    if not input_grad:
+        return None, gk, gb
+    padded = np.zeros((B, oh + 2 * (kh - 1), ow + 2 * (kw - 1), F))
+    padded[:, kh - 1:kh - 1 + oh, kw - 1:kw - 1 + ow] = grad
+    flipped = kernels[::-1, ::-1].transpose(0, 1, 3, 2).reshape(-1, C)
+    gx = (_unfold(padded, kh, kw) @ flipped).reshape(x.shape)
+    return gx, gk, gb
 
 
 def maxpool2_argmax(x, grad, size=(2, 2)):

@@ -19,8 +19,10 @@ from cognet.neural import (
     train,
 )
 
+from cognet import synthetic, wordlists
 from cognet.wordlists import Lexeme, WordPair
 from conftest import max_rel_err, numeric_grad
+from oracles import conv2d_backward_im2col, conv2d_im2col
 
 
 def _toy_pairs(n=20, seed=0):
@@ -71,6 +73,15 @@ def test_invalid_specs_fail_build():
         build(ModelSpec(MANHATTAN, kernel=(2, 9)))  # 16 -> 8 -> 0 wide
     with pytest.raises(InvalidSpec):
         ModelSpec(MANHATTAN, dropout_rate=1.0)
+
+
+@pytest.mark.parametrize("field, dims", [
+    ("kernel", (0, 3)), ("kernel", (2, 0)), ("kernel", (-1, 3)), ("kernel", (2, 3, 1)), ("kernel", (2.0, 3)),
+    ("pool", (0, 2)), ("pool", (2, 0)), ("pool", (2,)),
+])
+def test_kernel_and_pool_must_be_pairs_of_positive_ints(field, dims):
+    with pytest.raises(InvalidSpec, match=field):
+        ModelSpec(MANHATTAN, **{field: dims})
 
 
 def test_weight_tying_branches_agree():
@@ -243,3 +254,37 @@ def test_composite_gradients_end_to_end(arch):
     for name, tensor in net.params.items():
         numeric = numeric_grad(loss_fn, tensor)
         assert max_rel_err(grads[name], numeric) < 1e-4, f"{arch}:{name}"
+
+
+def _word_pairs(n):
+    pairs = wordlists.generate_pairs(synthetic.generate_family(n_concepts=12, n_languages=8, seed=9))[:n]
+    return encode_pairs(pairs, 10)
+
+
+@pytest.mark.parametrize("arch", [SIAMESE_EUCLID, MANHATTAN, TWO_CHANNEL])
+def test_scores_equal_the_im2col_oracle_bit_for_bit(arch, monkeypatch):
+    # words leave zero rows, so ReLU zeros and pooling ties occur as in real data
+    net = build(ModelSpec(arch), seed=5)
+    rng = np.random.default_rng(6)
+    for v in net.params.values():
+        v += rng.normal(scale=0.1, size=v.shape)  # nonzero biases too
+    xa, xb, y = _word_pairs(neural_model.PREDICT_CHUNK + 72)
+    batch = slice(0, neural_model.PREDICT_CHUNK)
+    scores = net.predict(xa, xb)
+    loss, grads = net.loss_and_grads(xa[batch], xb[batch], y[batch], rng=np.random.default_rng(7))
+    monkeypatch.setattr(neural_model.ops, "conv2d", conv2d_im2col)
+    monkeypatch.setattr(neural_model.ops, "conv2d_backward", conv2d_backward_im2col)
+    assert np.array_equal(scores, net.predict(xa, xb))
+    oracle_loss, oracle_grads = net.loss_and_grads(xa[batch], xb[batch], y[batch], rng=np.random.default_rng(7))
+    assert loss == oracle_loss
+    for name, g in grads.items():
+        assert np.allclose(g, oracle_grads[name], rtol=1e-10, atol=1e-13), name
+
+
+@pytest.mark.parametrize("arch", [SIAMESE_EUCLID, MANHATTAN, TWO_CHANNEL])
+def test_trunk_activations_are_stored_batch_minor(arch):
+    net = build(ModelSpec(arch), seed=5)
+    x = _toy_pairs(9)[0][..., None].repeat(net.spec.in_channels, axis=-1)
+    _, (_, relu1_mask, (a1, _), relu2_mask, (_, _, pool_idx), _) = net._trunk(x)
+    for stored in (relu1_mask, a1, relu2_mask, pool_idx):
+        assert stored.transpose(3, 1, 2, 0).flags.c_contiguous

@@ -8,7 +8,7 @@ from cognet.neural import ops, losses
 from cognet.neural.adadelta import AdadeltaState, adadelta_step
 
 from conftest import max_rel_err, numeric_grad
-from oracles import conv2d_backward_offsets, conv2d_offsets, maxpool2_argmax
+from oracles import conv2d_backward_offsets, conv2d_im2col, conv2d_offsets, maxpool2_argmax
 
 TOL = 1e-4
 
@@ -83,6 +83,61 @@ def test_conv2d_matches_per_offset_oracle(C, kernel, B):
         assert np.array_equal(out, expected)
     else:
         assert np.allclose(out, expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("B", [1, 5, 128])
+@pytest.mark.parametrize("kernel", [(1, 3), (2, 3), (3, 2)])
+@pytest.mark.parametrize("C", [1, 2])
+def test_conv1_equals_the_im2col_oracle(C, kernel, B):
+    # conv1 keeps the float order of one GEMM over its windows
+    rng = np.random.default_rng(C * 1000 + B + 2)
+    x = rng.normal(size=(B, 10, 16, C))
+    k = rng.normal(size=(*kernel, C, 10))
+    b = rng.normal(size=10)
+    assert np.array_equal(ops.conv2d(x, k, b)[0], conv2d_im2col(x, k, b)[0])
+
+
+def _batch_minor(x):
+    """x's values, stored as the trunk stores its activations."""
+    return np.ascontiguousarray(x.transpose(3, 1, 2, 0)).transpose(3, 1, 2, 0)
+
+
+def _is_batch_minor(a):
+    return a.transpose(3, 1, 2, 0).flags.c_contiguous
+
+
+@settings(deadline=None)
+@given(shape=st.tuples(st.integers(1, 4), st.integers(2, 7), st.integers(3, 9), st.integers(1, 4)),
+       kernel=st.tuples(st.integers(1, 2), st.integers(1, 3)),
+       size=st.tuples(st.integers(1, 2), st.integers(1, 3)),
+       seed=st.integers(0, 2**32 - 1))
+def test_ops_agree_on_channels_last_and_batch_minor_inputs(shape, kernel, size, seed):
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.normal(size=shape), 1)  # coarse values: ReLU zeros and pooling ties
+    xs = (x, _batch_minor(x))
+    k = rng.normal(size=(*kernel, shape[3], 3))
+    b = rng.normal(size=3)
+
+    conv = [ops.conv2d(v, k, b) for v in xs]
+    assert np.array_equal(conv[0][0], conv[1][0])
+    grad = rng.normal(size=conv[0][0].shape)
+    backs = [ops.conv2d_backward(conv[0][1], grad), ops.conv2d_backward(conv[1][1], _batch_minor(grad))]
+    for got, expected in zip(*backs):
+        assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
+
+    relus = [ops.relu(v) for v in xs]
+    assert np.array_equal(relus[0][0], relus[1][0]) and np.array_equal(relus[0][1], relus[1][1])
+    g = rng.normal(size=shape)
+    assert np.array_equal(ops.relu_backward(relus[0][1], g), ops.relu_backward(relus[1][1], _batch_minor(g)))
+
+    pools = [ops.maxpool2(v, size) for v in xs]
+    assert np.array_equal(pools[0][0], pools[1][0]) and np.array_equal(pools[0][1][2], pools[1][1][2])
+    gp = rng.normal(size=pools[0][0].shape)
+    assert np.array_equal(ops.maxpool2_backward(pools[0][1], gp), ops.maxpool2_backward(pools[1][1], _batch_minor(gp)))
+
+    # whatever the input layout, the spatial ops hand on batch-minor arrays
+    for produced in (conv[0][0], backs[0][0], pools[0][0], pools[0][1][2], ops.maxpool2_backward(pools[0][1], gp)):
+        assert _is_batch_minor(produced)
 
 
 POOL_SIZES = [(2, 2), (1, 2), (2, 1), (3, 2)]
@@ -177,6 +232,16 @@ def test_log_loss_values():
     assert losses.log_loss(0.5, 1) == pytest.approx(np.log(2))
     assert losses.log_loss(1 - 1e-7, 1) == pytest.approx(1e-7, rel=1e-3)
     assert losses.log_loss(1e-12, 1) == pytest.approx(-np.log(1e-7))
+
+
+def test_sigmoid_equals_the_three_exp_formula():
+    rng = np.random.default_rng(20)
+    z = np.concatenate([rng.normal(scale=10.0, size=2000), np.linspace(-40.0, 40.0, 801),
+                        [-800.0, -0.0, 0.0, 800.0, -np.inf, np.inf, np.nan]])
+    expected = np.where(z >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(z))),
+                        np.exp(-np.abs(z)) / (1.0 + np.exp(-np.abs(z))))
+    out, cache = ops.sigmoid(z)
+    assert np.array_equal(out, expected, equal_nan=True) and cache is out
 
 
 def test_sigmoid_stable_at_extremes():
