@@ -5,9 +5,10 @@
     tensor<TAB>NAME<TAB>D1xD2...   followed by one line of tab-separated floats
 
 Floats are written with ``repr`` and so reload bit-exactly.  :func:`load`
-checks the format line, the exact header key set, every header value, the
-exact tensor set, each tensor's shape and value count, and that every value
-is finite; any defect raises :class:`ArtifactError` naming the file and line.
+checks that the file is UTF-8, the format line, the exact header key set,
+every header value, the exact tensor set, each tensor's shape and value
+count, and that every value is finite; any defect raises
+:class:`ArtifactError` naming the file and line.
 """
 
 from __future__ import annotations
@@ -26,6 +27,22 @@ class ArtifactError(ValueError):
     def __init__(self, path, line: int, msg: str):
         super().__init__(f"{path}:{line}: {msg}")
         self.path, self.line = path, line
+
+
+def read_text(path, error: Callable[[object, int, str], ValueError]) -> str:
+    """The file at ``path`` as UTF-8 text, newlines translated as by ``open``.
+
+    A byte sequence that is not UTF-8 raises ``error(path, line, message)``
+    for the line that holds it.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        bad = " ".join(f"0x{byte:02x}" for byte in data[exc.start:exc.end])
+        raise error(path, data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc.reason} {bad}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def format_dims(dims) -> str:
@@ -75,8 +92,7 @@ def load(path, kind: str, header: dict[str, Callable[[str], object]],
     set and shapes.  A ``system`` other than None must be the recorded one.
     ``lines`` maps each header key and tensor name to its (values) line.
     """
-    with open(path, encoding="utf-8") as fh:
-        rows = fh.read().split("\n")
+    rows = read_text(path, ArtifactError).split("\n")
     if rows.pop() != "":
         raise ArtifactError(path, len(rows) + 1, "file does not end with a newline (truncated?)")
 

@@ -77,10 +77,10 @@ def _load_config(path: str | None) -> dict[str, str]:
     """Flatten [section] key = value pairs into 'key' -> value."""
     if path is None:
         return {}
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)  # values are literal: '%' is no escape
     try:
         read = parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"bad config file {path}: {exc}") from exc
     if not read:
         raise UsageError(f"config file not found: {path}")

@@ -1,7 +1,7 @@
 """The three pair-classification architectures and their training loop.
 
 All three share a convolutional trunk (conv -> ReLU -> conv -> ReLU ->
-maxpool -> flatten).  The Siamese variants run the trunk on both words
+2x2 maxpool -> flatten).  The Siamese variants run the trunk on both words
 with one shared set of weights; the 2-channel variant stacks the pair as
 channels of a single input.
 """
@@ -40,7 +40,6 @@ class ModelSpec:
     fc_units: int = 8
     dropout_rate: float = 0.5
     pad_len: int = 10
-    pool: tuple[int, int] = (2, 2)
 
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
@@ -49,9 +48,9 @@ class ModelSpec:
             raise InvalidSpec("conv_filters, fc_units, and pad_len must be >= 1")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidSpec("dropout_rate must be in [0, 1)")
-        for name, dims in (("kernel", self.kernel), ("pool", self.pool)):
-            if not (isinstance(dims, tuple) and len(dims) == 2 and all(isinstance(d, int) and d >= 1 for d in dims)):
-                raise InvalidSpec(f"{name} must be a pair of positive ints, got {dims!r}")
+        k = self.kernel
+        if not (isinstance(k, tuple) and len(k) == 2 and all(isinstance(d, int) and d >= 1 for d in k)):
+            raise InvalidSpec(f"kernel must be a pair of positive ints, got {k!r}")
 
     @property
     def in_channels(self) -> int:
@@ -60,7 +59,6 @@ class ModelSpec:
     def shape_pipeline(self) -> list[tuple[int, ...] | int]:
         """Intermediate shapes from input to output; raises InvalidSpec."""
         kh, kw = self.kernel
-        ph, pw = self.pool
         h, w = self.pad_len, phoneme.N_FEATURES
         shapes: list[tuple[int, ...] | int] = [(h, w, self.in_channels)]
         for _ in range(2):
@@ -68,9 +66,9 @@ class ModelSpec:
             if h < 1 or w < 1:
                 raise InvalidSpec(f"kernel {self.kernel} exhausts the {self.pad_len}x{phoneme.N_FEATURES} input")
             shapes.append((h, w, self.conv_filters))
-        h, w = h // ph, w // pw
+        h, w = h // 2, w // 2
         if h < 1 or w < 1:
-            raise InvalidSpec(f"pooling {self.pool} exhausts the feature map")
+            raise InvalidSpec("2x2 pooling exhausts the feature map")
         shapes.append((h, w, self.conv_filters))
         flat = h * w * self.conv_filters
         shapes.append(flat)
@@ -136,7 +134,7 @@ class Model:
         a1, cr1 = ops.relu(z1)
         z2, c2 = ops.conv2d(a1, p["conv2_w"], p["conv2_b"])
         a2, cr2 = ops.relu(z2)
-        pooled, cp = ops.maxpool2(a2, self.spec.pool)
+        pooled, cp = ops.maxpool2(a2)
         flat = pooled.reshape(x.shape[0], -1)  # copies the batch-minor map in [h, w, f] order, fc_w's row order
         return flat, (c1, cr1, c2, cr2, cp, pooled.shape)
 
@@ -287,23 +285,24 @@ def train(model: Model, pairs, cfg: TrainConfig = TrainConfig()):
     return model.params, history
 
 
-# ModelSpec's fields in order, the architecture recorded as the system
+# ModelSpec's fields in order, the architecture recorded as the system, then
+# the trunk's pooling window, which is always 2x2
 _CHECKPOINT_HEADER = {
     "system": artifact.one_of(*ARCHITECTURES), "conv_filters": int, "kernel": artifact.parse_dims,
-    "fc_units": int, "dropout_rate": artifact.finite_float, "pad_len": int, "pool": artifact.parse_dims,
+    "fc_units": int, "dropout_rate": artifact.finite_float, "pad_len": int, "pool": artifact.one_of("2x2"),
 }
 
 
 def save_checkpoint(model: Model, path) -> None:
     """Write spec and parameters as a ``checkpoint`` artifact."""
-    header = dict(zip(_CHECKPOINT_HEADER, astuple(model.spec)))
+    header = dict(zip(_CHECKPOINT_HEADER, astuple(model.spec) + ("2x2",)))
     artifact.save(path, "checkpoint", header, {k: model.params[k] for k in sorted(model.params)})
 
 
 def load_checkpoint(path, system: str | None = None) -> Model:
     """Read a checkpoint; ``system``, when given, must be the recorded architecture."""
     def spec(header: dict) -> ModelSpec:
-        return ModelSpec(*(header[k] for k in _CHECKPOINT_HEADER))
+        return ModelSpec(*(header[k] for k in _CHECKPOINT_HEADER if k != "pool"))
 
     values, tensors, _ = artifact.load(
         path, "checkpoint", _CHECKPOINT_HEADER,

@@ -131,37 +131,36 @@ def relu_backward(cache, grad):
     return grad * cache
 
 
-def maxpool2(x: np.ndarray, size: tuple[int, int] = (2, 2)):
-    """Window max with stride = window; excess rows/cols are dropped.
+def maxpool2(x: np.ndarray):
+    """2x2 window max with stride 2; an odd last row or column is dropped.
 
     Ties go to the first maximum in row-major window order, as with argmax.
     """
     if x.ndim != 4:
         raise ShapeMismatch(f"maxpool2 expects [B,H,W,F], got {x.shape}")
-    ph, pw = size
     _, H, W, _ = x.shape
-    oh, ow = H // ph, W // pw
+    oh, ow = H // 2, W // 2
     if oh == 0 or ow == 0:
-        raise ShapeMismatch(f"input {H}x{W} too small for {ph}x{pw} pooling")
+        raise ShapeMismatch(f"input {H}x{W} too small for 2x2 pooling")
     t = _swap(x)
-    out = t[:, :oh * ph:ph, :ow * pw:pw].copy()  # every window's element at position 0
+    out = t[:, :2 * oh:2, :2 * ow:2].copy()  # every window's element at position 0
     idx = np.zeros(out.shape, dtype=np.intp)
-    for k in range(1, ph * pw):  # the other positions, in row-major order
-        i, j = divmod(k, pw)
-        at_k = t[:, i:oh * ph:ph, j:ow * pw:pw]
+    for k in range(1, 4):  # the other positions, in row-major order
+        i, j = divmod(k, 2)
+        at_k = t[:, i:2 * oh:2, j:2 * ow:2]
         np.putmask(idx, at_k > out, k)  # strict: a tie keeps the earlier position
         np.maximum(out, at_k, out=out)
-    return _swap(out), (x.shape, size, _swap(idx))
+    return _swap(out), (x.shape, _swap(idx))
 
 
 def maxpool2_backward(cache, grad):
-    (B, H, W, F), (ph, pw), idx = cache
+    (B, H, W, F), idx = cache
     _, oh, ow, _ = idx.shape
     idx, grad = _swap(idx), np.ascontiguousarray(_swap(grad))
     gx = np.zeros((F, H, W, B))
-    for k in range(ph * pw):  # as in relu_backward, a mask multiplies the gradient
-        i, j = divmod(k, pw)
-        np.multiply(grad, idx == k, out=gx[:, i:oh * ph:ph, j:ow * pw:pw])
+    for k in range(4):  # as in relu_backward, a mask multiplies the gradient
+        i, j = divmod(k, 2)
+        np.multiply(grad, idx == k, out=gx[:, i:2 * oh:2, j:2 * ow:2])
     return _swap(gx)
 
 

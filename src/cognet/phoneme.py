@@ -10,8 +10,8 @@ binary matrix usable as network input.
 
 from __future__ import annotations
 
+import functools
 import logging
-from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -146,20 +146,12 @@ def word_to_matrix(word: str, pad_len: int = 10) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
-class SoundClassScheme:
-    """A total mapping from the inventory to coarser class labels."""
-
-    id: str
-    mapping: dict[str, str]
+def to_sound_class(word: str, scheme: dict[str, str]) -> str:
+    """Relabel every symbol of ``word`` with its class under ``scheme``; preserves length."""
+    return "".join(scheme[s] for s in word)
 
 
-def to_sound_class(word: str, scheme: SoundClassScheme) -> str:
-    """Relabel every symbol of ``word`` with its class; preserves length."""
-    return "".join(scheme.mapping[s] for s in word)
-
-
-def load_scheme(path, scheme_id: str) -> SoundClassScheme:
+def load_scheme(path) -> dict[str, str]:
     """Load a ``symbol<TAB>class`` mapping file and check it is total."""
     mapping: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
@@ -179,20 +171,15 @@ def load_scheme(path, scheme_id: str) -> SoundClassScheme:
     missing = [s for s in INVENTORY if s not in mapping]
     if missing:
         raise ValueError(f"{path}: mapping not total, missing {missing}")
-    return SoundClassScheme(id=scheme_id, mapping=mapping)
+    return mapping
 
 
-_SCHEMES: dict[str, SoundClassScheme] | None = None
-
-
-def builtin_schemes() -> dict[str, SoundClassScheme]:
-    """The three standard schemes: ASJP (identity), DOLGO, and SCA."""
-    global _SCHEMES
-    if _SCHEMES is None:
-        data = resources.files("cognet").joinpath("data")
-        _SCHEMES = {
-            "ASJP": SoundClassScheme(id="ASJP", mapping={s: s for s in INVENTORY}),
-            "DOLGO": load_scheme(data / "dolgo.tsv", "DOLGO"),
-            "SCA": load_scheme(data / "sca.tsv", "SCA"),
-        }
-    return _SCHEMES
+@functools.cache
+def builtin_schemes() -> dict[str, dict[str, str]]:
+    """The three standard schemes, symbol -> class: ASJP (identity), DOLGO, and SCA."""
+    data = resources.files("cognet").joinpath("data")
+    return {
+        "ASJP": {s: s for s in INVENTORY},
+        "DOLGO": load_scheme(data / "dolgo.tsv"),
+        "SCA": load_scheme(data / "sca.tsv"),
+    }

@@ -21,6 +21,10 @@ N = len(phoneme.INVENTORY)
 # unit edit costs as alignment scores (match 0, mismatch and gap -1), for the seed alignment
 _EDIT_SCORES = np.eye(N) - 1.0
 
+# The smoothed counts sum to N * N pseudocounts plus the counts.  Up to this
+# pseudocount, that total stays below the largest float, so every score is finite.
+_MAX_PSEUDOCOUNT = np.finfo(float).max / (2 * N * N)
+
 
 class EmptySeedSet(ValueError):
     """No word pair passed the initial edit-distance cutoff."""
@@ -41,8 +45,8 @@ class PMIConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.convergence_tol <= 0:
             raise ValueError("convergence_tol must be > 0")
-        if self.pseudocount <= 0:
-            raise ValueError("pseudocount must be > 0")
+        if not 0 < self.pseudocount <= _MAX_PSEUDOCOUNT:
+            raise ValueError(f"pseudocount must be in (0, {_MAX_PSEUDOCOUNT:.3g}], got {self.pseudocount:g}")
         if self.gap_penalty >= 0:
             raise ValueError("gap_penalty must be < 0")
 
@@ -123,14 +127,13 @@ def estimate_pmi(pairs: list[tuple[str, str]], cfg: PMIConfig = PMIConfig()) -> 
     )
 
 
-def pmi_score(a: str, b: str, matrix: PMIMatrix) -> float:
-    """Best global alignment score of two words under the PMI matrix."""
-    return similarity.align(a, b, matrix.scores, matrix.gap_penalty)[0]
-
-
 def pmi_features(a: str, b: str, matrix: PMIMatrix) -> list[float]:
-    """Feature vector [pmi score, len(a), len(b), |len(a)-len(b)|]."""
-    return [pmi_score(a, b, matrix), float(len(a)), float(len(b)), float(abs(len(a) - len(b)))]
+    """Feature vector [pmi score, len(a), len(b), |len(a)-len(b)|].
+
+    The pmi score is the best global alignment score of the words under the matrix.
+    """
+    score = similarity.align(a, b, matrix.scores, matrix.gap_penalty)[0]
+    return [score, float(len(a)), float(len(b)), float(abs(len(a) - len(b)))]
 
 
 def _gap_penalty(text: str) -> float:

@@ -315,11 +315,6 @@ def lcs_length(a: str, b: str) -> int:
     return int(_one("lcs", a, b))
 
 
-def lcp_length(a: str, b: str) -> int:
-    """Length of the longest common prefix."""
-    return int(_one("lcp", a, b))
-
-
 def xdice(a: str, b: str) -> float:
     """Dice coefficient over extended (skip-one) bigrams."""
     return _one("xdice", a, b)

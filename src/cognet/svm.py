@@ -130,11 +130,6 @@ def decision_function(model: LinearModel, X) -> np.ndarray:
     return ((X - model.mean) / model.std) @ model.weights + model.bias
 
 
-def predict(model: LinearModel, X) -> np.ndarray:
-    """1 iff the decision function of the row is >= 0."""
-    return (decision_function(model, X) >= 0.0).astype(np.int64)
-
-
 @dataclass(frozen=True)
 class GridSearchResult:
     best_C: float

@@ -13,7 +13,7 @@ import logging
 import random
 from dataclasses import dataclass
 
-from . import phoneme
+from . import artifact, phoneme
 
 logger = logging.getLogger(__name__)
 
@@ -90,32 +90,30 @@ def load_wordlist(path, counters: dict | None = None) -> list[Lexeme]:
     seen: set[tuple] = set()
     skipped = duplicates = 0
     header_seen = False
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if not header_seen:
-                if tuple(f.strip().lower() for f in fields) != HEADER:
-                    raise SchemaError(path, lineno, f"expected header {list(HEADER)}")
-                header_seen = True
-                continue
-            if len(fields) != len(HEADER) or any(not f.strip() for f in fields):
-                raise SchemaError(path, lineno, f"expected {len(HEADER)} nonempty fields, got {fields!r}")
-            family, language, concept, raw_form, cognate_class = (f.strip() for f in fields)
-            try:
-                form = phoneme.parse_word(raw_form, counters)
-            except phoneme.UnknownSymbol as exc:
-                logger.warning("skipping %s line %d: %s", path, lineno, exc)
-                skipped += 1
-                continue
-            key = (family, language, concept, form, cognate_class)
-            if key in seen:
-                duplicates += 1
-                continue
-            seen.add(key)
-            lexemes.append(Lexeme(family, language, concept, form, cognate_class))
+    for lineno, line in enumerate(artifact.read_text(path, SchemaError).split("\n"), 1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        fields = line.split("\t")
+        if not header_seen:
+            if tuple(f.strip().lower() for f in fields) != HEADER:
+                raise SchemaError(path, lineno, f"expected header {list(HEADER)}")
+            header_seen = True
+            continue
+        if len(fields) != len(HEADER) or any(not f.strip() for f in fields):
+            raise SchemaError(path, lineno, f"expected {len(HEADER)} nonempty fields, got {fields!r}")
+        family, language, concept, raw_form, cognate_class = (f.strip() for f in fields)
+        try:
+            form = phoneme.parse_word(raw_form, counters)
+        except phoneme.UnknownSymbol as exc:
+            logger.warning("skipping %s line %d: %s", path, lineno, exc)
+            skipped += 1
+            continue
+        key = (family, language, concept, form, cognate_class)
+        if key in seen:
+            duplicates += 1
+            continue
+        seen.add(key)
+        lexemes.append(Lexeme(family, language, concept, form, cognate_class))
     if not header_seen:
         raise SchemaError(path, 1, "missing header")
     if skipped:

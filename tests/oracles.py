@@ -263,14 +263,14 @@ def conv2d_backward_im2col(cache, grad, input_grad=True):
     return gx, gk, gb
 
 
-def maxpool2_argmax(x, grad, size=(2, 2)):
-    """Max pooling by argmax over each reshaped window: (out, idx, gx).
+def maxpool2_argmax(x, grad):
+    """2x2 max pooling by argmax over each reshaped window: (out, idx, gx).
 
     idx is the window position of the first maximum in row-major order; gx
-    routes ``grad`` (shaped like out) to that position.  Excess rows and
-    columns are dropped.
+    routes ``grad`` (shaped like out) to that position.  An odd last row or
+    column is dropped.
     """
-    ph, pw = size
+    ph = pw = 2
     B, H, W, F = x.shape
     oh, ow = H // ph, W // pw
     win = (
@@ -516,7 +516,7 @@ def grid_search_cv_separate(X, y, C_grid=(0.01, 0.1, 1.0, 10.0, 100.0), folds: i
             if not val.any():
                 continue
             model = svm_fit_recomputed(X[~val], y[~val], C=C, passes=passes)
-            accs.append(float(np.mean(svm.predict(model, X[val]) == y[val])))
+            accs.append(float(np.mean((svm.decision_function(model, X[val]) >= 0) == y[val])))
         cv_scores[float(C)] = float(np.mean(accs))
     best_score = max(cv_scores.values())
     best_C = min(c for c, v in cv_scores.items() if v == best_score)

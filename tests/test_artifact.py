@@ -213,7 +213,17 @@ def test_cli_never_exits_with_a_traceback_on_a_corrupted_artifact(trained_small,
     system, name = target
     files = {n: root / system / n for n in ("model.txt", "pmi_matrix.tsv")}
     bad = root / f"bad_{name}"
-    bad.write_text(_corrupt(files[name].read_text(encoding="utf-8"), data), encoding="utf-8")
+    text = files[name].read_text(encoding="utf-8")
+    named = f"{bad}:"
+    if data.draw(st.booleans(), label="byte"):  # the files are ASCII, so any byte >= 0x80 is not UTF-8
+        raw = bytearray(text.encode("utf-8"))
+        at = data.draw(st.integers(0, len(raw) - 1), label="at")
+        raw[at] = data.draw(st.integers(0x80, 0xFF), label="value")
+        bad.write_bytes(bytes(raw))
+        line = raw.count(b"\n", 0, at) + 1
+        named += f"{line}: not UTF-8: "
+    else:
+        bad.write_text(_corrupt(text, data), encoding="utf-8")
     files[name] = bad
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -221,4 +231,4 @@ def test_cli_never_exits_with_a_traceback_on_a_corrupted_artifact(trained_small,
                         "--model", str(files["model.txt"]), "--pmi-matrix", str(files["pmi_matrix.tsv"]),
                         "--out-dir", str(root / "eval")])
     assert code == 2
-    assert err.getvalue().startswith(f"cognet: data error: {bad}:")
+    assert err.getvalue().startswith(f"cognet: data error: {named}"), err.getvalue()

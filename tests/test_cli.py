@@ -48,6 +48,17 @@ def test_word_list_schema_error_names_file_and_line(tmp_path, capsys):
     assert f"data error: {data}:1: expected header" in capsys.readouterr().err
 
 
+def test_word_list_that_is_not_utf8_names_file_and_line(family_tsv, tmp_path, capsys):
+    lines = family_tsv.read_bytes().split(b"\n")
+    lines[3] = lines[3].replace(b"\t", "\té".encode("latin-1"), 1)  # one Latin-1 byte on line 4
+    data = tmp_path / "latin1.tsv"
+    data.write_bytes(b"\n".join(lines))
+    code = cli.run(["featurize", "--data", str(data), "--out", str(tmp_path / "f.tsv"), "--seed", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"cognet: data error: {data}:4: not UTF-8: invalid continuation byte 0xe9\n"
+
+
 def test_featurize_writes_feature_tsv(family_tsv, tmp_path):
     out = tmp_path / "features.tsv"
     assert cli.run(["featurize", "--data", str(family_tsv), "--out", str(out), "--seed", "1"]) == 0
@@ -289,6 +300,42 @@ def test_missing_config_file_exits_1(capsys):
     assert cli.run(["--config", "/nonexistent.cfg", "featurize"]) == 1
 
 
+def test_config_file_that_is_not_utf8_is_a_usage_error_naming_it(family_tsv, tmp_path, capsys):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes("[run]\n# café\nseed = 4\n".encode("latin-1"))
+    code = cli.run(["--config", str(config), "featurize", "--data", str(family_tsv),
+                    "--out", str(tmp_path / "f.tsv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cognet: usage error: bad config file {config}: "), err
+    assert "Traceback" not in err
+
+
+def test_config_values_are_literal(family_tsv, tmp_path, monkeypatch):
+    # '%' is no interpolation escape, and '%(seed)s' names no other key
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text("[run]\nseed = 4\nout-dir = runs/100%\ntrain-families = %(seed)s\n",
+                                      encoding="utf-8")
+    assert cli.run(["--config", "run.cfg", "train", "--data", str(family_tsv), "--system", "ortho_svm",
+                    *QUICK_SVM]) == 0
+    assert (tmp_path / "runs" / "100%" / "model.txt").exists()
+    manifest = json.loads((tmp_path / "runs" / "100%" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["options"]["out_dir"] == "runs/100%"
+    assert manifest["options"]["train_families"] == "%(seed)s"
+
+
+@pytest.mark.parametrize("args", [
+    ["pmi-train", "--pseudocount", "1e306", "--out", "OUT/pmi.tsv"],
+    ["train", "--system", "pmi_svm", "--pseudocount", "1e308", "--out-dir", "OUT/run"],
+])
+def test_pseudocount_too_large_for_finite_scores_is_a_usage_error(args, family_tsv, tmp_path, capsys):
+    args = [a.replace("OUT", str(tmp_path)) for a in args]
+    assert cli.run(args + ["--data", str(family_tsv), "--seed", "7"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cognet: usage error: pseudocount must be in (0, 7.34e+304], got 1e+30"), err
+    assert not list(tmp_path.rglob("*.tsv"))
+
+
 @pytest.fixture(scope="module")
 def trained(family_tsv, tmp_path_factory):
     """Artifacts of a quick `cognet train` for three systems, keyed by system."""
@@ -364,6 +411,19 @@ def test_defective_artifact_is_a_data_error_naming_file_and_line(case, trained, 
     assert re.search(re.escape(f"data error: {files[name]}:") + r"\d+: ", err), err
     assert named in err
     assert not (tmp_path / "eval" / "report.txt").exists()
+
+
+def test_svm_model_with_a_byte_that_is_not_utf8_names_its_line(trained, family_tsv, tmp_path, capsys):
+    raw = bytearray((trained / "pmi_svm" / "model.txt").read_bytes())
+    at = raw.index(b"\ntensor\tmean\t") + 1
+    raw[at] = 0xFF
+    model = tmp_path / "model.txt"
+    model.write_bytes(bytes(raw))
+    line = raw.count(b"\n", 0, at) + 1
+    assert cli.run(["evaluate", "--data", str(family_tsv), "--system", "pmi_svm", "--seed", "3",
+                    "--model", str(model), "--pmi-matrix", str(trained / "pmi_svm" / "pmi_matrix.tsv"),
+                    "--out-dir", str(tmp_path / "eval")]) == 2
+    assert capsys.readouterr().err == f"cognet: data error: {model}:{line}: not UTF-8: invalid start byte 0xff\n"
 
 
 def _write_config(tmp_path, text):

@@ -1,4 +1,5 @@
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cognet.neural import (
 )
 
 from cognet import synthetic, wordlists
+from cognet.artifact import ArtifactError
 from cognet.wordlists import Lexeme, WordPair
 from conftest import max_rel_err, numeric_grad
 from oracles import conv2d_backward_im2col, conv2d_im2col
@@ -54,11 +56,6 @@ def test_two_channel_kernel_shapes():
     assert net.shapes[0] == (10, 16, 2)
 
 
-def test_single_axis_pool_escape_hatch():
-    net = build(ModelSpec(MANHATTAN, pool=(2, 1)))
-    assert net.shapes == [(10, 16, 1), (9, 14, 10), (8, 12, 10), (4, 12, 10), 480, 8, 1]
-
-
 def test_siamese_euclid_has_no_dense_head():
     net = build(ModelSpec(SIAMESE_EUCLID))
     assert set(net.params) == {"conv1_w", "conv1_b", "conv2_w", "conv2_b"}
@@ -77,7 +74,6 @@ def test_invalid_specs_fail_build():
 
 @pytest.mark.parametrize("field, dims", [
     ("kernel", (0, 3)), ("kernel", (2, 0)), ("kernel", (-1, 3)), ("kernel", (2, 3, 1)), ("kernel", (2.0, 3)),
-    ("pool", (0, 2)), ("pool", (2, 0)), ("pool", (2,)),
 ])
 def test_kernel_and_pool_must_be_pairs_of_positive_ints(field, dims):
     with pytest.raises(InvalidSpec, match=field):
@@ -228,6 +224,29 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert loaded.spec == net.spec
 
 
+# a checkpoint header as the format has always written it, pooling window included
+STORED_HEADER = ("cognet-artifact\t1\tcheckpoint\nsystem\tmanhattan\nconv_filters\t10\nkernel\t1x3\n"
+                 "fc_units\t8\ndropout_rate\t0.5\npad_len\t10\npool\t2x2\n")
+
+
+def test_stored_checkpoint_loads_and_a_pool_other_than_2x2_is_rejected(tmp_path):
+    net = build(ModelSpec(MANHATTAN, kernel=(1, 3)), seed=8)
+    text = STORED_HEADER + "".join(
+        f"tensor\t{name}\t{'x'.join(map(str, t.shape))}\n" + "\t".join(repr(float(v)) for v in t.ravel()) + "\n"
+        for name, t in sorted(net.params.items()))
+    path = tmp_path / "model.txt"
+    path.write_text(text, encoding="utf-8")
+    loaded = load_checkpoint(path, MANHATTAN)
+    xa, xb, _ = _toy_pairs(12, seed=9)
+    assert loaded.spec == net.spec
+    assert np.array_equal(loaded.predict(xa, xb), net.predict(xa, xb))
+    save_checkpoint(loaded, tmp_path / "resaved.txt")
+    assert (tmp_path / "resaved.txt").read_text(encoding="utf-8") == text
+    path.write_text(text.replace("pool\t2x2", "pool\t2x1"), encoding="utf-8")
+    with pytest.raises(ArtifactError, match=f"^{re.escape(str(path))}:8: pool: '2x1' is not one of"):
+        load_checkpoint(path, MANHATTAN)
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("not a checkpoint\n", encoding="utf-8")
@@ -285,6 +304,6 @@ def test_scores_equal_the_im2col_oracle_bit_for_bit(arch, monkeypatch):
 def test_trunk_activations_are_stored_batch_minor(arch):
     net = build(ModelSpec(arch), seed=5)
     x = _toy_pairs(9)[0][..., None].repeat(net.spec.in_channels, axis=-1)
-    _, (_, relu1_mask, (a1, _), relu2_mask, (_, _, pool_idx), _) = net._trunk(x)
+    _, (_, relu1_mask, (a1, _), relu2_mask, (_, pool_idx), _) = net._trunk(x)
     for stored in (relu1_mask, a1, relu2_mask, pool_idx):
         assert stored.transpose(3, 1, 2, 0).flags.c_contiguous

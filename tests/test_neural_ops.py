@@ -55,8 +55,6 @@ def test_maxpool2_shapes():
     x = np.zeros((1, 9, 14, 10))
     out, _ = ops.maxpool2(x)
     assert out.shape == (1, 4, 7, 10)
-    out2, _ = ops.maxpool2(np.zeros((1, 10, 12, 3)), size=(2, 1))
-    assert out2.shape == (1, 5, 12, 3)
     with pytest.raises(ops.ShapeMismatch):
         ops.maxpool2(np.zeros((1, 1, 4, 2)))
 
@@ -109,9 +107,8 @@ def _is_batch_minor(a):
 @settings(deadline=None)
 @given(shape=st.tuples(st.integers(1, 4), st.integers(2, 7), st.integers(3, 9), st.integers(1, 4)),
        kernel=st.tuples(st.integers(1, 2), st.integers(1, 3)),
-       size=st.tuples(st.integers(1, 2), st.integers(1, 3)),
        seed=st.integers(0, 2**32 - 1))
-def test_ops_agree_on_channels_last_and_batch_minor_inputs(shape, kernel, size, seed):
+def test_ops_agree_on_channels_last_and_batch_minor_inputs(shape, kernel, seed):
     rng = np.random.default_rng(seed)
     x = np.round(rng.normal(size=shape), 1)  # coarse values: ReLU zeros and pooling ties
     xs = (x, _batch_minor(x))
@@ -130,52 +127,46 @@ def test_ops_agree_on_channels_last_and_batch_minor_inputs(shape, kernel, size, 
     g = rng.normal(size=shape)
     assert np.array_equal(ops.relu_backward(relus[0][1], g), ops.relu_backward(relus[1][1], _batch_minor(g)))
 
-    pools = [ops.maxpool2(v, size) for v in xs]
-    assert np.array_equal(pools[0][0], pools[1][0]) and np.array_equal(pools[0][1][2], pools[1][1][2])
+    pools = [ops.maxpool2(v) for v in xs]
+    assert np.array_equal(pools[0][0], pools[1][0]) and np.array_equal(pools[0][1][1], pools[1][1][1])
     gp = rng.normal(size=pools[0][0].shape)
     assert np.array_equal(ops.maxpool2_backward(pools[0][1], gp), ops.maxpool2_backward(pools[1][1], _batch_minor(gp)))
 
     # whatever the input layout, the spatial ops hand on batch-minor arrays
-    for produced in (conv[0][0], backs[0][0], pools[0][0], pools[0][1][2], ops.maxpool2_backward(pools[0][1], gp)):
+    for produced in (conv[0][0], backs[0][0], pools[0][0], pools[0][1][1], ops.maxpool2_backward(pools[0][1], gp)):
         assert _is_batch_minor(produced)
 
 
-POOL_SIZES = [(2, 2), (1, 2), (2, 1), (3, 2)]
-
-
-def _assert_maxpool2_matches_argmax_oracle(x, size):
-    out, cache = ops.maxpool2(x, size)
+def _assert_maxpool2_matches_argmax_oracle(x):
+    out, cache = ops.maxpool2(x)
     grad = np.arange(1.0, out.size + 1).reshape(out.shape)  # distinct, so misrouting shows
-    e_out, e_idx, e_gx = maxpool2_argmax(x, grad, size)
-    assert cache[:2] == (x.shape, size)
+    e_out, e_idx, e_gx = maxpool2_argmax(x, grad)
+    assert cache[0] == x.shape
     assert np.array_equal(out, e_out)
-    assert np.array_equal(cache[2], e_idx)
+    assert np.array_equal(cache[1], e_idx)
     assert np.array_equal(ops.maxpool2_backward(cache, grad), e_gx)
 
 
 @pytest.mark.parametrize("shape", [(1, 9, 13, 3), (5, 8, 12, 10), (3, 7, 5, 2), (128, 8, 12, 10)])
-@pytest.mark.parametrize("size", POOL_SIZES)
-def test_maxpool2_matches_argmax_oracle(size, shape):
+def test_maxpool2_matches_argmax_oracle(shape):
     x = np.random.default_rng(sum(shape)).normal(size=shape)
-    _assert_maxpool2_matches_argmax_oracle(x, size)
+    _assert_maxpool2_matches_argmax_oracle(x)
 
 
-@pytest.mark.parametrize("size", POOL_SIZES)
-def test_maxpool2_ties_go_to_the_first_maximum(size):
+def test_maxpool2_ties_go_to_the_first_maximum():
     # zero-padded word rows give one positive activation across whole rows
     rng = np.random.default_rng(14)
     z = rng.normal(size=(4, 9, 13, 5))
     z[:, 4:] = rng.uniform(0.1, 1.0, size=(4, 1, 1, 5))
     x, _ = ops.relu(z)
-    _assert_maxpool2_matches_argmax_oracle(x, size)
+    _assert_maxpool2_matches_argmax_oracle(x)
 
 
 @settings(deadline=None)
-@given(x=st.tuples(st.integers(1, 3), st.integers(3, 9), st.integers(3, 9), st.integers(1, 3)).flatmap(
-           lambda shape: arrays(np.float64, shape, elements=st.sampled_from([-1.0, 0.0, 1.0, 2.0]))),
-       size=st.tuples(st.integers(1, 3), st.integers(1, 3)))
-def test_maxpool2_matches_argmax_oracle_on_small_integers(x, size):
-    _assert_maxpool2_matches_argmax_oracle(x, size)
+@given(x=st.tuples(st.integers(1, 3), st.integers(2, 9), st.integers(2, 9), st.integers(1, 3)).flatmap(
+           lambda shape: arrays(np.float64, shape, elements=st.sampled_from([-1.0, 0.0, 1.0, 2.0]))))
+def test_maxpool2_matches_argmax_oracle_on_small_integers(x):
+    _assert_maxpool2_matches_argmax_oracle(x)
 
 
 def test_dropout_train_vs_inference():

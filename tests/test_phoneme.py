@@ -111,10 +111,10 @@ def test_builtin_schemes_are_total_and_sized():
     schemes = phoneme.builtin_schemes()
     assert set(schemes) == {"ASJP", "DOLGO", "SCA"}
     for scheme in schemes.values():
-        assert set(scheme.mapping) == set(phoneme.INVENTORY)
-    assert len(set(schemes["DOLGO"].mapping.values())) <= 11  # ten classes plus the vowel class
-    assert len(set(schemes["SCA"].mapping.values())) <= 25
-    assert all(schemes["ASJP"].mapping[s] == s for s in phoneme.INVENTORY)
+        assert set(scheme) == set(phoneme.INVENTORY)
+    assert len(set(schemes["DOLGO"].values())) <= 11  # ten classes plus the vowel class
+    assert len(set(schemes["SCA"].values())) <= 25
+    assert all(schemes["ASJP"][s] == s for s in phoneme.INVENTORY)
 
 
 def test_to_sound_class_preserves_length_and_identity():
@@ -140,7 +140,7 @@ def test_load_scheme_rejects_partial_mapping(tmp_path):
     path = tmp_path / "partial.tsv"
     path.write_text("p\tP\n", encoding="utf-8")
     with pytest.raises(ValueError, match="not total"):
-        phoneme.load_scheme(path, "PARTIAL")
+        phoneme.load_scheme(path)
 
 
 def test_feature_matrix_shape():

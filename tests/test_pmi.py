@@ -109,7 +109,7 @@ def test_pmi_score_matches_alignment_oracle():
     for _ in range(60):
         a = "".join(rng.choice("pftksV") for _ in range(rng.randint(1, 6)))
         b = "".join(rng.choice("pftksV") for _ in range(rng.randint(1, 6)))
-        assert pmi.pmi_score(a, b, m) == pytest.approx(
+        assert pmi.pmi_features(a, b, m)[0] == pytest.approx(
             oracles.global_memo(a, b, sub, m.gap_penalty))
 
 
@@ -117,9 +117,9 @@ def test_pmi_score_identity_sums_diagonal():
     scores = np.full((35, 35), -1.0)
     np.fill_diagonal(scores, 2.0)
     m = pmi.PMIMatrix(scores=scores, gap_penalty=-2.5)
-    assert pmi.pmi_score("pVt", "pVt", m) == pytest.approx(6.0)
+    assert pmi.pmi_features("pVt", "pVt", m)[0] == pytest.approx(6.0)
     # two single symbols: substitution beats a double gap
-    assert pmi.pmi_score("p", "t", m) == pytest.approx(-1.0)
+    assert pmi.pmi_features("p", "t", m)[0] == pytest.approx(-1.0)
 
 
 def test_pmi_features_shape_and_values():
@@ -139,6 +139,15 @@ def test_config_validation():
         pmi.PMIConfig(gap_penalty=0.5)
     with pytest.raises(ValueError):
         pmi.PMIConfig(pseudocount=0.0)
+
+
+def test_largest_pseudocount_still_gives_finite_scores():
+    corpus = [("pVt", "fVt")] * 5 + [("kVs", "kVs")] * 5
+    m = pmi.estimate_pmi(corpus, pmi.PMIConfig(pseudocount=pmi._MAX_PSEUDOCOUNT))
+    assert np.isfinite(m.scores).all() and np.isfinite(m.final_delta)
+    for too_large in (np.nextafter(pmi._MAX_PSEUDOCOUNT, np.inf), 1e306, np.inf, np.nan):
+        with pytest.raises(ValueError, match="pseudocount must be in"):
+            pmi.PMIConfig(pseudocount=too_large)
 
 
 def test_matrix_file_round_trip(tmp_path):

