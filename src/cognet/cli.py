@@ -214,12 +214,16 @@ def _finish(out_dir: Path, command: str, options: dict, message: str) -> int:
 
 
 def features_for(system: str, pairs: list[wordlists.WordPair], artifacts: dict):
-    """What ``system`` classifies: rendered (xa, xb, y) for a ConvNet, else a feature matrix."""
+    """What ``system`` classifies for each distinct pair of forms, and each pair's row among them.
+
+    A ConvNet classifies rendered (xa, xb, y), an SVM a feature matrix.
+    """
+    unique, inverse = wordlists.distinct(pairs, key=lambda p: p.forms)
     if system in NEURAL_SYSTEMS:
-        return neural_model.encode_pairs(pairs, artifacts["net"].spec.pad_len)
+        return neural_model.encode_pairs(unique, artifacts["net"].spec.pad_len), inverse
     if system == "pmi_svm":
-        return np.array([pmi.pmi_features(p.a.form, p.b.form, artifacts["pmi_matrix"]) for p in pairs])
-    return similarity.feature_matrix([(p.a.form, p.b.form) for p in pairs])
+        return np.array([pmi.pmi_features(*p.forms, artifacts["pmi_matrix"]) for p in unique]), inverse
+    return similarity.feature_matrix([p.forms for p in unique]), inverse
 
 
 def _g(value: float) -> str:
@@ -232,10 +236,11 @@ def cmd_featurize(options: dict) -> int:
     out = Path(options["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     header = ["family", "concept", "language_a", "form_a", "language_b", "form_b", "label"]
+    feats, inverse = features_for("ortho_svm", pairs, {})
     _write_tsv(out, header + list(similarity.FEATURE_NAMES), (
         [p.family, p.concept, p.a.language, p.a.form, p.b.language, p.b.form, str(p.label)]
-        + [_g(v) for v in feats]
-        for p, feats in zip(pairs, features_for("ortho_svm", pairs, {}))
+        + [_g(v) for v in feats[k]]
+        for p, k in zip(pairs, inverse)
     ))
     return _finish(out.parent, "featurize", options, f"wrote {len(pairs)} feature rows to {out}")
 
@@ -246,11 +251,18 @@ def _pmi_config(options: dict) -> pmi.PMIConfig:
                              options["pseudocount"], options["gap_penalty"])
 
 
+def _estimate_pmi(pairs: list[wordlists.WordPair], cfg: pmi.PMIConfig) -> pmi.PMIMatrix:
+    try:
+        return pmi.estimate_pmi([p.forms for p in pairs], cfg)
+    except pmi.NonFinitePMI as exc:
+        raise UsageError(f"--pseudocount is too small for this data: {exc}") from exc
+
+
 def cmd_pmi_train(options: dict) -> int:
     _require(options, "data", "out")
     cfg = _pmi_config(options)
     _, pairs = _load_pairs(options)
-    matrix = pmi.estimate_pmi([(p.a.form, p.b.form) for p in pairs], cfg)
+    matrix = _estimate_pmi(pairs, cfg)
     out = Path(options["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     pmi.save_matrix(matrix, out)
@@ -270,7 +282,7 @@ def _train_system(options: dict, train_pairs: list[wordlists.WordPair], out_dir:
             cfg = neural_model.TrainConfig(options["batch_size"], options["epochs"], options["margin"],
                                            seed)
         artifacts = {"net": net}
-        _, history = neural_model.train(net, features_for(system, train_pairs, artifacts), cfg)
+        _, history = neural_model.train(net, neural_model.encode_pairs(train_pairs, spec.pad_len), cfg)
         neural_model.save_checkpoint(net, out_dir / "model.txt")
         _write_tsv(out_dir / "loss_history.tsv", ["epoch", "mean_loss"],
                    ([str(epoch), _g(loss)] for epoch, loss in enumerate(history, 1)))
@@ -283,10 +295,11 @@ def _train_system(options: dict, train_pairs: list[wordlists.WordPair], out_dir:
     artifacts = {}
     if system == "pmi_svm":
         matrix = (pmi.load_matrix(options["pmi_matrix"]) if options["pmi_matrix"] else
-                  pmi.estimate_pmi([(p.a.form, p.b.form) for p in train_pairs], _pmi_config(options)))
+                  _estimate_pmi(train_pairs, _pmi_config(options)))
         pmi.save_matrix(matrix, out_dir / "pmi_matrix.tsv")
         artifacts["pmi_matrix"] = matrix
-    X = features_for(system, train_pairs, artifacts)
+    feats, inverse = features_for(system, train_pairs, artifacts)
+    X = feats[inverse]  # every repeat stays a training row
     y = np.array([p.label for p in train_pairs])
     search = grid_search_cv(X, y, C_grid=options["c_grid"], folds=options["folds"],
                             seed=seed, passes=options["svm_passes"])
@@ -317,7 +330,7 @@ def _score_and_report(options: dict, artifacts: dict, pairs: list[wordlists.Word
                       out_dir: Path, title: str) -> str:
     """Score ``pairs``, threshold, evaluate, and write report.txt and report.tsv."""
     system = options["system"]
-    features = features_for(system, pairs, artifacts)
+    features, inverse = features_for(system, pairs, artifacts)
     if system in NEURAL_SYSTEMS:
         scores = artifacts["net"].predict(features[0], features[1])
     else:
@@ -325,7 +338,7 @@ def _score_and_report(options: dict, artifacts: dict, pairs: list[wordlists.Word
     threshold = options["threshold"]
     if threshold is None:  # SVM scores are uncalibrated margins; split at zero
         threshold = 0.5 if system in NEURAL_SYSTEMS else 0.0
-    report = metrics.evaluate(np.array([p.label for p in pairs]), scores, threshold=threshold)
+    report = metrics.evaluate(np.array([p.label for p in pairs]), scores[inverse], threshold=threshold)
     text = metrics.render_report(report, title=title)
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
     (out_dir / "report.tsv").write_text(metrics.report_tsv(report), encoding="utf-8")

@@ -12,7 +12,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .. import artifact, phoneme
+from .. import artifact, phoneme, wordlists
 from . import losses, ops
 from .adadelta import AdadeltaState, adadelta_step
 
@@ -243,16 +243,11 @@ def encode_pairs(pairs, pad_len: int = 10):
     shaped [n, pad_len, 16].  Each distinct form is rendered once, in order
     of first appearance.
     """
-    index: dict[str, int] = {}  # form -> row of the rendered table
-    ia, ib, y = [], [], []
-    for pair in pairs:
-        ia.append(index.setdefault(pair.a.form, len(index)))
-        ib.append(index.setdefault(pair.b.form, len(index)))
-        y.append(pair.label)
-    if not y:
+    if not pairs:
         raise EmptyDataset("no pairs to encode")
-    table = np.array([phoneme.word_to_matrix(form, pad_len) for form in index])
-    return table[ia], table[ib], np.array(y, dtype=np.float64)
+    forms, row = wordlists.distinct([form for pair in pairs for form in (pair.a.form, pair.b.form)])
+    table = np.array([phoneme.word_to_matrix(form, pad_len) for form in forms])
+    return table[row[0::2]], table[row[1::2]], np.array([pair.label for pair in pairs], dtype=np.float64)
 
 
 def train(model: Model, pairs, cfg: TrainConfig = TrainConfig()):

@@ -10,11 +10,12 @@ matrix and adds the gap penalty per gap.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import artifact, phoneme, similarity
+from . import artifact, phoneme, similarity, wordlists
 
 N = len(phoneme.INVENTORY)
 
@@ -28,6 +29,10 @@ _MAX_PSEUDOCOUNT = np.finfo(float).max / (2 * N * N)
 
 class EmptySeedSet(ValueError):
     """No word pair passed the initial edit-distance cutoff."""
+
+
+class NonFinitePMI(ArithmeticError):
+    """A PMI score came out infinite or NaN: the pseudocount is too small for the counts."""
 
 
 @dataclass(frozen=True)
@@ -67,20 +72,32 @@ class PMIMatrix:
 
 def _counts_to_pmi(counts: np.ndarray, pseudocount: float) -> np.ndarray:
     # smooth every cell, normalize, and take log-odds against the marginals;
-    # smoothing keeps both the joint and the marginals strictly positive
+    # smoothing keeps both the joint and the marginals positive, unless a
+    # tiny pseudocount underflows in the normalized joint or in a product of marginals
     smoothed = counts + pseudocount
     total = smoothed.sum()
     joint = smoothed / total
     marginal = joint.sum(axis=1)
-    return np.log2(joint) - np.log2(np.outer(marginal, marginal))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = np.log2(joint) - np.log2(np.outer(marginal, marginal))
+    if not np.isfinite(scores).all():
+        raise NonFinitePMI(f"pseudocount {pseudocount:g} leaves a PMI score non-finite")
+    return scores
 
 
 def _count_pairs(seeds: list[tuple[str, str]], scores: np.ndarray, gap: float) -> np.ndarray:
-    """Symmetric counts of the symbol pairs that the seeds' alignments under ``scores`` and ``gap`` match up."""
+    """Symmetric counts of the symbol pairs that the seeds' alignments under ``scores`` and ``gap`` match up.
+
+    Each distinct seed is aligned once, and its symbol pairs count once per
+    repeat; the weights are whole numbers, so the counts are exact.
+    """
     idx = phoneme.SYMBOL_INDEX
-    codes = np.fromiter((idx[x] * N + idx[y] for a, b in seeds for x, y in similarity.align(a, b, scores, gap)[1]
-                         if x != similarity.GAP and y != similarity.GAP), dtype=np.int64)
-    counts = np.bincount(codes, minlength=N * N).reshape(N, N).astype(np.float64)
+    unique, inverse = wordlists.distinct(seeds)
+    codes = [[idx[x] * N + idx[y] for x, y in similarity.align(a, b, scores, gap)[1]
+              if x != similarity.GAP and y != similarity.GAP] for a, b in unique]
+    repeats = np.repeat(np.bincount(inverse), [len(c) for c in codes])
+    counts = np.bincount(np.fromiter(itertools.chain.from_iterable(codes), dtype=np.int64),
+                         weights=repeats, minlength=N * N).reshape(N, N).astype(np.float64)
     return counts + counts.T
 
 
@@ -98,7 +115,8 @@ def estimate_pmi(pairs: list[tuple[str, str]], cfg: PMIConfig = PMIConfig()) -> 
     stays within ``cfg.initial_cutoff``; they are first aligned at unit
     edit costs, then repeatedly realigned under the current matrix.  Stops
     when the largest matrix change drops below ``cfg.convergence_tol`` or
-    after ``cfg.max_iterations`` realignments.
+    after ``cfg.max_iterations`` realignments.  Raises NonFinitePMI when a
+    matrix is not finite.
     """
     seeds = seed_pairs(pairs, cfg.initial_cutoff)
     if not seeds:

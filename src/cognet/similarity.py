@@ -3,14 +3,14 @@
 The measures operate on plain symbol strings, so they apply unchanged to
 ASJP words and to their coarser sound-class renderings.  They are computed
 in batches: :func:`measure_table` codes each distinct string once as a
-padded row of integers, and handles a chunk of pairs at a time with numpy
-working across the pair axis.  One score-only DP fill gives five measures
-(Needleman-Wunsch global, Smith-Waterman local, semi-global with free end
-gaps, edit distance and LCS); the n-gram measures pair up equal n-grams by
-occurrence rank.  :func:`align` is the one aligner that also returns the
-aligned symbol pairs.  It is global only and aligns ASJP words under a
-35 x 35 substitution table plus a linear gap score: the form of the matrix
-that its caller, the PMI module, learns.
+padded row of integers, and handles a chunk of distinct pairs at a time
+with numpy working across the pair axis.  One score-only DP fill gives
+five measures (Needleman-Wunsch global, Smith-Waterman local, semi-global
+with free end gaps, edit distance and LCS); the n-gram measures pair up
+equal n-grams by occurrence rank.  :func:`align` is the one aligner that
+also returns the aligned symbol pairs.  It is global only and aligns ASJP
+words under a 35 x 35 substitution table plus a linear gap score: the form
+of the matrix that its caller, the PMI module, learns.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import phoneme
+from . import phoneme, wordlists
 
 GAP = "-"
 
@@ -230,15 +230,18 @@ def _measure_chunk(words: _Words, ka: np.ndarray, kb: np.ndarray, names: Sequenc
 
 
 def measure_table(pairs: Sequence[tuple[str, str]], names: Sequence[str] = MEASURES) -> np.ndarray:
-    """The named measures (from ``MEASURES``) of each string pair, one column each."""
-    index: dict[str, int] = {}
-    ka = np.array([index.setdefault(a, len(index)) for a, _ in pairs], dtype=np.intp)
-    kb = np.array([index.setdefault(b, len(index)) for _, b in pairs], dtype=np.intp)
-    words = _Words(list(index))
-    out = np.empty((len(pairs), len(names)))
-    for s in range(0, len(pairs), CHUNK):
+    """The named measures (from ``MEASURES``) of each string pair, one column each.
+
+    Each distinct pair is measured once.
+    """
+    unique, inverse = wordlists.distinct(pairs)
+    strings, k = wordlists.distinct([s for pair in unique for s in pair])
+    ka, kb = k[0::2], k[1::2]
+    words = _Words(strings)
+    out = np.empty((len(unique), len(names)))
+    for s in range(0, len(unique), CHUNK):
         out[s:s + CHUNK] = _measure_chunk(words, ka[s:s + CHUNK], kb[s:s + CHUNK], names)
-    return out
+    return out[inverse]
 
 
 def feature_matrix(pairs: Sequence[tuple[str, str]]) -> np.ndarray:

@@ -13,6 +13,8 @@ import logging
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import artifact, phoneme
 
 logger = logging.getLogger(__name__)
@@ -64,6 +66,11 @@ class WordPair:
     @property
     def family(self) -> str:
         return self.a.family
+
+    @property
+    def forms(self) -> tuple[str, str]:
+        """The pair's two forms, on which its features and score depend."""
+        return self.a.form, self.b.form
 
 
 @dataclass(frozen=True)
@@ -155,6 +162,17 @@ def generate_pairs(lexemes: list[Lexeme]) -> list[WordPair]:
                 concept=concept,
             ))
     return pairs
+
+
+def distinct(items, key=None) -> tuple[list, np.ndarray]:
+    """The first item with each distinct key, in order of appearance, and each item's index among them.
+
+    ``key`` defaults to the item itself.  Work that depends only on the key
+    is done once per distinct item and gathered back with the index.
+    """
+    first: dict = {}
+    inverse = [first.setdefault(item if key is None else key(item), (len(first), item))[0] for item in items]
+    return [item for _, item in first.values()], np.array(inverse, dtype=np.intp)
 
 
 def split(

@@ -13,9 +13,10 @@ pooling takes numpy's argmax over each window.  The similarity features
 are computed one pair at a time, with Python dynamic programs (the global,
 local and semi-global scores from the score-only :func:`dp_score`) and
 ``Counter`` n-gram multisets.  Average precision sorts the ranks in
-Python and sums precision in a loop.  The SVM fit recomputes the margins
-at the top of every pass, and the grid search makes one separate fit per
-C and fold.
+Python and sums precision in a loop.  The PMI symbol-pair counts align
+every seed, repeats included, and count without weights.  The SVM fit
+recomputes the margins at the top of every pass, and the grid search makes
+one separate fit per C and fold.
 """
 
 from __future__ import annotations
@@ -444,6 +445,18 @@ def features_per_pair(a_asjp: str, b_asjp: str) -> list[float]:
             for alph in similarity.ALPHABETS]
     measures = [rows[k][m] for m in range(len(similarity.MEASURES)) for k in range(len(rows))]
     return measures + [float(len(a_asjp)), float(len(b_asjp)), float(abs(len(a_asjp) - len(b_asjp)))]
+
+
+# ------------------------------------------------------------------ PMI counts
+
+def count_pairs_per_seed(seeds, scores, gap: float) -> np.ndarray:
+    """``pmi._count_pairs`` with one alignment per seed, repeats included, and unweighted counts."""
+    n = len(phoneme.INVENTORY)
+    idx = phoneme.SYMBOL_INDEX
+    codes = np.fromiter((idx[x] * n + idx[y] for a, b in seeds for x, y in similarity.align(a, b, scores, gap)[1]
+                         if x != similarity.GAP and y != similarity.GAP), dtype=np.int64)
+    counts = np.bincount(codes, minlength=n * n).reshape(n, n).astype(np.float64)
+    return counts + counts.T
 
 
 # ------------------------------------------------------------------ metrics

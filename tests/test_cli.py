@@ -6,10 +6,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cognet import cli, pmi, similarity, synthetic, wordlists
-from cognet.neural import load_checkpoint
+from cognet import cli, pmi, similarity, svm, synthetic, wordlists
+from cognet.neural import encode_pairs, load_checkpoint
 
 import oracles
 
@@ -334,6 +335,56 @@ def test_pseudocount_too_large_for_finite_scores_is_a_usage_error(args, family_t
     err = capsys.readouterr().err
     assert err.startswith("cognet: usage error: pseudocount must be in (0, 7.34e+304], got 1e+30"), err
     assert not list(tmp_path.rglob("*.tsv"))
+
+
+@pytest.mark.parametrize("args", [
+    ["pmi-train", "--out", "OUT/pmi.tsv"],
+    ["train", "--system", "pmi_svm", "--out-dir", "OUT/run"],
+])
+def test_pseudocount_too_small_for_finite_scores_is_a_usage_error(args, family_tsv, tmp_path, capsys):
+    args = [a.replace("OUT", str(tmp_path)) for a in args]
+    assert cli.run(args + ["--data", str(family_tsv), "--seed", "7", "--pseudocount", "1e-200"]) == 1
+    assert capsys.readouterr().err == ("cognet: usage error: --pseudocount is too small for this data: "
+                                       "pseudocount 1e-200 leaves a PMI score non-finite\n")
+    assert not list(tmp_path.rglob("*.tsv"))
+
+
+@pytest.fixture(scope="module")
+def every_system(family_tsv, tmp_path_factory):
+    """Artifacts of a quick `cognet train` for all five systems, keyed by system."""
+    root = tmp_path_factory.mktemp("every_system")
+    for system in cli.SYSTEMS:
+        assert cli.run(["train", "--data", str(family_tsv), "--system", system, "--out-dir", str(root / system),
+                        "--seed", "3", "--epochs", "1", *QUICK_SVM]) == 0
+    return root
+
+
+@pytest.mark.parametrize("system", cli.SYSTEMS)
+def test_repeated_pairs_score_as_when_every_pair_is_scored(system, every_system, family_tsv, tmp_path,
+                                                            monkeypatch):
+    family = wordlists.generate_pairs(wordlists.load_wordlist(family_tsv))
+    assert len({p.forms for p in family}) < len(family)  # related languages share forms
+    pairs = family + family[::-1][::3]  # more repeats, in a new order
+    model_dir = every_system / system
+    options = {"system": system, "model": str(model_dir / "model.txt"), "threshold": None,
+               "pmi_matrix": str(model_dir / "pmi_matrix.tsv") if system == "pmi_svm" else None}
+    artifacts = cli.load_artifacts(options)
+    scored = []
+    evaluate = cli.metrics.evaluate
+    monkeypatch.setattr(cli.metrics, "evaluate",
+                        lambda y, scores, **kw: scored.append(scores) or evaluate(y, scores, **kw))
+    cli._score_and_report(options, artifacts, pairs, tmp_path, "repeats")
+    # every pair scored in full, with no pair shared
+    if system in cli.NEURAL_SYSTEMS:
+        xa, xb, _ = encode_pairs(pairs, artifacts["net"].spec.pad_len)
+        want = artifacts["net"].predict(xa, xb)
+    else:
+        def features(a, b):
+            if system == "ortho_svm":
+                return oracles.features_per_pair(a, b)
+            return pmi.pmi_features(a, b, artifacts["pmi_matrix"])
+        want = svm.decision_function(artifacts["svm"], np.array([features(*p.forms) for p in pairs]))
+    assert len(scored) == 1 and np.array_equal(scored[0], want)
 
 
 @pytest.fixture(scope="module")

@@ -150,6 +150,14 @@ def test_largest_pseudocount_still_gives_finite_scores():
             pmi.PMIConfig(pseudocount=too_large)
 
 
+def test_pseudocount_too_small_for_finite_scores_raises():
+    corpus = [("pVt", "fVt")] * 5 + [("kVs", "kVs")] * 5
+    # an unseen symbol's marginal is about 35 * 1e-300 / 30, and its square underflows to 0
+    with pytest.raises(pmi.NonFinitePMI, match="pseudocount 1e-300 leaves a PMI score non-finite"):
+        pmi.estimate_pmi(corpus, pmi.PMIConfig(pseudocount=1e-300))
+    assert np.isfinite(pmi.estimate_pmi(corpus, pmi.PMIConfig(pseudocount=1e-100)).scores).all()
+
+
 def test_matrix_file_round_trip(tmp_path):
     corpus = [("pVt", "fVt")] * 10 + [("kVs", "kVs")] * 5
     m = pmi.estimate_pmi(corpus)
@@ -217,3 +225,23 @@ def test_align_under_a_pmi_matrix_is_optimal_and_scores_its_pairs(a, b, seed, ga
     for x, y in pairs:  # left to right
         total += gap if similarity.GAP in (x, y) else sub(x, y)
     assert total == pytest.approx(score, rel=0, abs=1e-9)
+
+
+_SEED_WORDS = st.text(alphabet="pVtkfs", min_size=1, max_size=6)
+
+
+@settings(deadline=None)
+@given(pool=st.lists(st.tuples(_SEED_WORDS, _SEED_WORDS), min_size=1, max_size=6),
+       picks=st.lists(st.integers(0, 5), max_size=24),
+       seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)), gap=st.floats(-8.0, -0.01))
+def test_weighted_counts_equal_one_alignment_per_seed(pool, picks, seed, gap):
+    # seeds repeated and reordered; without a seed, the unit-cost table of the first alignment
+    seeds = [pool[i % len(pool)] for i in picks]
+    if seed is None:
+        table, gap = pmi._EDIT_SCORES, -1.0
+    else:
+        half = np.random.default_rng(seed).normal(0.0, 2.0, size=(N, N))
+        table = half + half.T
+    got = pmi._count_pairs(seeds, table, gap)
+    assert np.array_equal(got, oracles.count_pairs_per_seed(seeds, table, gap))
+    assert got.dtype == np.float64

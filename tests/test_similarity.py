@@ -286,3 +286,22 @@ def test_feature_matrix_equals_per_pair_oracle(words, apart, chunk):
     _assert_bitwise_equal_to_oracle(pairs, features)
     assert (features[len(pairs) - len(apart):, sim.FEATURE_NAMES.index("local_asjp")] == 0.0).all()
 
+
+
+@settings(deadline=None)
+@given(words=st.lists(_asjp_words(), min_size=1, max_size=5),
+       picks=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=16),
+       chunk=st.integers(1, 6))
+@example(words=["pVt", "tVp", "pVt"], picks=[(0, 1), (1, 0), (0, 1), (2, 1), (0, 0), (1, 0)], chunk=2)
+def test_repeated_and_reordered_pairs_equal_per_pair_oracle(words, picks, chunk):
+    # pairs repeat, in both orders and interleaved with others, so each
+    # distinct pair's row is gathered back to several places; a small chunk
+    # splits the distinct pairs across chunks
+    pairs = [(words[i % len(words)], words[j % len(words)]) for i, j in picks]
+    with mock.patch.object(sim, "CHUNK", chunk):
+        features = sim.feature_matrix(pairs)
+        table = sim.measure_table(pairs)
+    _assert_bitwise_equal_to_oracle(pairs, features)
+    # the ASJP measures are every third of the measure-major feature columns
+    asjp = np.array([oracles.features_per_pair(a, b) for a, b in pairs])[:, :3 * len(sim.MEASURES):3]
+    assert np.array_equal(table.view(np.int64), asjp.view(np.int64))

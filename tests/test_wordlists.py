@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cognet.wordlists import (
@@ -8,6 +9,7 @@ from cognet.wordlists import (
     OverlappingFamilies,
     SchemaError,
     SplitSpec,
+    distinct,
     generate_pairs,
     load_wordlist,
     split,
@@ -222,3 +224,14 @@ def test_split_spec_validation():
         SplitSpec(CROSS_CONCEPT, train_fraction=1.0)
 
 
+
+
+def test_distinct_keeps_first_items_and_indexes_every_item():
+    items, inverse = distinct(["b", "a", "b", "c", "a"])
+    assert items == ["b", "a", "c"] and inverse.tolist() == [0, 1, 0, 2, 1]
+    assert inverse.dtype == np.intp
+    words = ["pVt", "PVT", "kVs", "pvt"]
+    firsts, inverse = distinct(words, key=str.lower)
+    assert firsts == ["pVt", "kVs"] and inverse.tolist() == [0, 0, 1, 0]
+    items, inverse = distinct([])
+    assert items == [] and inverse.shape == (0,)
