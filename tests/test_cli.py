@@ -185,15 +185,25 @@ def test_pipeline_rerun_is_byte_identical(family_tsv, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["pipeline", "train"])
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_overflowing_c_is_a_usage_error_naming_it(command, family_tsv, tmp_path, capsys):
     args = [command, "--data", str(family_tsv), "--system", "ortho_svm", "--out-dir", str(tmp_path),
             "--seed", "5", "--c-grid", "1,1e160", "--folds", "5", "--svm-passes", "50"]
     if command == "pipeline":
         args += ["--mode", "cross-concept"]
     assert cli.run(args) == 1
-    assert "usage error: the SVM descent overflowed for C = 1e+160;" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("cognet: usage error: the SVM descent overflowed for C = 1e+160; "
+                                       "use a smaller C\n")
     assert not (tmp_path / "model.txt").exists()
+
+
+def test_overflowing_c_prints_no_numpy_warning(family_tsv, tmp_path):
+    # the descent notices the overflow itself; numpy's warnings would come first
+    proc = subprocess.run([sys.executable, "-m", "cognet.cli", "pipeline", "--data", str(family_tsv),
+                           "--system", "ortho_svm", "--mode", "cross-concept", "--seed", "7",
+                           "--c-grid", "1e308", "--svm-passes", "20", "--out-dir", str(tmp_path)],
+                          env=_checkout_env(), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "cognet: usage error: the SVM descent overflowed for C = 1e+308; use a smaller C\n"
 
 
 # 1e150 never overflows, but no pass of the descent improves on its zero start.
@@ -205,11 +215,15 @@ def test_an_all_zero_svm_is_reported(c_grid, warned, family_tsv, tmp_path, capsy
     assert (warning in capsys.readouterr().err) == warned
 
 
+def _checkout_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's cognet."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def _python(code: str) -> str:
     """The stdout of ``code`` run in a fresh interpreter that imports this checkout's cognet."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code], env=_checkout_env(), capture_output=True, text=True,
                           check=True).stdout
 
 
