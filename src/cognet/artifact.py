@@ -21,19 +21,23 @@ import numpy as np
 FORMAT, VERSION = "cognet-artifact", "1"
 
 
-class ArtifactError(ValueError):
-    """An artifact file that is not exactly what :func:`save` writes."""
+class DataError(ValueError):
+    """Input data that cannot give a result: every error that names bad input derives from it."""
+
+
+class ArtifactError(DataError):
+    """A file that is not exactly what its writer writes, reported as ``FILE:LINE: msg``."""
 
     def __init__(self, path, line: int, msg: str):
         super().__init__(f"{path}:{line}: {msg}")
         self.path, self.line = path, line
 
 
-def read_text(path, error: Callable[[object, int, str], ValueError]) -> str:
+def read_text(path) -> str:
     """The file at ``path`` as UTF-8 text, newlines translated as by ``open``.
 
-    A byte sequence that is not UTF-8 raises ``error(path, line, message)``
-    for the line that holds it.
+    A byte sequence that is not UTF-8 raises :class:`ArtifactError` for the
+    line that holds it.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -41,7 +45,8 @@ def read_text(path, error: Callable[[object, int, str], ValueError]) -> str:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         bad = " ".join(f"0x{byte:02x}" for byte in data[exc.start:exc.end])
-        raise error(path, data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc.reason} {bad}") from None
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ArtifactError(path, line, f"not UTF-8: {exc.reason} {bad}") from None
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
@@ -92,7 +97,7 @@ def load(path, kind: str, header: dict[str, Callable[[str], object]],
     set and shapes.  A ``system`` other than None must be the recorded one.
     ``lines`` maps each header key and tensor name to its (values) line.
     """
-    rows = read_text(path, ArtifactError).split("\n")
+    rows = read_text(path).split("\n")
     if rows.pop() != "":
         raise ArtifactError(path, len(rows) + 1, "file does not end with a newline (truncated?)")
 

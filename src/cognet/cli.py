@@ -31,12 +31,8 @@ SYSTEMS = svm.SYSTEMS + NEURAL_SYSTEMS
 # width of each SVM system's feature vectors
 N_FEATURES = {"ortho_svm": len(similarity.FEATURE_NAMES), "pmi_svm": 4}
 
-# the package's own data exceptions; a bare ValueError is a bug, not bad input
-DATA_ERRORS = (
-    OSError, artifact.ArtifactError, wordlists.SchemaError, wordlists.OverlappingFamilies,
-    wordlists.EmptySide, wordlists.NoPairs, pmi.EmptySeedSet, neural_model.EmptyDataset,
-    svm.TooFewSamples, svm.SingleClass, metrics.SingleClassLabels, metrics.NoPositives,
-)
+# bad input: each data exception derives from artifact.DataError; a bare ValueError is a bug
+DATA_ERRORS = (OSError, artifact.DataError)
 
 
 class UsageError(Exception):
@@ -251,18 +247,11 @@ def _pmi_config(options: dict) -> pmi.PMIConfig:
                              options["pseudocount"], options["gap_penalty"])
 
 
-def _estimate_pmi(pairs: list[wordlists.WordPair], cfg: pmi.PMIConfig) -> pmi.PMIMatrix:
-    try:
-        return pmi.estimate_pmi([p.forms for p in pairs], cfg)
-    except pmi.NonFinitePMI as exc:
-        raise UsageError(f"--pseudocount is too small for this data: {exc}") from exc
-
-
 def cmd_pmi_train(options: dict) -> int:
     _require(options, "data", "out")
     cfg = _pmi_config(options)
     _, pairs = _load_pairs(options)
-    matrix = _estimate_pmi(pairs, cfg)
+    matrix = pmi.estimate_pmi([p.forms for p in pairs], cfg)
     out = Path(options["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     pmi.save_matrix(matrix, out)
@@ -295,7 +284,7 @@ def _train_system(options: dict, train_pairs: list[wordlists.WordPair], out_dir:
     artifacts = {}
     if system == "pmi_svm":
         matrix = (pmi.load_matrix(options["pmi_matrix"]) if options["pmi_matrix"] else
-                  _estimate_pmi(train_pairs, _pmi_config(options)))
+                  pmi.estimate_pmi([p.forms for p in train_pairs], _pmi_config(options)))
         pmi.save_matrix(matrix, out_dir / "pmi_matrix.tsv")
         artifacts["pmi_matrix"] = matrix
     feats, inverse = features_for(system, train_pairs, artifacts)
@@ -424,7 +413,7 @@ def run(argv=None) -> int:
         if options["seed"] is None:
             raise UsageError("a --seed is required (reproducibility contract)")
         return _COMMANDS[args.command][0](options)
-    except (UsageError, svm.Diverged) as exc:  # a C too large for the descent is a bad option
+    except (UsageError, FloatingPointError) as exc:  # an option that overflows the arithmetic is a bad option
         print(f"cognet: usage error: {exc}", file=sys.stderr)
         return 1
     except DATA_ERRORS as exc:

@@ -6,16 +6,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import artifact
+
 
 class LengthMismatch(ValueError):
     pass
 
 
-class SingleClassLabels(ValueError):
+class SingleClassLabels(artifact.DataError):
     pass
 
 
-class NoPositives(ValueError):
+class NoPositives(artifact.DataError):
     pass
 
 

@@ -28,7 +28,7 @@ class InvalidSpec(ValueError):
     pass
 
 
-class EmptyDataset(ValueError):
+class EmptyDataset(artifact.DataError):
     pass
 
 
@@ -204,7 +204,8 @@ class Model:
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         out, (trunks, cpair, chead) = self.forward(xa, xb, training=True, rng=rng)
         if arch == SIAMESE_EUCLID:
-            loss = float(losses.contrastive_loss(out, y, margin).mean())
+            with np.errstate(over="ignore"):  # train reports an overflowed loss, naming the margin
+                loss = float(losses.contrastive_loss(out, y, margin).mean())
             gflats = ops.euclid_backward(cpair, losses.contrastive_loss_grad(out, y, margin) / n)
         else:
             loss = float(losses.log_loss(out, y).mean())
@@ -255,7 +256,8 @@ def train(model: Model, pairs, cfg: TrainConfig = TrainConfig()):
 
     ``pairs`` is (xa, xb, y) as :func:`encode_pairs` renders them.  A
     single generator seeded with cfg.seed drives both the epoch shuffles
-    and the dropout masks, so runs are reproducible.
+    and the dropout masks, so runs are reproducible.  Raises
+    FloatingPointError when the running loss overflows.
     """
     xa, xb, y = pairs
     n = xa.shape[0]
@@ -272,10 +274,10 @@ def train(model: Model, pairs, cfg: TrainConfig = TrainConfig()):
             loss, grads = model.loss_and_grads(
                 xa[batch], xb[batch], y[batch], margin=cfg.margin, rng=rng
             )
-            if not np.isfinite(loss):
-                raise FloatingPointError(f"non-finite training loss {loss}")
-            adadelta_step(model.params, grads, state)
             total += loss * len(batch)
+            if not np.isfinite(total):  # the log loss is clipped, so only the margin can overflow it
+                raise FloatingPointError(f"margin {cfg.margin:g} leaves the training loss non-finite ({total})")
+            adadelta_step(model.params, grads, state)
         history.append(total / n)
     return model.params, history
 

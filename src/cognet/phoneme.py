@@ -16,6 +16,8 @@ from importlib import resources
 
 import numpy as np
 
+from . import artifact
+
 logger = logging.getLogger(__name__)
 
 N_FEATURES = 16
@@ -152,25 +154,25 @@ def to_sound_class(word: str, scheme: dict[str, str]) -> str:
 
 
 def load_scheme(path) -> dict[str, str]:
-    """Load a ``symbol<TAB>class`` mapping file and check it is total."""
+    """Load a ``symbol<TAB>class`` mapping file and check it is total; raises ArtifactError."""
     mapping: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'symbol<TAB>class', got {line!r}")
-            symbol, label = parts
-            if symbol not in SYMBOL_INDEX:
-                raise ValueError(f"{path}:{lineno}: {symbol!r} is not an inventory symbol")
-            if symbol in mapping:
-                raise ValueError(f"{path}:{lineno}: duplicate entry for {symbol!r}")
-            mapping[symbol] = label
+    lines = artifact.read_text(path).split("\n")
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise artifact.ArtifactError(path, lineno, f"expected 'symbol<TAB>class', got {line!r}")
+        symbol, label = parts
+        if symbol not in SYMBOL_INDEX:
+            raise artifact.ArtifactError(path, lineno, f"{symbol!r} is not an inventory symbol")
+        if symbol in mapping:
+            raise artifact.ArtifactError(path, lineno, f"duplicate entry for {symbol!r}")
+        mapping[symbol] = label
     missing = [s for s in INVENTORY if s not in mapping]
     if missing:
-        raise ValueError(f"{path}: mapping not total, missing {missing}")
+        raise artifact.ArtifactError(path, len(lines), f"mapping not total, missing {missing}")
     return mapping
 
 

@@ -11,6 +11,7 @@ matrix and adds the gap penalty per gap.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,17 +23,13 @@ N = len(phoneme.INVENTORY)
 # unit edit costs as alignment scores (match 0, mismatch and gap -1), for the seed alignment
 _EDIT_SCORES = np.eye(N) - 1.0
 
-# The smoothed counts sum to N * N pseudocounts plus the counts.  Up to this
-# pseudocount, that total stays below the largest float, so every score is finite.
-_MAX_PSEUDOCOUNT = np.finfo(float).max / (2 * N * N)
 
-
-class EmptySeedSet(ValueError):
+class EmptySeedSet(artifact.DataError):
     """No word pair passed the initial edit-distance cutoff."""
 
 
-class NonFinitePMI(ArithmeticError):
-    """A PMI score came out infinite or NaN: the pseudocount is too small for the counts."""
+class NonFinitePMI(FloatingPointError):
+    """A PMI or alignment score came out infinite or NaN: the pseudocount or gap penalty is too extreme."""
 
 
 @dataclass(frozen=True)
@@ -50,8 +47,8 @@ class PMIConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.convergence_tol <= 0:
             raise ValueError("convergence_tol must be > 0")
-        if not 0 < self.pseudocount <= _MAX_PSEUDOCOUNT:
-            raise ValueError(f"pseudocount must be in (0, {_MAX_PSEUDOCOUNT:.3g}], got {self.pseudocount:g}")
+        if not 0 < self.pseudocount < math.inf:
+            raise ValueError(f"pseudocount must be positive and finite, got {self.pseudocount:g}")
         if self.gap_penalty >= 0:
             raise ValueError("gap_penalty must be < 0")
 
@@ -73,12 +70,12 @@ class PMIMatrix:
 def _counts_to_pmi(counts: np.ndarray, pseudocount: float) -> np.ndarray:
     # smooth every cell, normalize, and take log-odds against the marginals;
     # smoothing keeps both the joint and the marginals positive, unless a
-    # tiny pseudocount underflows in the normalized joint or in a product of marginals
+    # tiny pseudocount underflows in the normalized joint or in a product of
+    # marginals, or a huge one overflows the total
     smoothed = counts + pseudocount
-    total = smoothed.sum()
-    joint = smoothed / total
-    marginal = joint.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        joint = smoothed / smoothed.sum()
+        marginal = joint.sum(axis=1)
         scores = np.log2(joint) - np.log2(np.outer(marginal, marginal))
     if not np.isfinite(scores).all():
         raise NonFinitePMI(f"pseudocount {pseudocount:g} leaves a PMI score non-finite")
@@ -148,9 +145,13 @@ def estimate_pmi(pairs: list[tuple[str, str]], cfg: PMIConfig = PMIConfig()) -> 
 def pmi_features(a: str, b: str, matrix: PMIMatrix) -> list[float]:
     """Feature vector [pmi score, len(a), len(b), |len(a)-len(b)|].
 
-    The pmi score is the best global alignment score of the words under the matrix.
+    The pmi score is the best global alignment score of the words under the
+    matrix.  Raises NonFinitePMI when that score overflows.
     """
     score = similarity.align(a, b, matrix.scores, matrix.gap_penalty)[0]
+    if not math.isfinite(score):
+        raise NonFinitePMI(f"gap penalty {matrix.gap_penalty:g} leaves the alignment score of "
+                           f"{a!r} and {b!r} non-finite ({score})")
     return [score, float(len(a)), float(len(b)), float(abs(len(a) - len(b)))]
 
 

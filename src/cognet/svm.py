@@ -23,7 +23,7 @@ from . import artifact, wordlists
 SYSTEMS = ("ortho_svm", "pmi_svm")
 
 
-class SingleClass(ValueError):
+class SingleClass(artifact.DataError):
     pass
 
 
@@ -31,11 +31,11 @@ class DimensionMismatch(ValueError):
     pass
 
 
-class TooFewSamples(ValueError):
+class TooFewSamples(artifact.DataError):
     pass
 
 
-class Diverged(ArithmeticError):
+class Diverged(FloatingPointError):
     """The descent overflowed for some C; its weights would be meaningless."""
 
 
@@ -74,14 +74,16 @@ def _standardized(rows: np.ndarray, ys: np.ndarray, counts: np.ndarray) -> tuple
     """The rows of nonzero count, standardised, with their labels and counts, and the mean and scale.
 
     The mean and scale are those of the training set that holds each row
-    ``counts`` times; the rows themselves are left as they are.
+    ``counts`` times, but a column whose kept rows hold one value takes it as
+    its mean and 1 as its scale, so its weight stays 0.  The rows themselves
+    are left as they are.
     """
     kept = np.flatnonzero(counts)
     Z, ys, counts = rows[kept], ys[kept], counts[kept]
     if ys.min() == ys.max():
         raise SingleClass("training labels are constant")
     n = counts.sum()
-    mean = counts @ Z / n
+    mean = np.where((Z == Z[0]).all(axis=0), Z[0], counts @ Z / n)
     Z -= mean
     std = np.sqrt(counts @ np.square(Z) / n)
     std = np.where(std == 0.0, 1.0, std)

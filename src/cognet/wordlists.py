@@ -25,23 +25,19 @@ CROSS_CONCEPT = "cross_concept"
 CROSS_FAMILY = "cross_family"
 
 
-class SchemaError(ValueError):
-    """A word list that does not follow the schema, reported as ``FILE:LINE: msg``."""
-
-    def __init__(self, path, line: int, message: str):
-        super().__init__(f"{path}:{line}: {message}")
-        self.path, self.line = path, line
+# a word list that does not follow the schema, reported as ``FILE:LINE: msg``
+SchemaError = artifact.ArtifactError
 
 
-class OverlappingFamilies(ValueError):
+class OverlappingFamilies(artifact.DataError):
     pass
 
 
-class EmptySide(ValueError):
+class EmptySide(artifact.DataError):
     pass
 
 
-class NoPairs(ValueError):
+class NoPairs(artifact.DataError):
     """A word list from which ``generate_pairs`` makes no pair."""
 
 
@@ -97,7 +93,7 @@ def load_wordlist(path, counters: dict | None = None) -> list[Lexeme]:
     seen: set[tuple] = set()
     skipped = duplicates = 0
     header_seen = False
-    for lineno, line in enumerate(artifact.read_text(path, SchemaError).split("\n"), 1):
+    for lineno, line in enumerate(artifact.read_text(path).split("\n"), 1):
         if not line.strip() or line.startswith("#"):
             continue
         fields = line.split("\t")

@@ -206,6 +206,42 @@ def test_overflowing_c_prints_no_numpy_warning(family_tsv, tmp_path):
     assert proc.stderr == "cognet: usage error: the SVM descent overflowed for C = 1e+308; use a smaller C\n"
 
 
+# 1e308 overflows one batch's mean loss; at batch size 1 each loss stays
+# finite, and the epoch's running sum overflows instead.
+@pytest.mark.parametrize("margin, batch_size", [("1e308", "128"), ("1.5e308", "1")])
+def test_overflowing_margin_is_a_usage_error_naming_it(margin, batch_size, family_tsv, tmp_path):
+    proc = subprocess.run([sys.executable, "-m", "cognet.cli", "train", "--data", str(family_tsv),
+                           "--system", "siamese_euclid", "--seed", "7", "--epochs", "1", "--margin", margin,
+                           "--batch-size", batch_size, "--out-dir", str(tmp_path)],
+                          env=_checkout_env(), capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == (f"cognet: usage error: margin {float(margin):g} "
+                           "leaves the training loss non-finite (inf)\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["pipeline", "evaluate"])
+def test_overflowing_gap_penalty_is_a_usage_error_naming_it(command, family_tsv, tmp_path, capsys):
+    # two gaps of -1e308 sum to -inf, while the PMI estimation stays finite
+    out_dir = tmp_path / "run"
+    args = ["--data", str(family_tsv), "--system", "pmi_svm", "--seed", "7", "--out-dir", str(out_dir)]
+    if command == "pipeline":
+        args += ["--gap-penalty=-1e308", "--mode", "cross-concept", *QUICK_SVM]
+    else:  # a model trained under the default gap penalty, scored through a matrix with the huge one
+        matrix = tmp_path / "pmi.tsv"
+        assert cli.run(["pmi-train", "--data", str(family_tsv), "--seed", "7", "--gap-penalty=-1e308",
+                        "--out", str(matrix)]) == 0
+        assert cli.run(["train", "--data", str(family_tsv), "--system", "pmi_svm", "--seed", "7",
+                        "--out-dir", str(tmp_path / "trained"), *QUICK_SVM]) == 0
+        args += ["--pmi-matrix", str(matrix), "--model", str(tmp_path / "trained" / "model.txt")]
+        capsys.readouterr()
+    assert cli.run([command, *args]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"cognet: usage error: gap penalty -1e\+308 leaves the alignment score of "
+                        r"'\w+' and '\w+' non-finite \(-inf\)\n", err), err
+    assert not list(out_dir.glob("report.*"))
+
+
 # 1e150 never overflows, but no pass of the descent improves on its zero start.
 @pytest.mark.parametrize("c_grid, warned", [("1", False), ("1e150", True)])
 def test_an_all_zero_svm_is_reported(c_grid, warned, family_tsv, tmp_path, capsys):
@@ -347,7 +383,7 @@ def test_pseudocount_too_large_for_finite_scores_is_a_usage_error(args, family_t
     args = [a.replace("OUT", str(tmp_path)) for a in args]
     assert cli.run(args + ["--data", str(family_tsv), "--seed", "7"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("cognet: usage error: pseudocount must be in (0, 7.34e+304], got 1e+30"), err
+    assert re.fullmatch(r"cognet: usage error: pseudocount 1e\+30[68] leaves a PMI score non-finite\n", err), err
     assert not list(tmp_path.rglob("*.tsv"))
 
 
@@ -358,8 +394,7 @@ def test_pseudocount_too_large_for_finite_scores_is_a_usage_error(args, family_t
 def test_pseudocount_too_small_for_finite_scores_is_a_usage_error(args, family_tsv, tmp_path, capsys):
     args = [a.replace("OUT", str(tmp_path)) for a in args]
     assert cli.run(args + ["--data", str(family_tsv), "--seed", "7", "--pseudocount", "1e-200"]) == 1
-    assert capsys.readouterr().err == ("cognet: usage error: --pseudocount is too small for this data: "
-                                       "pseudocount 1e-200 leaves a PMI score non-finite\n")
+    assert capsys.readouterr().err == "cognet: usage error: pseudocount 1e-200 leaves a PMI score non-finite\n"
     assert not list(tmp_path.rglob("*.tsv"))
 
 

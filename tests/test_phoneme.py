@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from cognet import phoneme
+from cognet import artifact, phoneme
 
 
 def test_inventory_is_35_closed_symbols():
@@ -148,3 +148,16 @@ def test_feature_matrix_shape():
     fm = phoneme.word_to_matrix(phoneme.INVENTORY, pad_len=len(phoneme.INVENTORY))
     assert fm.shape == (35, 16)
     assert set(np.unique(fm)) <= {0.0, 1.0}
+
+
+@pytest.mark.parametrize("line, message", [
+    ("p", "expected 'symbol<TAB>class', got 'p'"),
+    ("@\tX", "'@' is not an inventory symbol"),
+    ("b\tP", "duplicate entry for 'b'"),
+])
+def test_load_scheme_names_file_and_line(line, message, tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text(f"# comment\nb\tP\n{line}\n", encoding="utf-8")
+    with pytest.raises(artifact.ArtifactError) as exc:
+        phoneme.load_scheme(path)
+    assert str(exc.value) == f"{path}:3: {message}"

@@ -143,11 +143,14 @@ def test_config_validation():
 
 def test_largest_pseudocount_still_gives_finite_scores():
     corpus = [("pVt", "fVt")] * 5 + [("kVs", "kVs")] * 5
-    m = pmi.estimate_pmi(corpus, pmi.PMIConfig(pseudocount=pmi._MAX_PSEUDOCOUNT))
+    m = pmi.estimate_pmi(corpus, pmi.PMIConfig(pseudocount=1e305))
     assert np.isfinite(m.scores).all() and np.isfinite(m.final_delta)
-    for too_large in (np.nextafter(pmi._MAX_PSEUDOCOUNT, np.inf), 1e306, np.inf, np.nan):
-        with pytest.raises(ValueError, match="pseudocount must be in"):
-            pmi.PMIConfig(pseudocount=too_large)
+    # 35 * 35 smoothed cells of 1e306 sum past the largest float
+    with pytest.raises(pmi.NonFinitePMI, match=r"pseudocount 1e\+306 leaves a PMI score non-finite"):
+        pmi.estimate_pmi(corpus, pmi.PMIConfig(pseudocount=1e306))
+    for invalid in (0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="pseudocount must be positive and finite"):
+            pmi.PMIConfig(pseudocount=invalid)
 
 
 def test_pseudocount_too_small_for_finite_scores_raises():

@@ -89,6 +89,20 @@ def test_zero_variance_feature_is_inert():
     assert np.array_equal(svm.decision_function(model, probe), svm.decision_function(model, moved))
 
 
+def test_constant_feature_whose_mean_rounds_off_is_inert():
+    # 30 copies of 0.1 average to 0.10000000000000002, which once left the
+    # column a scale of 1.4e-17 instead of the zero-variance convention's 1
+    X, y = _separable(n=30, seed=6)
+    X[:, 1] = 0.1
+    assert np.mean(X[:, 1]) != 0.1
+    model = svm.fit(X, y, C=1.0, passes=200)
+    assert model.mean[1] == 0.1 and model.std[1] == 1.0 and model.weights[1] == 0.0
+    probe = X[:5].copy()
+    moved = probe.copy()
+    moved[:, 1] = 0.2
+    assert np.array_equal(svm.decision_function(model, probe), svm.decision_function(model, moved))
+
+
 def test_determinism_bit_identical():
     X, y = _separable(n=50, seed=7)
     m1 = svm.fit(X, y, C=10.0)
