@@ -6,7 +6,8 @@ headers) with command-line flags taking precedence.  Every run writes a
 manifest (resolved options plus input digests) next to its outputs, and
 all randomness flows from the single ``--seed``.
 
-Exit codes: 0 success, 1 usage error, 2 data error.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error (an
+exception no check expected; its traceback is printed).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import ctypes
 import hashlib
 import json
 import sys
+import traceback
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -422,7 +424,12 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+    except Exception:  # a bug, not a usage (1) or data (2) error
+        traceback.print_exc()
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

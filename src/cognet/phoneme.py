@@ -5,18 +5,17 @@ symbol ``V``: every ASJP vowel letter is collapsed to ``V`` during parsing
 (vowels are diachronically far less stable than consonants, so their
 identity carries little cognacy signal).  Each symbol maps to a fixed
 16-bit vector of articulatory features, which turns a word into a small
-binary matrix usable as network input.
+binary matrix usable as network input, and to one class in each of the
+DOLGO and SCA sound-class alphabets.  All of these live in one symbol
+table, from which the feature vectors and the three rendering schemes
+(ASJP identity, DOLGO, SCA) are read.
 """
 
 from __future__ import annotations
 
-import functools
 import logging
-from importlib import resources
 
 import numpy as np
-
-from . import artifact
 
 logger = logging.getLogger(__name__)
 
@@ -45,45 +44,72 @@ VOWELS = "ieE3auo"
 # carry no featural content here and are stripped before validation.
 MODIFIERS = '~$" -'
 
-_FEATURE_BITS = {
-    "p": "0100000011000000",
-    "b": "1100000011000000",
-    "f": "0110000001000000",
-    "v": "1110000001000000",
-    "m": "1100000000010000",
-    "8": "1010000001000000",
-    "4": "1010000000010000",
-    "t": "0001000010000000",
-    "d": "1001000010000000",
-    "s": "0001000001000000",
-    "z": "1001000001000000",
-    "c": "1001000000100000",
-    "n": "1001000000010000",
-    "S": "0000100001000000",
-    "Z": "1000100001000000",
-    "C": "0000100000100000",
-    "j": "1000100000100000",
-    "T": "1000100010000000",
-    "5": "0000100000010000",
-    "k": "0000010010000000",
-    "g": "1000010010000000",
-    "x": "1000010001000000",
-    "N": "1000010000010000",
-    "q": "0000001010000000",
-    "G": "1000001010000000",
-    "X": "1000001001000000",
-    "7": "0000000110000000",
-    "h": "1000000101000000",
-    "l": "1000000000000110",
-    "L": "1000000000000010",
-    "w": "1100010000000100",
-    "y": "1000100000000100",
-    "r": "1000000000000001",
-    "!": "1000000000001000",
-    "V": "1000000000000000",
-}
+# Sound classes (List 2012) are single letters.  DOLGO, after Dolgopolsky,
+# has ten consonant classes and one vowel class:
+#   P labial obstruents          T dental/alveolar obstruents
+#   S sibilant fricatives        K velars, uvulars, affricates, clicks
+#   M labial nasal               N other nasals
+#   R liquids                    W w-like (labial approximant, voiced labial fricative)
+#   J palatal approximant        H laryngeals
+#   V vowels
+# SCA distinguishes up to 25 classes; the inventory reaches 17 of them (the
+# single collapsed vowel uses only one vowel class):
+#   P labial plosives       B labial fricatives     M labial nasal
+#   T dental/alveolar plosives (incl. palatal stops)
+#   D dental fricatives     S sibilants             C affricates
+#   N non-labial nasals     K velar/uvular plosives G velar/uvular fricatives
+#   H laryngeals            L laterals              R trills/taps
+#   W w-like                J palatal approximant   ! clicks
+#   A vowels
+#
+# Every per-symbol fact, one row per symbol in INVENTORY order: the symbol,
+# its feature bits in FEATURE_NAMES order, its DOLGO class and its SCA class.
+_SYMBOL_TABLE = (
+    ("p", "0100000011000000", "P", "P"),
+    ("b", "1100000011000000", "P", "P"),
+    ("f", "0110000001000000", "P", "B"),
+    ("v", "1110000001000000", "W", "B"),
+    ("m", "1100000000010000", "M", "M"),
+    ("8", "1010000001000000", "T", "D"),
+    ("4", "1010000000010000", "N", "N"),
+    ("t", "0001000010000000", "T", "T"),
+    ("d", "1001000010000000", "T", "T"),
+    ("s", "0001000001000000", "S", "S"),
+    ("z", "1001000001000000", "S", "S"),
+    ("c", "1001000000100000", "K", "C"),
+    ("n", "1001000000010000", "N", "N"),
+    ("S", "0000100001000000", "S", "S"),
+    ("Z", "1000100001000000", "S", "S"),
+    ("C", "0000100000100000", "K", "C"),
+    ("j", "1000100000100000", "K", "C"),
+    ("T", "1000100010000000", "K", "T"),
+    ("5", "0000100000010000", "N", "N"),
+    ("k", "0000010010000000", "K", "K"),
+    ("g", "1000010010000000", "K", "K"),
+    ("x", "1000010001000000", "K", "G"),
+    ("N", "1000010000010000", "N", "N"),
+    ("q", "0000001010000000", "K", "K"),
+    ("G", "1000001010000000", "K", "K"),
+    ("X", "1000001001000000", "K", "G"),
+    ("7", "0000000110000000", "H", "H"),
+    ("h", "1000000101000000", "H", "H"),
+    ("l", "1000000000000110", "R", "L"),
+    ("L", "1000000000000010", "R", "L"),
+    ("w", "1100010000000100", "W", "W"),
+    ("y", "1000100000000100", "J", "J"),
+    ("r", "1000000000000001", "R", "R"),
+    ("!", "1000000000001000", "K", "!"),
+    ("V", "1000000000000000", "V", "A"),
+)
 
-_VECTORS = {s: tuple(int(b) for b in bits) for s, bits in _FEATURE_BITS.items()}
+_VECTORS = {s: tuple(int(b) for b in bits) for s, bits, _, _ in _SYMBOL_TABLE}
+
+# The three standard schemes, symbol -> class: ASJP (identity), DOLGO and SCA.
+SCHEMES = {
+    "ASJP": {s: s for s in INVENTORY},
+    "DOLGO": {s: dolgo for s, _, dolgo, _ in _SYMBOL_TABLE},
+    "SCA": {s: sca for s, _, _, sca in _SYMBOL_TABLE},
+}
 
 
 class UnknownSymbol(ValueError):
@@ -151,37 +177,3 @@ def word_to_matrix(word: str, pad_len: int = 10) -> np.ndarray:
 def to_sound_class(word: str, scheme: dict[str, str]) -> str:
     """Relabel every symbol of ``word`` with its class under ``scheme``; preserves length."""
     return "".join(scheme[s] for s in word)
-
-
-def load_scheme(path) -> dict[str, str]:
-    """Load a ``symbol<TAB>class`` mapping file and check it is total; raises ArtifactError."""
-    mapping: dict[str, str] = {}
-    lines = artifact.read_text(path).split("\n")
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise artifact.ArtifactError(path, lineno, f"expected 'symbol<TAB>class', got {line!r}")
-        symbol, label = parts
-        if symbol not in SYMBOL_INDEX:
-            raise artifact.ArtifactError(path, lineno, f"{symbol!r} is not an inventory symbol")
-        if symbol in mapping:
-            raise artifact.ArtifactError(path, lineno, f"duplicate entry for {symbol!r}")
-        mapping[symbol] = label
-    missing = [s for s in INVENTORY if s not in mapping]
-    if missing:
-        raise artifact.ArtifactError(path, len(lines), f"mapping not total, missing {missing}")
-    return mapping
-
-
-@functools.cache
-def builtin_schemes() -> dict[str, dict[str, str]]:
-    """The three standard schemes, symbol -> class: ASJP (identity), DOLGO, and SCA."""
-    data = resources.files("cognet").joinpath("data")
-    return {
-        "ASJP": {s: s for s in INVENTORY},
-        "DOLGO": load_scheme(data / "dolgo.tsv"),
-        "SCA": load_scheme(data / "sca.tsv"),
-    }

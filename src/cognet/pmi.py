@@ -162,15 +162,14 @@ def _gap_penalty(text: str) -> float:
     return value
 
 
-_SYMBOLS = "".join(phoneme.INVENTORY)
 # the header of a PMI matrix file; score rows and columns follow the symbols
-_HEADER = {"system": artifact.one_of("pmi_svm"), "symbols": artifact.one_of(_SYMBOLS),
+_HEADER = {"system": artifact.one_of("pmi_svm"), "symbols": artifact.one_of(phoneme.INVENTORY),
            "gap_penalty": _gap_penalty}
 
 
 def save_matrix(matrix: PMIMatrix, path) -> None:
     """Write the matrix as a ``pmi-matrix`` artifact."""
-    header = {"system": "pmi_svm", "symbols": _SYMBOLS, "gap_penalty": float(matrix.gap_penalty)}
+    header = {"system": "pmi_svm", "symbols": phoneme.INVENTORY, "gap_penalty": float(matrix.gap_penalty)}
     artifact.save(path, "pmi-matrix", header, {"scores": matrix.scores})
 
 

@@ -252,9 +252,8 @@ def feature_matrix(pairs: Sequence[tuple[str, str]]) -> np.ndarray:
     """
     if not all(a and b for a, b in pairs):
         raise ValueError("similarity features require nonempty words")
-    schemes = phoneme.builtin_schemes()
     forms = {form for pair in pairs for form in pair}
-    rendered = [{f: phoneme.to_sound_class(f, schemes[alph]) for f in forms} for alph in ALPHABETS]
+    rendered = [{f: phoneme.to_sound_class(f, phoneme.SCHEMES[alph]) for f in forms} for alph in ALPHABETS]
     table = measure_table([(r[a], r[b]) for a, b in pairs for r in rendered])
     n = len(pairs)
     # measure-major: the measure index varies slowest

@@ -439,7 +439,7 @@ def features_per_pair(a_asjp: str, b_asjp: str) -> list[float]:
     """The 33 similarity features of one ASJP word pair, in ``FEATURE_NAMES`` order."""
     if not a_asjp or not b_asjp:
         raise ValueError("features_per_pair requires nonempty words")
-    schemes = phoneme.builtin_schemes()
+    schemes = phoneme.SCHEMES
     rows = [_measure_row(phoneme.to_sound_class(a_asjp, schemes[alph]),
                          phoneme.to_sound_class(b_asjp, schemes[alph]))
             for alph in similarity.ALPHABETS]

@@ -33,6 +33,20 @@ def test_missing_seed_exits_1(family_tsv, tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_an_escaping_exception_is_an_internal_error(family_tsv, tmp_path, monkeypatch, capsys):
+    def crash(options):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "featurize", (crash, "crash"))
+    monkeypatch.setattr(sys, "argv", ["cognet", "featurize", "--data", str(family_tsv),
+                                      "--out", str(tmp_path / "f.tsv"), "--seed", "1"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and err.endswith("RuntimeError: boom\n")
+
+
 def test_missing_data_file_exits_2(tmp_path, capsys):
     code = cli.run([
         "featurize", "--data", str(tmp_path / "nope.tsv"),

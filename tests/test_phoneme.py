@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from cognet import artifact, phoneme
+from cognet import phoneme
 
 
 def test_inventory_is_35_closed_symbols():
@@ -108,7 +108,7 @@ def test_word_to_matrix_rejects_bad_pad_len():
 
 
 def test_builtin_schemes_are_total_and_sized():
-    schemes = phoneme.builtin_schemes()
+    schemes = phoneme.SCHEMES
     assert set(schemes) == {"ASJP", "DOLGO", "SCA"}
     for scheme in schemes.values():
         assert set(scheme) == set(phoneme.INVENTORY)
@@ -118,7 +118,7 @@ def test_builtin_schemes_are_total_and_sized():
 
 
 def test_to_sound_class_preserves_length_and_identity():
-    schemes = phoneme.builtin_schemes()
+    schemes = phoneme.SCHEMES
     rng = random.Random(3)
     for _ in range(100):
         word = "".join(rng.choice(phoneme.INVENTORY) for _ in range(rng.randint(1, 8)))
@@ -128,19 +128,57 @@ def test_to_sound_class_preserves_length_and_identity():
 
 
 def test_dolgo_examples():
-    schemes = phoneme.builtin_schemes()
-    dolgo = schemes["DOLGO"]
+    dolgo = phoneme.SCHEMES["DOLGO"]
     # labial obstruents share a class; dental/alveolar stops share a class
     assert phoneme.to_sound_class("p", dolgo) == phoneme.to_sound_class("b", dolgo)
     td = phoneme.to_sound_class("td", dolgo)
     assert td[0] == td[1]
 
 
-def test_load_scheme_rejects_partial_mapping(tmp_path):
-    path = tmp_path / "partial.tsv"
-    path.write_text("p\tP\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="not total"):
-        phoneme.load_scheme(path)
+def _classes(scheme):
+    """The partition ``scheme`` makes of the inventory: class -> the symbols in it."""
+    classes = {}
+    for symbol, label in scheme.items():
+        classes[label] = classes.get(label, "") + symbol
+    return classes
+
+
+def test_dolgo_classes_are_its_legend():
+    assert _classes(phoneme.SCHEMES["DOLGO"]) == {
+        "P": "pbf",              # labial obstruents
+        "T": "8td",              # dental/alveolar obstruents
+        "S": "szSZ",             # sibilant fricatives
+        "K": "cCjTkgxqGX!",      # velars, uvulars, affricates, clicks
+        "M": "m",                # labial nasal
+        "N": "4n5N",             # other nasals
+        "R": "lLr",              # liquids
+        "W": "vw",               # w-like
+        "J": "y",                # palatal approximant
+        "H": "7h",               # laryngeals
+        "V": "V",                # vowels
+    }
+
+
+def test_sca_classes_are_its_legend():
+    assert _classes(phoneme.SCHEMES["SCA"]) == {
+        "P": "pb",               # labial plosives, apart from the fricatives
+        "B": "fv",               # labial fricatives
+        "M": "m",                # labial nasal
+        "T": "tdT",              # dental/alveolar plosives, incl. palatal stops
+        "D": "8",                # dental fricatives
+        "S": "szSZ",             # sibilants
+        "C": "cCj",              # affricates
+        "N": "4n5N",             # non-labial nasals
+        "K": "kgqG",             # velar/uvular plosives, apart from the fricatives
+        "G": "xX",               # velar/uvular fricatives
+        "H": "7h",               # laryngeals
+        "L": "lL",               # laterals
+        "R": "r",                # trills/taps
+        "W": "w",                # w-like
+        "J": "y",                # palatal approximant
+        "!": "!",                # clicks
+        "A": "V",                # vowels
+    }
 
 
 def test_feature_matrix_shape():
@@ -148,16 +186,3 @@ def test_feature_matrix_shape():
     fm = phoneme.word_to_matrix(phoneme.INVENTORY, pad_len=len(phoneme.INVENTORY))
     assert fm.shape == (35, 16)
     assert set(np.unique(fm)) <= {0.0, 1.0}
-
-
-@pytest.mark.parametrize("line, message", [
-    ("p", "expected 'symbol<TAB>class', got 'p'"),
-    ("@\tX", "'@' is not an inventory symbol"),
-    ("b\tP", "duplicate entry for 'b'"),
-])
-def test_load_scheme_names_file_and_line(line, message, tmp_path):
-    path = tmp_path / "bad.tsv"
-    path.write_text(f"# comment\nb\tP\n{line}\n", encoding="utf-8")
-    with pytest.raises(artifact.ArtifactError) as exc:
-        phoneme.load_scheme(path)
-    assert str(exc.value) == f"{path}:3: {message}"

@@ -79,27 +79,19 @@ def test_standardization_of_training_features():
     assert model.std[2] == 1.0  # zero-variance convention
 
 
-def test_zero_variance_feature_is_inert():
+@pytest.mark.parametrize("value", [0.1, 7.0])
+def test_constant_feature_is_inert(value):
     X, y = _separable(n=30, seed=6)
-    X[:, 2] = 7.0
-    model = svm.fit(X, y, C=1.0)
-    probe = X[:5].copy()
-    moved = probe.copy()
-    moved[:, 2] = 7.0  # unchanged: constant features stay at their fit value
-    assert np.array_equal(svm.decision_function(model, probe), svm.decision_function(model, moved))
-
-
-def test_constant_feature_whose_mean_rounds_off_is_inert():
-    # 30 copies of 0.1 average to 0.10000000000000002, which once left the
-    # column a scale of 1.4e-17 instead of the zero-variance convention's 1
-    X, y = _separable(n=30, seed=6)
-    X[:, 1] = 0.1
-    assert np.mean(X[:, 1]) != 0.1
+    X[:, 1] = value
     model = svm.fit(X, y, C=1.0, passes=200)
-    assert model.mean[1] == 0.1 and model.std[1] == 1.0 and model.weights[1] == 0.0
+    assert model.mean[1] == value and model.std[1] == 1.0 and model.weights[1] == 0.0
+    if value == 0.1:
+        # 30 copies of 0.1 average to 0.10000000000000002, which once left the
+        # column a scale of 1.4e-17 instead of the zero-variance convention's 1
+        assert np.mean(X[:, 1]) != value
     probe = X[:5].copy()
     moved = probe.copy()
-    moved[:, 1] = 0.2
+    moved[:, 1] = value + 0.1  # any other value scores the same
     assert np.array_equal(svm.decision_function(model, probe), svm.decision_function(model, moved))
 
 
