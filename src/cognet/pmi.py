@@ -28,6 +28,18 @@ class EmptySeedSet(artifact.DataError):
     """No word pair passed the initial edit-distance cutoff."""
 
 
+# The largest gap penalty magnitude.  Under it, the global alignment score of
+# two words with fewer than 10**8 symbols between them stays finite: a PMI
+# score is a log-odds ratio of a few thousand bits at most.
+MAX_GAP_PENALTY = 1e300
+
+
+def _check_gap_penalty(value: float) -> float:
+    if not -MAX_GAP_PENALTY <= value < 0:
+        raise ValueError(f"gap penalty {value:g} is not in [-{MAX_GAP_PENALTY:g}, 0)")
+    return value
+
+
 class NonFinitePMI(FloatingPointError):
     """A PMI or alignment score came out infinite or NaN: the pseudocount or gap penalty is too extreme."""
 
@@ -49,8 +61,7 @@ class PMIConfig:
             raise ValueError("convergence_tol must be > 0")
         if not 0 < self.pseudocount < math.inf:
             raise ValueError(f"pseudocount must be positive and finite, got {self.pseudocount:g}")
-        if self.gap_penalty >= 0:
-            raise ValueError("gap_penalty must be < 0")
+        _check_gap_penalty(self.gap_penalty)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,16 +166,9 @@ def pmi_features(a: str, b: str, matrix: PMIMatrix) -> list[float]:
     return [score, float(len(a)), float(len(b)), float(abs(len(a) - len(b)))]
 
 
-def _gap_penalty(text: str) -> float:
-    value = artifact.finite_float(text)
-    if value >= 0:
-        raise ValueError("must be < 0")
-    return value
-
-
 # the header of a PMI matrix file; score rows and columns follow the symbols
 _HEADER = {"system": artifact.one_of("pmi_svm"), "symbols": artifact.one_of(phoneme.INVENTORY),
-           "gap_penalty": _gap_penalty}
+           "gap_penalty": lambda text: _check_gap_penalty(artifact.finite_float(text))}
 
 
 def save_matrix(matrix: PMIMatrix, path) -> None:

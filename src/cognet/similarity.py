@@ -3,14 +3,17 @@
 The measures operate on plain symbol strings, so they apply unchanged to
 ASJP words and to their coarser sound-class renderings.  They are computed
 in batches: :func:`measure_table` codes each distinct string once as a
-padded row of integers, and handles a chunk of distinct pairs at a time
-with numpy working across the pair axis.  One score-only DP fill gives
-five measures (Needleman-Wunsch global, Smith-Waterman local, semi-global
-with free end gaps, edit distance and LCS); the n-gram measures pair up
-equal n-grams by occurrence rank.  :func:`align` is the one aligner that
-also returns the aligned symbol pairs.  It is global only and aligns ASJP
-words under a 35 x 35 substitution table plus a linear gap score: the form
-of the matrix that its caller, the PMI module, learns.
+padded column of integers, and handles a chunk of distinct pairs at a
+time.  Its arrays are pair-minor: the pair axis is innermost, so each
+numpy op runs along every pair of the chunk at once.  One score-only DP
+fill gives five measures (Needleman-Wunsch global, Smith-Waterman local,
+semi-global with free end gaps, edit distance and LCS); it keeps two DP
+rows and takes each row's runs of gaps as a prefix max in log2(n + 1)
+doubling steps.  The n-gram measures pair up equal n-grams by occurrence
+rank.  :func:`align` is the one aligner that also returns the aligned
+symbol pairs.  It is global only and aligns ASJP words under a 35 x 35
+substitution table plus a linear gap score: the form of the matrix that
+its caller, the PMI module, learns.
 """
 
 from __future__ import annotations
@@ -122,27 +125,31 @@ _NONE = -(1 << 24)  # below every reachable score
 
 
 class _Words:
-    """Distinct strings as rows of symbol codes padded with -1, with their lengths."""
+    """Distinct strings as columns of symbol codes padded with -1, with their lengths.
+
+    ``codes[i, k]`` is the code point of symbol i of string k.
+    """
 
     def __init__(self, words: Sequence[str]):
-        self.lengths = np.array([len(w) for w in words], dtype=np.int64)
-        self.codes = np.full((len(words), int(self.lengths.max(initial=0))), -1, dtype=np.int64)
-        for k, w in enumerate(words):
-            self.codes[k, :len(w)] = [ord(ch) for ch in w]
+        self.lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+        self.codes = np.full((int(self.lengths.max(initial=0)), len(words)), -1, dtype=np.int64)
+        self.codes.T[np.arange(len(self.codes)) < self.lengths[:, None]] = np.frombuffer(
+            "".join(words).encode("utf-32-le", "surrogatepass"), dtype="<u4")
         self._grams: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
     def grams(self, offsets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """Each n-gram as one integer, and its occurrence rank among the equal
-        n-grams to its left; the rank is -1 past the end of the word."""
+        n-grams to its left, one column per string; the rank is -1 past the
+        end of the string."""
         if offsets not in self._grams:
             span = offsets[-1] + 1
-            width = max(self.codes.shape[1] - span + 1, 0)
-            code = np.zeros((len(self.codes), width), dtype=np.int64)
+            width = max(self.codes.shape[0] - span + 1, 0)
+            code = np.zeros((width, self.codes.shape[1]), dtype=np.int64)
             for o in offsets:
-                code = (code << 21) + self.codes[:, o:o + width]  # a code point takes 21 bits
-            earlier = np.tri(width, k=-1, dtype=bool)
-            rank = ((code[:, :, None] == code[:, None, :]) & earlier).sum(axis=2)
-            inside = np.arange(width) < (self.lengths - span + 1)[:, None]
+                code = (code << 21) + self.codes[o:o + width]  # a code point takes 21 bits
+            earlier = np.tri(width, k=-1, dtype=bool)[:, :, None]
+            rank = ((code[:, None, :] == code[None, :, :]) & earlier).sum(axis=1)
+            inside = np.arange(width)[:, None] < self.lengths - span + 1
             self._grams[offsets] = code, np.where(inside, rank, -1)
         return self._grams[offsets]
 
@@ -150,97 +157,138 @@ class _Words:
 def _dp_scores(eq: np.ndarray, la: np.ndarray, lb: np.ndarray, params) -> list[np.ndarray]:
     """Best score of each word pair under each (match, mismatch, gap, mode).
 
-    ``eq[r, i, j]`` says whether symbol i of the r-th first word equals
-    symbol j of the r-th second word; their lengths are ``la[r]`` and
-    ``lb[r]``.  The DP rows of every parametrisation are filled one at a
-    time, keeping only the current one; cells past a word's end are filled
-    but never read.
+    ``eq[i, j, r]`` says whether symbol i of the r-th first word equals
+    symbol j of the r-th second word; their lengths are ``la[r]``, in
+    ascending order, and ``lb[r]``.  The pair axis is innermost, so every
+    numpy op runs along all the pairs at once.  Two DP rows are kept, in
+    shifted scores U[i, j] = H[i, j] - (i + j) * gap: there a step down or
+    along the row costs nothing and a diagonal step its substitution score
+    minus 2 * gap, so a row's runs of gaps are its prefix max, taken in
+    ceil(log2(n + 1)) doubling steps of ``np.maximum``.  Only the local
+    parametrisations floor their cells, at H = 0.  A pair leaves the DP
+    after row ``la[r]``, whose last cell is its global score and whose best
+    cell is one half of its semi-global score.
     """
-    rows, m, n = eq.shape
-    scores = np.array([p[:3] for p in params], dtype=np.int32).reshape(-1, 3, 1, 1)
-    match, mismatch, gap = scores[:, 0], scores[:, 1], scores[:, 2]
+    m, n, rows = eq.shape
     modes = [p[3] for p in params]
-    kind = np.array(modes)[:, None, None]
-    edge = np.where(kind == "global", gap, 0).astype(np.int32)  # score per step along row and column 0
-    floor = np.where(kind == "local", 0, _NONE).astype(np.int32)
-    j = np.arange(n + 1, dtype=np.int32)
-    left = gap * j
+    gaps = [p[2] for p in params]
+    match, mismatch, gap = (np.array([p[k] for p in params], dtype=np.int32).reshape(-1, 1, 1) for k in range(3))
+    gain, lo = match - mismatch, mismatch - 2 * gap  # a diagonal step in U: lo, plus gain on equal symbols
+    # U per step along row and column 0: 0 in global mode, where H steps by gap; -gap in the others
+    edge = np.where(np.array(modes)[:, None, None] == "global", 0, -gap).astype(np.int32)
+    j = np.arange(n + 1, dtype=np.int32)[:, None]
+    prev = np.repeat(edge * j, rows, axis=2)
+    cur = np.empty_like(prev)
+    starts = np.searchsorted(la, np.arange(m + 2))  # the pairs from starts[i] on have i symbols or more
     r = np.arange(rows)
-    in_b = j <= lb[:, None]
-    row = np.repeat(edge * j, rows, axis=1)  # DP row 0, overwritten by each next row
-    corner = local = semi = np.full((len(params), rows), _NONE, dtype=np.int32)
-    for i in range(m + 1):
-        if i:
-            row[..., 1:] = np.maximum(np.maximum(row[..., :-1] + np.where(eq[:, i - 1], match, mismatch),
-                                                 row[..., 1:] + gap), floor)
-            row[..., 0] = edge[..., 0] * i
-            # a run of gaps in the first word: H[i, j] = max over k <= j of H[i, k] + (j - k) * gap
-            row[...] = np.maximum.accumulate(row - left, axis=-1) + left
-        # row i's part in each score: its cell in the last column, and its best
-        # cell inside the second word; only rows inside the first word count
-        cell = row[:, r, lb]
-        reach = np.where(in_b, row, _NONE).max(axis=-1)
-        corner = np.where(i == la, cell, corner)
-        local = np.maximum(local, np.where(i <= la, reach, _NONE))
-        semi = np.maximum(semi, np.where(i == la, reach, np.where(i <= la, cell, _NONE)))
-    best = {"global": corner, "local": local, "semiglobal": semi}
-    return [best[mode][p] for p, mode in enumerate(modes)]
+    local = [p for p, mode in enumerate(modes) if mode == "local"]
+    semi = [p for p, mode in enumerate(modes) if mode == "semiglobal"]
+    best = prev[local]  # per local parametrisation and cell j, the best U + i * gap of the rows so far
+    column = [prev[p, lb, r] for p in semi]  # per semi-global one, that of each pair's last column
+    out = np.empty((len(params), rows), dtype=np.int64)  # H in each pair's last cell
+    reach = np.empty((len(semi), rows), dtype=np.int64)  # per semi-global one, the best H of each last row
+
+    def keep(row, i, s, e):  # pairs s to e - 1 end at DP row i, which holds them from index 0 of its pair axis
+        b = lb[s:e]
+        out[:, s:e] = row[:, b, r[:e - s]] + (i + b) * gap[:, 0]
+        for k, p in enumerate(semi):
+            reach[k, s:e] = np.where(j <= b, row[p, :, :e - s] + (i + j) * gaps[p], _NONE).max(axis=0)
+
+    keep(prev, 0, 0, starts[1])
+    for i in range(1, m + 1):
+        s, e = starts[i], starts[i + 1]
+        up, row = prev[:, :, s:], cur[:, :, s:]
+        diag = row[:, 1:]
+        np.multiply(eq[i - 1, :, s:].view(np.int8), gain, out=diag)
+        diag += up[:, :-1]
+        diag += lo
+        np.maximum(diag, up[:, 1:], out=diag)
+        row[:, 0] = edge[:, 0] * i
+        for p in local:
+            np.maximum(row[p], (i + j) * -gaps[p], out=row[p])
+        shift = 1
+        while shift <= n:
+            np.maximum(row[:, shift:], row[:, :-shift], out=row[:, shift:])
+            shift *= 2
+        keep(row, i, s, e)
+        for k, p in enumerate(local):
+            np.maximum(best[k, :, s:], row[p] + i * gaps[p], out=best[k, :, s:])
+        for k, p in enumerate(semi):
+            np.maximum(column[k][s:], cur[p, lb[s:], r[s:]] + i * gaps[p], out=column[k][s:])
+        prev, cur = cur, prev
+    for k, p in enumerate(local):
+        out[p] = np.where(j <= lb, best[k] + j * gaps[p], _NONE).max(axis=0)
+    for k, p in enumerate(semi):
+        out[p] = np.maximum(reach[k], column[k] + lb * gaps[p])
+    return list(out)
 
 
-def _gram_scores(words: _Words, name: str, ka: np.ndarray, kb: np.ndarray) -> np.ndarray:
-    """Shared n-grams (bigram, trigram) or the (X)XDICE coefficient of each pair.
+def _gram_scores(words: _Words, offsets: tuple[int, ...], names: Sequence[str],
+                 ka: np.ndarray, kb: np.ndarray) -> dict[str, np.ndarray]:
+    """The named measures of each pair that count one kind of n-gram: shared
+    n-grams (bigram, trigram) or the (X)XDICE coefficient.
 
     Equal n-grams pair up by occurrence rank, so the i-th occurrence in one
     word matches the i-th in the other and the pairs count the multiset
     intersection.
     """
-    code, rank = words.grams(_GRAMS[name])
-    ra = rank[ka]
-    matched = ((code[ka][:, :, None] == code[kb][:, None, :])
-               & (ra[:, :, None] == rank[kb][:, None, :]) & (ra >= 0)[:, :, None])
-    if name in ("bigram", "trigram"):
-        return matched.sum(axis=(1, 2))
-    if name == "xdice":
-        shared = matched.sum(axis=(1, 2)).astype(np.float64)
-    else:  # weigh each match by 1/(1+d^2) of its distance d, summed left to right
-        d = np.arange(matched.shape[1])[:, None] - np.arange(matched.shape[2])
-        near = np.where(matched, 1.0 / (1.0 + d * d), 0.0).sum(axis=2)  # one match at most
-        shared = np.zeros(len(ka))
-        for p in range(near.shape[1]):
-            shared += near[:, p]
-    total = np.maximum(words.lengths[ka] - 2, 0) + np.maximum(words.lengths[kb] - 2, 0)
-    return np.divide(2.0 * shared, total, out=np.zeros(len(ka)), where=total > 0)
+    span = offsets[-1] + 1
+    la, lb = words.lengths[ka], words.lengths[kb]
+    code, rank = words.grams(offsets)
+    wa, wb = max(la.max() - span + 1, 0), max(lb.max() - span + 1, 0)  # n-grams of the longest words
+    ra = rank[:wa, ka]
+    matched = (code[:wa, ka][:, None] == code[:wb, kb]) & (ra[:, None] == rank[:wb, kb]) & (ra >= 0)[:, None]
+    out = {}
+    for name in names:
+        if name in ("bigram", "trigram"):
+            out[name] = matched.sum(axis=(0, 1))
+            continue
+        if name == "xdice":
+            shared = matched.sum(axis=(0, 1)).astype(np.float64)
+        else:  # weigh each match by 1/(1+d^2) of its distance d, summed left to right
+            d = np.arange(matched.shape[0])[:, None] - np.arange(matched.shape[1])
+            near = np.where(matched, (1.0 / (1.0 + d * d))[:, :, None], 0.0).sum(axis=1)  # one match at most
+            shared = np.zeros(len(ka))
+            for p in range(len(near)):
+                shared += near[p]
+        total = np.maximum(la - 2, 0) + np.maximum(lb - 2, 0)
+        out[name] = np.divide(2.0 * shared, total, out=np.zeros(len(ka)), where=total > 0)
+    return out
 
 
 def _measure_chunk(words: _Words, ka: np.ndarray, kb: np.ndarray, names: Sequence[str]) -> np.ndarray:
-    """The named measures of the string pairs (ka[r], kb[r]) of one chunk."""
+    """The named measures of the string pairs (ka[r], kb[r]) of one chunk, ka's strings by ascending length."""
     la, lb = words.lengths[ka], words.lengths[kb]
-    eq = words.codes[ka, :la.max()][:, :, None] == words.codes[kb, :lb.max()][:, None, :]
+    eq = words.codes[:la.max(), ka][:, None, :] == words.codes[:lb.max(), kb][None, :, :]
     dp = [name for name in names if name in DP_MEASURES]
     values = dict(zip(dp, _dp_scores(eq, la, lb, [DP_MEASURES[name] for name in dp]))) if dp else {}
     if "edit" in values:
         values["edit"] = -values["edit"]
     if "lcp" in names:
-        same = np.diagonal(eq, axis1=1, axis2=2) & (np.arange(min(eq.shape[1:])) < np.minimum(la, lb)[:, None])
-        values["lcp"] = np.logical_and.accumulate(same, axis=1).sum(axis=1)
-    for name in names:
-        if name in _GRAMS:
-            values[name] = _gram_scores(words, name, ka, kb)
+        k = np.arange(min(eq.shape[:2]))
+        same = eq[k, k] & (k[:, None] < np.minimum(la, lb))
+        values["lcp"] = np.logical_and.accumulate(same, axis=0).sum(axis=0)
+    for offsets in dict.fromkeys(_GRAMS[name] for name in names if name in _GRAMS):  # XDICE and XXDICE share one
+        values.update(_gram_scores(words, offsets, [n for n in names if _GRAMS.get(n) == offsets], ka, kb))
     return np.column_stack([values[name] for name in names]).astype(np.float64)
 
 
 def measure_table(pairs: Sequence[tuple[str, str]], names: Sequence[str] = MEASURES) -> np.ndarray:
     """The named measures (from ``MEASURES``) of each string pair, one column each.
 
-    Each distinct pair is measured once.
+    Each distinct pair is measured once.  Chunks take the pairs in order of
+    their first string's length, so a chunk's DP rows stop near the length
+    of its words.
     """
     unique, inverse = wordlists.distinct(pairs)
     strings, k = wordlists.distinct([s for pair in unique for s in pair])
     ka, kb = k[0::2], k[1::2]
     words = _Words(strings)
+    order = np.argsort(words.lengths[ka], kind="stable")
     out = np.empty((len(unique), len(names)))
     for s in range(0, len(unique), CHUNK):
-        out[s:s + CHUNK] = _measure_chunk(words, ka[s:s + CHUNK], kb[s:s + CHUNK], names)
+        chunk = order[s:s + CHUNK]
+        out[chunk] = _measure_chunk(words, ka[chunk], kb[chunk], names)
     return out[inverse]
 
 

@@ -9,7 +9,10 @@ a substitution function for every DP cell.  The convolution and its
 gradient are computed one kernel offset at a time, with no unfolding, and
 also by im2col over channels-last [B,H,W,C] arrays, the layout the
 production ops used before they stored activations batch-minor; max
-pooling takes numpy's argmax over each window.  The similarity features
+pooling takes numpy's argmax over each window.  The batched DP scores are
+also computed pair-major, one DP row of every pair at a time with the gap
+runs taken by ``np.maximum.accumulate``: the layout the production engine
+used before it put the pair axis innermost.  The similarity features
 are computed one pair at a time, with Python dynamic programs (the global,
 local and semi-global scores from the score-only :func:`dp_score`) and
 ``Counter`` n-gram multisets.  Average precision sorts the ranks in
@@ -210,6 +213,60 @@ def dp_score(a: str, b: str, sub, gap: float, mode: str) -> float:
     if mode == "local":
         return max(max(row) for row in H)
     return max(max(H[m]), max(row[n] for row in H))
+
+
+_NONE = -(1 << 24)  # below every reachable score
+
+
+def dp_scores_row_major(eq: np.ndarray, la: np.ndarray, lb: np.ndarray, params) -> list[np.ndarray]:
+    """Best score of each word pair under each (match, mismatch, gap, mode), pair-major.
+
+    ``eq[r, i, j]`` says whether symbol i of the r-th first word equals
+    symbol j of the r-th second word; their lengths are ``la[r]`` and
+    ``lb[r]``.  The DP rows of every parametrisation are filled one at a
+    time, keeping only the current one; cells past a word's end are filled
+    but never read.
+    """
+    rows, m, n = eq.shape
+    scores = np.array([p[:3] for p in params], dtype=np.int32).reshape(-1, 3, 1, 1)
+    match, mismatch, gap = scores[:, 0], scores[:, 1], scores[:, 2]
+    modes = [p[3] for p in params]
+    kind = np.array(modes)[:, None, None]
+    edge = np.where(kind == "global", gap, 0).astype(np.int32)  # score per step along row and column 0
+    floor = np.where(kind == "local", 0, _NONE).astype(np.int32)
+    j = np.arange(n + 1, dtype=np.int32)
+    left = gap * j
+    r = np.arange(rows)
+    in_b = j <= lb[:, None]
+    row = np.repeat(edge * j, rows, axis=1)  # DP row 0, overwritten by each next row
+    corner = local = semi = np.full((len(params), rows), _NONE, dtype=np.int32)
+    for i in range(m + 1):
+        if i:
+            row[..., 1:] = np.maximum(np.maximum(row[..., :-1] + np.where(eq[:, i - 1], match, mismatch),
+                                                 row[..., 1:] + gap), floor)
+            row[..., 0] = edge[..., 0] * i
+            # a run of gaps in the first word: H[i, j] = max over k <= j of H[i, k] + (j - k) * gap
+            row[...] = np.maximum.accumulate(row - left, axis=-1) + left
+        # row i's part in each score: its cell in the last column, and its best
+        # cell inside the second word; only rows inside the first word count
+        cell = row[:, r, lb]
+        reach = np.where(in_b, row, _NONE).max(axis=-1)
+        corner = np.where(i == la, cell, corner)
+        local = np.maximum(local, np.where(i <= la, reach, _NONE))
+        semi = np.maximum(semi, np.where(i == la, reach, np.where(i <= la, cell, _NONE)))
+    best = {"global": corner, "local": local, "semiglobal": semi}
+    return [best[mode][p] for p, mode in enumerate(modes)]
+
+
+def dp_table_row_major(pairs, names=tuple(similarity.DP_MEASURES)) -> np.ndarray:
+    """The named DP measures of each string pair by :func:`dp_scores_row_major`, all pairs at once."""
+    la = np.array([len(a) for a, _ in pairs], dtype=np.int64)
+    lb = np.array([len(b) for _, b in pairs], dtype=np.int64)
+    eq = np.zeros((len(pairs), la.max(initial=0), lb.max(initial=0)), dtype=bool)
+    for r, (a, b) in enumerate(pairs):
+        eq[r, :len(a), :len(b)] = np.array(list(a))[:, None] == np.array(list(b))[None, :]
+    values = dp_scores_row_major(eq, la, lb, [similarity.DP_MEASURES[name] for name in names])
+    return np.column_stack([-v if name == "edit" else v for name, v in zip(names, values)]).astype(np.float64)
 
 
 def conv2d_offsets(x, kernels, bias):
@@ -422,7 +479,8 @@ def xxdice(a: str, b: str) -> float:
 _UNIT = similarity.match_mismatch()  # match 1, mismatch -1
 
 
-def _measure_row(a: str, b: str) -> tuple[float, ...]:
+def measure_row(a: str, b: str) -> tuple[float, ...]:
+    """The ten measures of one string pair, in ``similarity.MEASURES`` order."""
     return (
         float(edit_distance_dp(a, b)),
         float(common_bigrams(a, b)),
@@ -440,7 +498,7 @@ def features_per_pair(a_asjp: str, b_asjp: str) -> list[float]:
     if not a_asjp or not b_asjp:
         raise ValueError("features_per_pair requires nonempty words")
     schemes = phoneme.SCHEMES
-    rows = [_measure_row(phoneme.to_sound_class(a_asjp, schemes[alph]),
+    rows = [measure_row(phoneme.to_sound_class(a_asjp, schemes[alph]),
                          phoneme.to_sound_class(b_asjp, schemes[alph]))
             for alph in similarity.ALPHABETS]
     measures = [rows[k][m] for m in range(len(similarity.MEASURES)) for k in range(len(rows))]

@@ -50,7 +50,7 @@ def test_svm_model_round_trip_is_exact(model, system, tmp_path):
 
 @SETTINGS
 @given(scores=arrays(np.float64, (pmi.N, pmi.N), elements=FINITE),
-       gap=st.floats(max_value=0.0, exclude_max=True, allow_infinity=False))
+       gap=st.floats(min_value=-pmi.MAX_GAP_PENALTY, max_value=0.0, exclude_max=True))
 def test_pmi_matrix_round_trip_is_exact(scores, gap, tmp_path):
     path = tmp_path / "matrix.tsv"
     pmi.save_matrix(pmi.PMIMatrix(scores=scores, gap_penalty=gap), path)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cognet import cli, pmi, similarity, svm, synthetic, wordlists
+from cognet import artifact, cli, phoneme, pmi, similarity, svm, synthetic, wordlists
 from cognet.neural import encode_pairs, load_checkpoint
 
 import oracles
@@ -94,6 +94,28 @@ def test_featurize_rows_are_the_per_pair_oracle_bytes(family_tsv, tmp_path):
             + [format(v, ".12g") for v in oracles.features_per_pair(p.a.form, p.b.form)]
             for p in wordlists.generate_pairs(wordlists.load_wordlist(family_tsv))]
     assert out.read_bytes() == "".join("\t".join(r) + "\n" for r in [header, *rows]).encode("utf-8")
+
+
+# forms of 17 to 40 symbols, and a short one, in one concept: longer than the
+# synthetic words, so the DP and n-gram kernels run on long rows
+_LONG_FORMS = ("patakumenilosarVt", "patakumenilosarVtVkupa", "bVtakuminilozarVtVkupanimetosVl",
+               "patakumenilosarVtVkupanimetosVlirapak!Nx", "pata")
+
+
+def _write_golden_family(path) -> None:
+    lexemes = synthetic.generate_family(n_concepts=8, n_languages=5, seed=7)
+    lexemes += [wordlists.Lexeme("synthetica", f"L{k}", "c900", phoneme.parse_word(form), "c900:cog")
+                for k, form in enumerate(_LONG_FORMS)]
+    wordlists.write_wordlist(lexemes, path)
+
+
+def test_featurize_equals_the_golden_bytes(tmp_path):
+    # tests/data/featurize_golden.tsv holds this family's features as the
+    # row-major DP kernel (oracles.dp_scores_row_major) computed them
+    data, out = tmp_path / "family.tsv", tmp_path / "features.tsv"
+    _write_golden_family(data)
+    assert cli.run(["featurize", "--data", str(data), "--out", str(out), "--seed", "1"]) == 0
+    assert out.read_bytes() == (Path(__file__).parent / "data" / "featurize_golden.tsv").read_bytes()
 
 
 def test_pmi_train_writes_matrix(family_tsv, tmp_path):
@@ -234,25 +256,46 @@ def test_overflowing_margin_is_a_usage_error_naming_it(margin, batch_size, famil
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("command", ["pipeline", "evaluate"])
+@pytest.mark.parametrize("command", ["pipeline", "pmi-train"])
 def test_overflowing_gap_penalty_is_a_usage_error_naming_it(command, family_tsv, tmp_path, capsys):
-    # two gaps of -1e308 sum to -inf, while the PMI estimation stays finite
-    out_dir = tmp_path / "run"
-    args = ["--data", str(family_tsv), "--system", "pmi_svm", "--seed", "7", "--out-dir", str(out_dir)]
+    # two gaps of -1e308 sum to -inf; the gap penalty's bound turns it away before any alignment
+    out = tmp_path / "run"
+    args = ["--data", str(family_tsv), "--seed", "7", "--gap-penalty=-1e308"]
     if command == "pipeline":
-        args += ["--gap-penalty=-1e308", "--mode", "cross-concept", *QUICK_SVM]
-    else:  # a model trained under the default gap penalty, scored through a matrix with the huge one
-        matrix = tmp_path / "pmi.tsv"
-        assert cli.run(["pmi-train", "--data", str(family_tsv), "--seed", "7", "--gap-penalty=-1e308",
-                        "--out", str(matrix)]) == 0
-        assert cli.run(["train", "--data", str(family_tsv), "--system", "pmi_svm", "--seed", "7",
-                        "--out-dir", str(tmp_path / "trained"), *QUICK_SVM]) == 0
-        args += ["--pmi-matrix", str(matrix), "--model", str(tmp_path / "trained" / "model.txt")]
-        capsys.readouterr()
+        args += ["--system", "pmi_svm", "--out-dir", str(out), "--mode", "cross-concept", *QUICK_SVM]
+    else:
+        args += ["--out", str(out / "pmi.tsv")]
     assert cli.run([command, *args]) == 1
-    err = capsys.readouterr().err
-    assert re.fullmatch(r"cognet: usage error: gap penalty -1e\+308 leaves the alignment score of "
-                        r"'\w+' and '\w+' non-finite \(-inf\)\n", err), err
+    assert capsys.readouterr().err == "cognet: usage error: gap penalty -1e+308 is not in [-1e+300, 0)\n"
+    assert not list(out.glob("report.*")) and not list(out.glob("pmi*.tsv"))
+
+
+def test_pmi_matrix_with_gap_penalty_past_its_bound_is_a_data_error_naming_its_line(family_tsv, tmp_path,
+                                                                                     capsys):
+    matrix = tmp_path / "pmi.tsv"
+    assert cli.run(["pmi-train", "--data", str(family_tsv), "--seed", "7", "--out", str(matrix)]) == 0
+    assert cli.run(["train", "--data", str(family_tsv), "--system", "pmi_svm", "--seed", "7",
+                    "--out-dir", str(tmp_path / "trained"), *QUICK_SVM]) == 0
+    text = matrix.read_text(encoding="utf-8")
+    line = text.split("\n").index("gap_penalty\t-2.5") + 1
+
+    def record(gap: float) -> None:
+        matrix.write_text(text.replace("gap_penalty\t-2.5", f"gap_penalty\t{gap!r}"), encoding="utf-8")
+
+    # the bound itself loads, the next float past it does not
+    record(-pmi.MAX_GAP_PENALTY)
+    assert pmi.load_matrix(matrix).gap_penalty == -pmi.MAX_GAP_PENALTY
+    record(float(np.nextafter(-pmi.MAX_GAP_PENALTY, -np.inf)))
+    with pytest.raises(artifact.ArtifactError, match=f":{line}: gap_penalty: "):
+        pmi.load_matrix(matrix)
+    record(-1e308)
+    out_dir = tmp_path / "run"
+    capsys.readouterr()
+    assert cli.run(["evaluate", "--data", str(family_tsv), "--system", "pmi_svm", "--seed", "7",
+                    "--out-dir", str(out_dir), "--pmi-matrix", str(matrix),
+                    "--model", str(tmp_path / "trained" / "model.txt")]) == 2
+    assert capsys.readouterr().err == (f"cognet: data error: {matrix}:{line}: gap_penalty: "
+                                       "gap penalty -1e+308 is not in [-1e+300, 0)\n")
     assert not list(out_dir.glob("report.*"))
 
 

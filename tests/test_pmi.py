@@ -137,6 +137,9 @@ def test_config_validation():
         pmi.PMIConfig(initial_cutoff=0.0)
     with pytest.raises(ValueError):
         pmi.PMIConfig(gap_penalty=0.5)
+    assert pmi.PMIConfig(gap_penalty=-pmi.MAX_GAP_PENALTY).gap_penalty == -1e300
+    with pytest.raises(ValueError, match=r"gap penalty -1e\+301 is not in \[-1e\+300, 0\)"):
+        pmi.PMIConfig(gap_penalty=-1e301)
     with pytest.raises(ValueError):
         pmi.PMIConfig(pseudocount=0.0)
 

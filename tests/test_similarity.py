@@ -247,6 +247,33 @@ def test_dp_engine_matches_memo_oracles_random():
         ], (a, b)
 
 
+# 15 to 40 symbols, the middle ones from symbols that no short word has, so
+# that aligning a long word with a short one runs 15 gaps or more in a DP row:
+# the prefix max over the row takes five or six doubling steps
+_LONG = st.builds(lambda head, middle, tail: head + middle + tail, st.text(alphabet="pVtk", max_size=5),
+                  st.text(alphabet="bdgz", min_size=15, max_size=30), st.text(alphabet="pVtk", max_size=5))
+
+
+@settings(deadline=None, max_examples=50)
+@given(long=st.lists(_LONG, min_size=1, max_size=2),
+       short=st.lists(st.text(alphabet="pVtk", max_size=5), max_size=3),
+       chunk=st.integers(1, 12))
+@example(long=["p" + "b" * 30 + "k", "tk" + "dg" * 15], short=["", "pk", "kVt"], chunk=3)
+def test_measure_table_equals_the_oracles_on_long_words(long, short, chunk):
+    # long and short words in one chunk, so short pairs leave the DP while
+    # long ones go on, and pairs split across chunks at every size
+    pairs = [(a, b) for a in long + short for b in long + short]
+    with mock.patch.object(sim, "CHUNK", chunk):
+        table = sim.measure_table(pairs)
+    want = np.array([oracles.measure_row(a, b) for a, b in pairs])
+    assert np.array_equal(table.view(np.int64), want.view(np.int64))
+    dp = [sim.MEASURES.index(name) for name in DP_NAMES]
+    assert np.array_equal(table[:, dp], oracles.dp_table_row_major(pairs))
+    for (a, b), row in zip(pairs, table):
+        assert row[sim.MEASURES.index("edit")] == oracles.edit_distance_memo(a, b)
+        assert row[sim.MEASURES.index("global")] == oracles.global_memo(a, b, MM, -1.0)
+
+
 def _assert_bitwise_equal_to_oracle(pairs, features):
     want = np.array([oracles.features_per_pair(a, b) for a, b in pairs])
     assert features.shape == want.shape == (len(pairs), len(sim.FEATURE_NAMES))
