@@ -13,7 +13,6 @@ exception no check expected; its traceback is printed).
 from __future__ import annotations
 
 import argparse
-import configparser
 import ctypes
 import hashlib
 import json
@@ -24,14 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import artifact, metrics, pmi, similarity, svm, wordlists
-from .neural import model as neural_model
+# the layers every system runs; each system's own layers are imported where it runs
+from . import artifact, metrics, svm, wordlists
 from .svm import decision_function, grid_search_cv
 
 NEURAL_SYSTEMS = ("manhattan", "two_channel", "siamese_euclid")
 SYSTEMS = svm.SYSTEMS + NEURAL_SYSTEMS
-# width of each SVM system's feature vectors
-N_FEATURES = {"ortho_svm": len(similarity.FEATURE_NAMES), "pmi_svm": 4}
 
 # bad input: each data exception derives from artifact.DataError; a bare ValueError is a bug
 DATA_ERRORS = (OSError, artifact.DataError)
@@ -75,6 +72,7 @@ def _load_config(path: str | None) -> dict[str, str]:
     """Flatten [section] key = value pairs into 'key' -> value."""
     if path is None:
         return {}
+    import configparser
     parser = configparser.ConfigParser(interpolation=None)  # values are literal: '%' is no escape
     try:
         read = parser.read(path, encoding="utf-8")
@@ -218,9 +216,12 @@ def features_for(system: str, pairs: list[wordlists.WordPair], artifacts: dict):
     """
     unique, inverse = wordlists.distinct(pairs, key=lambda p: p.forms)
     if system in NEURAL_SYSTEMS:
+        from .neural import model as neural_model
         return neural_model.encode_pairs(unique, artifacts["net"].spec.pad_len), inverse
     if system == "pmi_svm":
+        from . import pmi
         return np.array([pmi.pmi_features(*p.forms, artifacts["pmi_matrix"]) for p in unique]), inverse
+    from . import similarity
     return similarity.feature_matrix([p.forms for p in unique]), inverse
 
 
@@ -229,6 +230,7 @@ def _g(value: float) -> str:
 
 
 def cmd_featurize(options: dict) -> int:
+    from . import similarity
     _require(options, "data", "out")
     _, pairs = _load_pairs(options)
     out = Path(options["out"])
@@ -243,13 +245,15 @@ def cmd_featurize(options: dict) -> int:
     return _finish(out.parent, "featurize", options, f"wrote {len(pairs)} feature rows to {out}")
 
 
-def _pmi_config(options: dict) -> pmi.PMIConfig:
+def _pmi_config(options: dict):
+    from . import pmi
     with _user_values():
         return pmi.PMIConfig(options["cutoff"], options["max_iterations"], options["tol"],
                              options["pseudocount"], options["gap_penalty"])
 
 
 def cmd_pmi_train(options: dict) -> int:
+    from . import pmi
     _require(options, "data", "out")
     cfg = _pmi_config(options)
     _, pairs = _load_pairs(options)
@@ -266,6 +270,7 @@ def _train_system(options: dict, train_pairs: list[wordlists.WordPair], out_dir:
     """Train the chosen system, write its artifacts to ``out_dir`` and return them."""
     system, seed = options["system"], options["seed"]
     if system in NEURAL_SYSTEMS:
+        from .neural import model as neural_model
         with _user_values():
             spec = neural_model.ModelSpec(system, options["filters"], options["kernel"],
                                           options["fc_units"], options["dropout"], options["pad_len"])
@@ -285,6 +290,7 @@ def _train_system(options: dict, train_pairs: list[wordlists.WordPair], out_dir:
         raise UsageError("--svm-passes must be >= 0")
     artifacts = {}
     if system == "pmi_svm":
+        from . import pmi
         matrix = (pmi.load_matrix(options["pmi_matrix"]) if options["pmi_matrix"] else
                   pmi.estimate_pmi([p.forms for p in train_pairs], _pmi_config(options)))
         pmi.save_matrix(matrix, out_dir / "pmi_matrix.tsv")
@@ -308,12 +314,18 @@ def load_artifacts(options: dict) -> dict:
     """Read what ``--system`` was trained into; each file must record that system."""
     system, path = options["system"], options["model"]
     if system in NEURAL_SYSTEMS:
+        from .neural import model as neural_model
         return {"net": neural_model.load_checkpoint(path, system)}
     artifacts = {}
     if system == "pmi_svm":
+        from . import pmi
         _require(options, "pmi_matrix")
         artifacts["pmi_matrix"] = pmi.load_matrix(options["pmi_matrix"])
-    artifacts["svm"] = svm.load_model(path, system, N_FEATURES[system])
+        n_features = 4  # pmi.pmi_features: the score and three lengths
+    else:
+        from . import similarity
+        n_features = len(similarity.FEATURE_NAMES)
+    artifacts["svm"] = svm.load_model(path, system, n_features)
     return artifacts
 
 

@@ -8,6 +8,7 @@ channels of a single input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -77,6 +78,18 @@ class ModelSpec:
             shapes.append(1)
         return shapes
 
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Each parameter's shape, in initialization order; raises InvalidSpec."""
+        kh, kw = self.kernel
+        f = self.conv_filters
+        flat = self.shape_pipeline()[4]
+        shapes = {"conv1_w": (kh, kw, self.in_channels, f), "conv1_b": (f,),
+                  "conv2_w": (kh, kw, f, f), "conv2_b": (f,)}
+        if self.architecture != SIAMESE_EUCLID:
+            shapes |= {"fc_w": (flat, self.fc_units), "fc_b": (self.fc_units,),
+                       "out_w": (self.fc_units, 1), "out_b": (1,)}
+        return shapes
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -94,33 +107,29 @@ class TrainConfig:
             raise ValueError("margin must be > 0")
 
 
-def _glorot(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
+def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Glorot uniform weights; a kernel [kh, kw, in, out] fans in and out over its kh x kw window."""
+    window = math.prod(shape[:-2])
+    limit = np.sqrt(6.0 / (window * shape[-2] + window * shape[-1]))
     return rng.uniform(-limit, limit, size=shape)
 
 
 class Model:
-    """Parameters plus forward/backward wiring for one architecture."""
+    """Parameters plus forward/backward wiring for one architecture.
 
-    def __init__(self, spec: ModelSpec, seed: int = 0):
+    ``params`` maps each name of ``spec.param_shapes()`` to its tensor; when
+    it is None they are initialized from ``seed`` (Glorot uniform, zero bias).
+    """
+
+    def __init__(self, spec: ModelSpec, seed: int = 0, params: dict[str, np.ndarray] | None = None):
         self.spec = spec
         self.shapes = spec.shape_pipeline()
-        kh, kw = spec.kernel
-        cin = spec.in_channels
-        f = spec.conv_filters
-        rng = np.random.default_rng(seed)
-        params: dict[str, np.ndarray] = {}
-        params["conv1_w"] = _glorot(rng, (kh, kw, cin, f), kh * kw * cin, kh * kw * f)
-        params["conv1_b"] = np.zeros(f)
-        params["conv2_w"] = _glorot(rng, (kh, kw, f, f), kh * kw * f, kh * kw * f)
-        params["conv2_b"] = np.zeros(f)
-        if spec.architecture != SIAMESE_EUCLID:
-            flat = self.flat_dim
-            params["fc_w"] = _glorot(rng, (flat, spec.fc_units), flat, spec.fc_units)
-            params["fc_b"] = np.zeros(spec.fc_units)
-            params["out_w"] = _glorot(rng, (spec.fc_units, 1), spec.fc_units, 1)
-            params["out_b"] = np.zeros(1)
-        self.params = params
+        shapes = spec.param_shapes()
+        if params is None:
+            rng = np.random.default_rng(seed)
+            params = {name: np.zeros(shape) if name.endswith("_b") else _glorot(rng, shape)
+                      for name, shape in shapes.items()}
+        self.params = {name: params[name] for name in shapes}
 
     @property
     def flat_dim(self) -> int:
@@ -301,9 +310,6 @@ def load_checkpoint(path, system: str | None = None) -> Model:
     def spec(header: dict) -> ModelSpec:
         return ModelSpec(*(header[k] for k in _CHECKPOINT_HEADER if k != "pool"))
 
-    values, tensors, _ = artifact.load(
-        path, "checkpoint", _CHECKPOINT_HEADER,
-        lambda h: {k: v.shape for k, v in Model(spec(h)).params.items()}, system)
-    model = Model(spec(values))
-    model.params.update(tensors)
-    return model
+    values, tensors, _ = artifact.load(path, "checkpoint", _CHECKPOINT_HEADER,
+                                       lambda h: spec(h).param_shapes(), system)
+    return Model(spec(values), params=tensors)

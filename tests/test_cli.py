@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cognet
 from cognet import artifact, cli, phoneme, pmi, similarity, svm, synthetic, wordlists
 from cognet.neural import encode_pairs, load_checkpoint
 
@@ -314,10 +315,76 @@ def _checkout_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
-def _python(code: str) -> str:
-    """The stdout of ``code`` run in a fresh interpreter that imports this checkout's cognet."""
-    return subprocess.run([sys.executable, "-c", code], env=_checkout_env(), capture_output=True, text=True,
-                          check=True).stdout
+def _python(code: str, *args: str) -> str:
+    """The stdout of ``code`` run with ``args`` in a fresh interpreter that imports this checkout's cognet."""
+    return subprocess.run([sys.executable, "-c", code, *args], env=_checkout_env(), capture_output=True,
+                          text=True, check=True).stdout
+
+
+# The layers a bare `import cognet` loads, then the type of each name in cognet.__all__.
+PACKAGE_NAMES = """
+import json
+import sys
+import cognet
+loaded = sorted(m for m in sys.modules if m.startswith("cognet."))
+print(json.dumps([loaded, {name: type(getattr(cognet, name)).__name__ for name in cognet.__all__}]))
+"""
+
+
+def test_importing_the_package_loads_no_layer_and_every_public_name_resolves():
+    loaded, kinds = json.loads(_python(PACKAGE_NAMES))
+    assert loaded == []
+    assert kinds == {name: "str" if name == "__version__" else "module" for name in cognet.__all__}
+    assert not hasattr(cognet, "no_such_layer")
+
+
+# Runs `python -m cognet.cli ARGS...`, then prints its exit code and every module it left loaded.
+CLI_MODULES = """
+import runpy
+import sys
+try:
+    runpy.run_module("cognet.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(sys.modules))
+"""
+
+
+def _cli_modules(*args: str) -> tuple[str, list[str]]:
+    """The exit code of a fresh `python -m cognet.cli ARGS...` and the modules it loaded."""
+    code, *modules = _python(CLI_MODULES, *args).splitlines()[-1].split()
+    return code, modules
+
+
+# per system: a layer its evaluate loads, and the prefixes of modules it must not load
+EVALUATE_LOADS = {
+    "ortho_svm": ("cognet.similarity", ("cognet.neural", "cognet.pmi")),
+    "pmi_svm": ("cognet.pmi", ("cognet.neural",)),
+    **{system: ("cognet.neural.model", ("cognet.similarity", "cognet.pmi", "numpy.random"))
+       for system in cli.NEURAL_SYSTEMS},
+}
+
+
+@pytest.mark.parametrize("system", cli.SYSTEMS)
+def test_evaluate_imports_only_the_layers_its_system_runs(system, every_system, family_tsv, tmp_path):
+    model_dir = every_system / system
+    args = ["evaluate", "--data", str(family_tsv), "--system", system, "--model", str(model_dir / "model.txt"),
+            "--out-dir", str(tmp_path), "--seed", "3"]
+    if system == "pmi_svm":
+        args += ["--pmi-matrix", str(model_dir / "pmi_matrix.tsv")]
+    code, modules = _cli_modules(*args)
+    used, unused = EVALUATE_LOADS[system]
+    assert code == "0" and used in modules
+    assert [m for m in modules if m.startswith(unused)] == []
+
+
+@pytest.mark.parametrize("args, code", [(["--help"], "0"),
+                                         (["evaluate", "--system", "two_channel", "--seed", "1"], "1")])
+def test_help_and_usage_errors_import_no_system_layer(args, code):
+    exit_code, modules = _cli_modules(*args)
+    assert exit_code == code and "cognet.svm" in modules  # the layers every system runs are loaded
+    unused = ("cognet.similarity", "cognet.pmi", "cognet.neural", "numpy.random", "configparser")
+    assert [m for m in modules if m.startswith(unused)] == []
 
 
 # Minor page faults per step over steps 11-30 of Manhattan training on 128
@@ -568,6 +635,30 @@ def test_defective_artifact_is_a_data_error_naming_file_and_line(case, trained, 
     assert re.search(re.escape(f"data error: {files[name]}:") + r"\d+: ", err), err
     assert named in err
     assert not (tmp_path / "eval" / "report.txt").exists()
+
+
+# header lines whose spec cannot be built, and why
+UNBUILDABLE_HEADERS = {
+    "kernel\t11x3": "kernel (11, 3) exhausts the 10x16 input",
+    "conv_filters\t0": "conv_filters, fc_units, and pad_len must be >= 1",
+    "pad_len\t3": "2x2 pooling exhausts the feature map",
+}
+
+
+@pytest.mark.parametrize("line", sorted(UNBUILDABLE_HEADERS))
+def test_checkpoint_whose_spec_cannot_be_built_is_a_data_error_at_line_2(line, trained, family_tsv, tmp_path,
+                                                                          capsys):
+    key = line.split("\t")[0]
+    model = tmp_path / "model.txt"
+    model.write_text("".join((line if ln.startswith(key + "\t") else ln) + "\n" for ln in
+                             (trained / "two_channel" / "model.txt").read_text(encoding="utf-8").splitlines()),
+                     encoding="utf-8")
+    message = f"{model}:2: header: {UNBUILDABLE_HEADERS[line]}"
+    with pytest.raises(artifact.ArtifactError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(model, "two_channel")
+    assert cli.run(["evaluate", "--data", str(family_tsv), "--system", "two_channel", "--seed", "3",
+                    "--model", str(model), "--out-dir", str(tmp_path / "eval")]) == 2
+    assert capsys.readouterr().err == f"cognet: data error: {message}\n"
 
 
 def test_svm_model_with_a_byte_that_is_not_utf8_names_its_line(trained, family_tsv, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import re
 
@@ -245,6 +246,37 @@ def test_stored_checkpoint_loads_and_a_pool_other_than_2x2_is_rejected(tmp_path)
     path.write_text(text.replace("pool\t2x2", "pool\t2x1"), encoding="utf-8")
     with pytest.raises(ArtifactError, match=f"^{re.escape(str(path))}:8: pool: '2x1' is not one of"):
         load_checkpoint(path, MANHATTAN)
+
+
+# sha256 of each weight tensor's little-endian float64 bytes in build(ModelSpec(arch), seed=0),
+# as the Glorot initializer has always drawn them
+INIT_DIGESTS = {
+    SIAMESE_EUCLID: {
+        "conv1_w": "60566f77f44d6095bd0f68a345f984fbbf513ea6bde88b1cead6755c4791c606",
+        "conv2_w": "1c75cb2ba74f1c8357c49fd4676d5aec86dceecb69abdbc5fc5c07f07fca6208",
+    },
+    MANHATTAN: {
+        "conv1_w": "60566f77f44d6095bd0f68a345f984fbbf513ea6bde88b1cead6755c4791c606",
+        "conv2_w": "1c75cb2ba74f1c8357c49fd4676d5aec86dceecb69abdbc5fc5c07f07fca6208",
+        "fc_w": "23974c3fdfa5930f7ad33d0ce4e6f2f7507f54cfe0658b028e262a8b39221cb1",
+        "out_w": "c12c9527e362adb140bffcd38f3c2a57e9d353fee57df3eb2869bf619a96b895",
+    },
+    TWO_CHANNEL: {
+        "conv1_w": "d660b88c0776fb323a446b582632ca38d6b331ac2a421d8b407fcd3973e643f4",
+        "conv2_w": "3ea69f92e0fda0f63fa26f374483f67d2906015da5e64ba18bc7f2b6044d3519",
+        "fc_w": "07cc28759baad5d9eede39053a97919c213f2dadc2acd6e28c75613cc502e83f",
+        "out_w": "80a2c51d02bc8d6a8b16b494bf595f3733e9f1cd96cbb27c221798c931066995",
+    },
+}
+
+
+@pytest.mark.parametrize("arch", sorted(INIT_DIGESTS))
+def test_seeded_init_draws_the_golden_weights(arch):
+    params = build(ModelSpec(arch), seed=0).params
+    digests = {name: hashlib.sha256(t.astype("<f8").tobytes()).hexdigest()
+               for name, t in params.items() if name.endswith("_w")}
+    assert digests == INIT_DIGESTS[arch]
+    assert not any(t.any() for name, t in params.items() if name.endswith("_b"))
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
