@@ -112,12 +112,9 @@ def _parse_kernel(text: str) -> tuple[int, int]:
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     try:
-        grid = tuple(artifact.finite_float(v) for v in text.split(","))
-        if min(grid) > 0:
-            return grid
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"C grid must list positive numbers like '0.1,1,10', got {text!r}")
+        return tuple(svm.check_C(float(v)) for v in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"C grid {text!r}: {exc}") from None
 
 
 def _families(options: dict, key: str) -> set[str]:
@@ -321,11 +318,11 @@ def load_artifacts(options: dict) -> dict:
         from . import pmi
         _require(options, "pmi_matrix")
         artifacts["pmi_matrix"] = pmi.load_matrix(options["pmi_matrix"])
-        n_features = 4  # pmi.pmi_features: the score and three lengths
+        names = pmi.FEATURE_NAMES
     else:
         from . import similarity
-        n_features = len(similarity.FEATURE_NAMES)
-    artifacts["svm"] = svm.load_model(path, system, n_features)
+        names = similarity.FEATURE_NAMES
+    artifacts["svm"] = svm.load_model(path, system, len(names))
     return artifacts
 
 
@@ -416,7 +413,10 @@ def _keep_freed_heap() -> None:
 
 
 def run(argv=None) -> int:
-    """Parse arguments, dispatch, and map failures to exit codes."""
+    """Parse arguments, dispatch, and map failures to exit codes.
+
+    Every number is bounded where it enters but ``--margin``, whose overflow training detects.
+    """
     _keep_freed_heap()
     parser = build_parser()
     try:
@@ -427,7 +427,7 @@ def run(argv=None) -> int:
         if options["seed"] is None:
             raise UsageError("a --seed is required (reproducibility contract)")
         return _COMMANDS[args.command][0](options)
-    except (UsageError, FloatingPointError) as exc:  # an option that overflows the arithmetic is a bad option
+    except (UsageError, FloatingPointError) as exc:  # a FloatingPointError is an overflowing --margin
         print(f"cognet: usage error: {exc}", file=sys.stderr)
         return 1
     except DATA_ERRORS as exc:

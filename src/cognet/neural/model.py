@@ -131,10 +131,6 @@ class Model:
                       for name, shape in shapes.items()}
         self.params = {name: params[name] for name in shapes}
 
-    @property
-    def flat_dim(self) -> int:
-        return self.shapes[4]
-
     # trunk: conv -> relu -> conv -> relu -> pool -> flatten
 
     def _trunk(self, x: np.ndarray):

@@ -5,13 +5,13 @@ aligned symbol pairs are counted, and the counts become a log-odds scoring
 matrix.  Realigning with that matrix and recounting is repeated until the
 matrix stops moving.  The resulting matrix scores new word pairs through
 ordinary global alignment, which reads each substitution score from the
-matrix and adds the gap penalty per gap.
+matrix and adds the gap penalty per gap.  The pseudocount, the gap penalty
+and each score of a matrix file are bounded where they enter, so no score overflows.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,20 +28,25 @@ class EmptySeedSet(artifact.DataError):
     """No word pair passed the initial edit-distance cutoff."""
 
 
-# The largest gap penalty magnitude.  Under it, the global alignment score of
-# two words with fewer than 10**8 symbols between them stays finite: a PMI
-# score is a log-odds ratio of a few thousand bits at most.
+# The largest magnitude of a gap penalty or of a matrix file's score.  Then
+# every number the aligner adds is at most 1e300 in magnitude, so the score of
+# an alignment of words with fewer than 10**8 symbols between them stays
+# finite.  An estimated PMI score is a log-odds ratio of a few thousand bits.
 MAX_GAP_PENALTY = 1e300
+
+# The pseudocount's range.  Within it, every smoothed cell, their total and
+# every product of two marginals is a normal float at any realistic count
+# total: 35 * 35 cells of 1e305 sum to under the largest float, and a marginal
+# of at least 35 pseudocounts over the total squares to far above the smallest.
+MIN_PSEUDOCOUNT, MAX_PSEUDOCOUNT = 1e-100, 1e305
+
+FEATURE_NAMES = ("pmi", "len_a", "len_b", "abs_len_diff")  # pmi_features' columns
 
 
 def _check_gap_penalty(value: float) -> float:
     if not -MAX_GAP_PENALTY <= value < 0:
         raise ValueError(f"gap penalty {value:g} is not in [-{MAX_GAP_PENALTY:g}, 0)")
     return value
-
-
-class NonFinitePMI(FloatingPointError):
-    """A PMI or alignment score came out infinite or NaN: the pseudocount or gap penalty is too extreme."""
 
 
 @dataclass(frozen=True)
@@ -59,8 +64,9 @@ class PMIConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.convergence_tol <= 0:
             raise ValueError("convergence_tol must be > 0")
-        if not 0 < self.pseudocount < math.inf:
-            raise ValueError(f"pseudocount must be positive and finite, got {self.pseudocount:g}")
+        if not MIN_PSEUDOCOUNT <= self.pseudocount <= MAX_PSEUDOCOUNT:
+            raise ValueError(f"pseudocount {float(self.pseudocount)!r} is not in "
+                             f"[{MIN_PSEUDOCOUNT:g}, {MAX_PSEUDOCOUNT:g}]")
         _check_gap_penalty(self.gap_penalty)
 
 
@@ -80,17 +86,11 @@ class PMIMatrix:
 
 def _counts_to_pmi(counts: np.ndarray, pseudocount: float) -> np.ndarray:
     # smooth every cell, normalize, and take log-odds against the marginals;
-    # smoothing keeps both the joint and the marginals positive, unless a
-    # tiny pseudocount underflows in the normalized joint or in a product of
-    # marginals, or a huge one overflows the total
+    # smoothing keeps both the joint and the marginals positive
     smoothed = counts + pseudocount
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        joint = smoothed / smoothed.sum()
-        marginal = joint.sum(axis=1)
-        scores = np.log2(joint) - np.log2(np.outer(marginal, marginal))
-    if not np.isfinite(scores).all():
-        raise NonFinitePMI(f"pseudocount {pseudocount:g} leaves a PMI score non-finite")
-    return scores
+    joint = smoothed / smoothed.sum()
+    marginal = joint.sum(axis=1)
+    return np.log2(joint) - np.log2(np.outer(marginal, marginal))
 
 
 def _count_pairs(seeds: list[tuple[str, str]], scores: np.ndarray, gap: float) -> np.ndarray:
@@ -123,8 +123,7 @@ def estimate_pmi(pairs: list[tuple[str, str]], cfg: PMIConfig = PMIConfig()) -> 
     stays within ``cfg.initial_cutoff``; they are first aligned at unit
     edit costs, then repeatedly realigned under the current matrix.  Stops
     when the largest matrix change drops below ``cfg.convergence_tol`` or
-    after ``cfg.max_iterations`` realignments.  Raises NonFinitePMI when a
-    matrix is not finite.
+    after ``cfg.max_iterations`` realignments.
     """
     seeds = seed_pairs(pairs, cfg.initial_cutoff)
     if not seeds:
@@ -134,35 +133,22 @@ def estimate_pmi(pairs: list[tuple[str, str]], cfg: PMIConfig = PMIConfig()) -> 
 
     scores = _counts_to_pmi(_count_pairs(seeds, _EDIT_SCORES, -1.0), cfg.pseudocount)
 
-    iterations = 0
-    delta = float("nan")
-    converged = False
-    for iterations in range(1, cfg.max_iterations + 1):
+    for iterations in range(1, cfg.max_iterations + 1):  # PMIConfig asks for at least one
         new_scores = _counts_to_pmi(_count_pairs(seeds, scores, cfg.gap_penalty), cfg.pseudocount)
         delta = float(np.max(np.abs(new_scores - scores)))
         scores = new_scores
         if delta < cfg.convergence_tol:
-            converged = True
             break
-    return PMIMatrix(
-        scores=scores,
-        gap_penalty=cfg.gap_penalty,
-        iterations=iterations,
-        final_delta=delta,
-        converged=converged,
-    )
+    return PMIMatrix(scores=scores, gap_penalty=cfg.gap_penalty, iterations=iterations, final_delta=delta,
+                     converged=delta < cfg.convergence_tol)
 
 
 def pmi_features(a: str, b: str, matrix: PMIMatrix) -> list[float]:
-    """Feature vector [pmi score, len(a), len(b), |len(a)-len(b)|].
+    """Feature vector [pmi score, len(a), len(b), |len(a)-len(b)|], named by ``FEATURE_NAMES``.
 
-    The pmi score is the best global alignment score of the words under the
-    matrix.  Raises NonFinitePMI when that score overflows.
+    The pmi score is the best global alignment score of the words under the matrix.
     """
     score = similarity.align(a, b, matrix.scores, matrix.gap_penalty)[0]
-    if not math.isfinite(score):
-        raise NonFinitePMI(f"gap penalty {matrix.gap_penalty:g} leaves the alignment score of "
-                           f"{a!r} and {b!r} non-finite ({score})")
     return [score, float(len(a)), float(len(b)), float(abs(len(a) - len(b)))]
 
 
@@ -178,6 +164,12 @@ def save_matrix(matrix: PMIMatrix, path) -> None:
 
 
 def load_matrix(path) -> PMIMatrix:
-    """Read a matrix written by :func:`save_matrix`."""
-    values, tensors, _ = artifact.load(path, "pmi-matrix", _HEADER, lambda h: {"scores": (N, N)})
-    return PMIMatrix(scores=tensors["scores"], gap_penalty=values["gap_penalty"])
+    """Read a matrix written by :func:`save_matrix`; each score must lie within ``MAX_GAP_PENALTY``."""
+    values, tensors, lines = artifact.load(path, "pmi-matrix", _HEADER, lambda h: {"scores": (N, N)})
+    scores = tensors["scores"]
+    past = np.argwhere(np.abs(scores) > MAX_GAP_PENALTY)
+    if len(past):
+        (i, j), symbols = past[0], phoneme.INVENTORY
+        raise artifact.ArtifactError(path, lines["scores"], f"score {float(scores[i, j])!r} of {symbols[i]!r} "
+                                     f"and {symbols[j]!r} is not in [-{MAX_GAP_PENALTY:g}, {MAX_GAP_PENALTY:g}]")
+    return PMIMatrix(scores=scores, gap_penalty=values["gap_penalty"])

@@ -8,7 +8,8 @@ those, weighted by their counts: duplicating every row leaves the fit
 bit-identical.  Optimization is deterministic full-batch subgradient
 descent with a 1/t step, returning the best iterate seen.  One descent
 serves both callers: ``fit`` runs it for one C, and the grid search for
-all of a fold's C values in lockstep.
+all of a fold's C values in lockstep.  ``MAX_C`` bounds C wherever it
+enters, in ``fit``, the grid search and a model file, so the descent cannot overflow.
 """
 
 from __future__ import annotations
@@ -35,8 +36,19 @@ class TooFewSamples(artifact.DataError):
     pass
 
 
-class Diverged(FloatingPointError):
-    """The descent overflowed for some C; its weights would be meaningless."""
+# The largest C.  Each 1/t iterate's weights are a convex combination of the
+# previous weights and C times a weighted mean of the signed standardised rows,
+# whose entries are at most sqrt(n) in magnitude, so ||w|| <= C * sqrt(d * n);
+# the bias moves by at most C / t at step t, so |b| <= C * H_T (the harmonic
+# number).  The objective then stays below about C**2 * (1.5 * d * n + H_T),
+# which is finite for C <= 1e100 whenever d * n is far below 1e100.
+MAX_C = 1e100
+
+
+def check_C(C: float) -> float:
+    if not 0 < C <= MAX_C:
+        raise ValueError(f"C {float(C)!r} is not in (0, {MAX_C:g}]")
+    return C
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,13 +105,13 @@ def _standardized(rows: np.ndarray, ys: np.ndarray, counts: np.ndarray) -> tuple
 
 def fit(X, y, C: float = 1.0, passes: int = 2000) -> LinearModel:
     """Fit the linear classifier by the descent for the one value ``C``; deterministic."""
+    check_C(C)
     rows, ys, inverse = _distinct_rows(X, y)
     Z, ys, counts, mean, std = _standardized(rows, ys, np.bincount(inverse, minlength=len(rows)))
     W, b = _descend(Z, ys, counts, np.array([C], dtype=np.float64), passes)
     return LinearModel(weights=W[0], bias=float(b[0]), mean=mean, std=std, C=C)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is reported as Diverged
 def _descend(Z: np.ndarray, ys: np.ndarray, counts: np.ndarray, Cs: np.ndarray,
              passes: int) -> tuple[np.ndarray, np.ndarray]:
     """The subgradient descent on the standardised rows ``Z`` for every C of ``Cs`` at once.
@@ -108,10 +120,11 @@ def _descend(Z: np.ndarray, ys: np.ndarray, counts: np.ndarray, Cs: np.ndarray,
     the objective and subgradient are those of the rows repeated that often.
     Returns the best iterates: weights ``[k, d]`` and biases ``[k]``, row i
     for ``Cs[i]``.  Each row takes its own 1/t steps and keeps its own best
-    iterate, so no row depends on the others.  Raises Diverged when a row's
-    last objective is not finite: an overflowed objective never beats the
-    zero start, which would otherwise come back as that row's weights.
+    iterate, so no row depends on the others.  Every C within MAX_C keeps
+    every number here finite.
     """
+    if passes < 0:
+        raise ValueError(f"passes must be >= 0, got {passes}")
     k, (u, d) = len(Cs), Z.shape
     n = counts.sum()
     # Each row's weights and bias as one [k, d + 1] matrix, against the signed
@@ -133,7 +146,7 @@ def _descend(Z: np.ndarray, ys: np.ndarray, counts: np.ndarray, Cs: np.ndarray,
         np.maximum(hinge, 0.0, out=hinge)
         return 0.5 * np.einsum("kd,kd->k", theta[:, :d], theta[:, :d]) + Cs * (hinge @ share)
 
-    obj = best_obj = objective()
+    best_obj = objective()
     best = theta.copy()
     for t in range(1, passes + 1):
         np.less(margins, 1.0, out=active)
@@ -146,10 +159,6 @@ def _descend(Z: np.ndarray, ys: np.ndarray, counts: np.ndarray, Cs: np.ndarray,
         if better.any():
             np.copyto(best_obj, obj, where=better)
             np.copyto(best, theta, where=better[:, None])
-    diverged = ~np.isfinite(obj)
-    if diverged.any():
-        raise Diverged("the SVM descent overflowed for C = "
-                       + ", ".join(format(C, "g") for C in Cs[diverged]) + "; use a smaller C")
     return best[:, :d].copy(), best[:, d].copy()
 
 
@@ -187,6 +196,9 @@ def grid_search_cv(X, y, C_grid=(0.01, 0.1, 1.0, 10.0, 100.0), folds: int = 10,
     and fits the whole grid on them in one lockstep descent.  Ties go to
     the smallest C.
     """
+    if folds < 2:
+        raise ValueError(f"folds must be >= 2, got {folds}")
+    Cs = np.array(list(dict.fromkeys(check_C(float(C)) for C in C_grid)))
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     rows, ys, inverse = _distinct_rows(X, y)
@@ -194,7 +206,6 @@ def grid_search_cv(X, y, C_grid=(0.01, 0.1, 1.0, 10.0, 100.0), folds: int = 10,
         raise TooFewSamples(f"{X.shape[0]} samples cannot fill {folds} folds")
     if np.bincount(y, minlength=2).min() < 2:
         raise TooFewSamples("each class needs at least 2 samples for stratified folding")
-    Cs = np.array(list(dict.fromkeys(float(C) for C in C_grid)))
     assignment = _stratified_folds(y, folds, seed)
     accs = []  # per nonempty fold, the validation accuracy of each C
     for k in range(folds):
@@ -228,7 +239,7 @@ def load_model(path, system: str | None = None, dim: int | None = None) -> Linea
             raise ValueError(f"{n} features, expected {dim or 'at least 1'}")
         return n
 
-    header = {"system": artifact.one_of(*SYSTEMS), "dim": n_features, "C": artifact.finite_float}
+    header = {"system": artifact.one_of(*SYSTEMS), "dim": n_features, "C": lambda text: check_C(float(text))}
     values, t, lines = artifact.load(path, "svm-model", header, lambda h: {
         "weights": (h["dim"],), "mean": (h["dim"],), "std": (h["dim"],), "bias": (1,)}, system)
     if (t["std"] <= 0.0).any():

@@ -32,7 +32,7 @@ def linear_models(draw):
         bias=draw(FINITE),
         mean=draw(arrays(np.float64, dim, elements=FINITE)),
         std=draw(arrays(np.float64, dim, elements=POSITIVE)),
-        C=draw(POSITIVE),
+        C=draw(st.floats(min_value=0.0, max_value=svm.MAX_C, exclude_min=True)),
     )
 
 
@@ -49,7 +49,8 @@ def test_svm_model_round_trip_is_exact(model, system, tmp_path):
 
 
 @SETTINGS
-@given(scores=arrays(np.float64, (pmi.N, pmi.N), elements=FINITE),
+@given(scores=arrays(np.float64, (pmi.N, pmi.N),
+                    elements=st.floats(min_value=-pmi.MAX_GAP_PENALTY, max_value=pmi.MAX_GAP_PENALTY)),
        gap=st.floats(min_value=-pmi.MAX_GAP_PENALTY, max_value=0.0, exclude_max=True))
 def test_pmi_matrix_round_trip_is_exact(scores, gap, tmp_path):
     path = tmp_path / "matrix.tsv"

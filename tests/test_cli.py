@@ -223,24 +223,36 @@ def test_pipeline_rerun_is_byte_identical(family_tsv, tmp_path):
 
 @pytest.mark.parametrize("command", ["pipeline", "train"])
 def test_overflowing_c_is_a_usage_error_naming_it(command, family_tsv, tmp_path, capsys):
+    # C's bound turns 1e160 away before any descent, which it would overflow
     args = [command, "--data", str(family_tsv), "--system", "ortho_svm", "--out-dir", str(tmp_path),
             "--seed", "5", "--c-grid", "1,1e160", "--folds", "5", "--svm-passes", "50"]
     if command == "pipeline":
         args += ["--mode", "cross-concept"]
     assert cli.run(args) == 1
-    assert capsys.readouterr().err == ("cognet: usage error: the SVM descent overflowed for C = 1e+160; "
-                                       "use a smaller C\n")
+    assert capsys.readouterr().err == ("cognet: usage error: argument --c-grid: C grid '1,1e160': "
+                                       "C 1e+160 is not in (0, 1e+100]\n")
     assert not (tmp_path / "model.txt").exists()
 
 
+def test_c_past_its_bound_in_the_config_file_is_a_usage_error_naming_the_key(family_tsv, tmp_path, capsys):
+    prefix = _write_config(tmp_path, "[svm]\nc_grid = 1e101\n")
+    out = tmp_path / "run"
+    assert cli.run(prefix + ["train", "--data", str(family_tsv), "--system", "ortho_svm", "--seed", "5",
+                             "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == ("cognet: usage error: config key 'c_grid': C grid '1e101': "
+                                       "C 1e+101 is not in (0, 1e+100]\n")
+    assert not out.exists()
+
+
 def test_overflowing_c_prints_no_numpy_warning(family_tsv, tmp_path):
-    # the descent notices the overflow itself; numpy's warnings would come first
+    # C's bound turns 1e308 away before any numpy arithmetic could warn
     proc = subprocess.run([sys.executable, "-m", "cognet.cli", "pipeline", "--data", str(family_tsv),
                            "--system", "ortho_svm", "--mode", "cross-concept", "--seed", "7",
                            "--c-grid", "1e308", "--svm-passes", "20", "--out-dir", str(tmp_path)],
                           env=_checkout_env(), capture_output=True, text=True)
     assert proc.returncode == 1
-    assert proc.stderr == "cognet: usage error: the SVM descent overflowed for C = 1e+308; use a smaller C\n"
+    assert proc.stderr == ("cognet: usage error: argument --c-grid: C grid '1e308': "
+                           "C 1e+308 is not in (0, 1e+100]\n")
 
 
 # 1e308 overflows one batch's mean loss; at batch size 1 each loss stays
@@ -300,8 +312,53 @@ def test_pmi_matrix_with_gap_penalty_past_its_bound_is_a_data_error_naming_its_l
     assert not list(out_dir.glob("report.*"))
 
 
-# 1e150 never overflows, but no pass of the descent improves on its zero start.
-@pytest.mark.parametrize("c_grid, warned", [("1", False), ("1e150", True)])
+def test_pmi_matrix_with_a_score_past_its_bound_is_a_data_error_naming_its_line(every_system, family_tsv,
+                                                                                tmp_path, capsys):
+    matrix = tmp_path / "pmi.tsv"
+    lines = (every_system / "pmi_svm" / "pmi_matrix.tsv").read_text(encoding="utf-8").split("\n")
+    line = _tensor_line(lines, "scores") + 2
+    cells = lines[line - 1].split("\t")
+
+    def record(score: float) -> None:
+        matrix.write_text("\n".join(lines[:line - 1] + ["\t".join([repr(score), *cells[1:]])] + lines[line:]),
+                          encoding="utf-8")
+
+    # the bound itself loads, the next float past it does not
+    record(pmi.MAX_GAP_PENALTY)
+    assert pmi.load_matrix(matrix).scores[0, 0] == pmi.MAX_GAP_PENALTY
+    record(float(np.nextafter(-pmi.MAX_GAP_PENALTY, -np.inf)))
+    with pytest.raises(artifact.ArtifactError, match=f":{line}: score -1.0000000000000002e\\+300 of 'p' and 'p' "):
+        pmi.load_matrix(matrix)
+    record(1e308)
+    out_dir = tmp_path / "run"
+    capsys.readouterr()
+    assert cli.run(["evaluate", "--data", str(family_tsv), "--system", "pmi_svm", "--seed", "7",
+                    "--out-dir", str(out_dir), "--pmi-matrix", str(matrix),
+                    "--model", str(every_system / "pmi_svm" / "model.txt")]) == 2
+    assert capsys.readouterr().err == (f"cognet: data error: {matrix}:{line}: "
+                                       "score 1e+308 of 'p' and 'p' is not in [-1e+300, 1e+300]\n")
+    assert not list(out_dir.glob("report.*"))
+
+
+# save_model writes only a C that fit accepted, so a C past its bound is a malformed file
+@pytest.mark.parametrize("C, shown", [("-1", "-1.0"), ("0", "0.0"), ("1e200", "1e+200")])
+def test_svm_model_with_c_past_its_bound_is_a_data_error_naming_its_line(C, shown, every_system, family_tsv,
+                                                                         tmp_path, capsys):
+    model = tmp_path / "model.txt"
+    lines = (every_system / "ortho_svm" / "model.txt").read_text(encoding="utf-8").split("\n")
+    line = next(i for i, ln in enumerate(lines, 1) if ln.startswith("C\t"))
+    lines[line - 1] = f"C\t{C}"
+    model.write_text("\n".join(lines), encoding="utf-8")
+    out_dir = tmp_path / "run"
+    assert cli.run(["evaluate", "--data", str(family_tsv), "--system", "ortho_svm", "--seed", "7",
+                    "--out-dir", str(out_dir), "--model", str(model)]) == 2
+    assert capsys.readouterr().err == (f"cognet: data error: {model}:{line}: C: "
+                                       f"C {shown} is not in (0, 1e+100]\n")
+    assert not list(out_dir.glob("report.*"))
+
+
+# C's bound itself never overflows, but no pass of the descent improves on its zero start.
+@pytest.mark.parametrize("c_grid, warned", [("1", False), ("1e100", True)])
 def test_an_all_zero_svm_is_reported(c_grid, warned, family_tsv, tmp_path, capsys):
     assert cli.run(["train", "--data", str(family_tsv), "--system", "ortho_svm", "--out-dir", str(tmp_path),
                     "--seed", "5", "--c-grid", c_grid, "--folds", "5", "--svm-passes", "50"]) == 0
@@ -507,7 +564,7 @@ def test_pseudocount_too_large_for_finite_scores_is_a_usage_error(args, family_t
     args = [a.replace("OUT", str(tmp_path)) for a in args]
     assert cli.run(args + ["--data", str(family_tsv), "--seed", "7"]) == 1
     err = capsys.readouterr().err
-    assert re.fullmatch(r"cognet: usage error: pseudocount 1e\+30[68] leaves a PMI score non-finite\n", err), err
+    assert re.fullmatch(r"cognet: usage error: pseudocount 1e\+30[68] is not in \[1e-100, 1e\+305\]\n", err), err
     assert not list(tmp_path.rglob("*.tsv"))
 
 
@@ -518,7 +575,7 @@ def test_pseudocount_too_large_for_finite_scores_is_a_usage_error(args, family_t
 def test_pseudocount_too_small_for_finite_scores_is_a_usage_error(args, family_tsv, tmp_path, capsys):
     args = [a.replace("OUT", str(tmp_path)) for a in args]
     assert cli.run(args + ["--data", str(family_tsv), "--seed", "7", "--pseudocount", "1e-200"]) == 1
-    assert capsys.readouterr().err == "cognet: usage error: pseudocount 1e-200 leaves a PMI score non-finite\n"
+    assert capsys.readouterr().err == "cognet: usage error: pseudocount 1e-200 is not in [1e-100, 1e+305]\n"
     assert not list(tmp_path.rglob("*.tsv"))
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -146,22 +147,49 @@ def test_config_validation():
 
 def test_largest_pseudocount_still_gives_finite_scores():
     corpus = [("pVt", "fVt")] * 5 + [("kVs", "kVs")] * 5
-    m = pmi.estimate_pmi(corpus, pmi.PMIConfig(pseudocount=1e305))
+    m = pmi.estimate_pmi(corpus, pmi.PMIConfig(pseudocount=pmi.MAX_PSEUDOCOUNT))
     assert np.isfinite(m.scores).all() and np.isfinite(m.final_delta)
-    # 35 * 35 smoothed cells of 1e306 sum past the largest float
-    with pytest.raises(pmi.NonFinitePMI, match=r"pseudocount 1e\+306 leaves a PMI score non-finite"):
-        pmi.estimate_pmi(corpus, pmi.PMIConfig(pseudocount=1e306))
-    for invalid in (0.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="pseudocount must be positive and finite"):
+    # 35 * 35 smoothed cells of 1e306 would sum past the largest float; the bound turns it away
+    with pytest.raises(ValueError, match=r"^pseudocount 1e\+306 is not in \[1e-100, 1e\+305\]$"):
+        pmi.PMIConfig(pseudocount=1e306)
+    for invalid in (float(np.nextafter(pmi.MAX_PSEUDOCOUNT, np.inf)), 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"^pseudocount {re.escape(repr(invalid))} is not in"):
             pmi.PMIConfig(pseudocount=invalid)
 
 
 def test_pseudocount_too_small_for_finite_scores_raises():
     corpus = [("pVt", "fVt")] * 5 + [("kVs", "kVs")] * 5
-    # an unseen symbol's marginal is about 35 * 1e-300 / 30, and its square underflows to 0
-    with pytest.raises(pmi.NonFinitePMI, match="pseudocount 1e-300 leaves a PMI score non-finite"):
-        pmi.estimate_pmi(corpus, pmi.PMIConfig(pseudocount=1e-300))
-    assert np.isfinite(pmi.estimate_pmi(corpus, pmi.PMIConfig(pseudocount=1e-100)).scores).all()
+    # an unseen symbol's marginal would be about 35 * 1e-300 / 30, and its square underflow to 0
+    with pytest.raises(ValueError, match=r"^pseudocount 1e-300 is not in \[1e-100, 1e\+305\]$"):
+        pmi.PMIConfig(pseudocount=1e-300)
+    below = float(np.nextafter(pmi.MIN_PSEUDOCOUNT, 0.0))
+    with pytest.raises(ValueError, match=f"^pseudocount {re.escape(repr(below))} is not in"):
+        pmi.PMIConfig(pseudocount=below)
+    assert np.isfinite(pmi.estimate_pmi(corpus, pmi.PMIConfig(pseudocount=pmi.MIN_PSEUDOCOUNT)).scores).all()
+
+
+def _log_uniform(low: float, high: float):
+    """Floats from ``low`` to ``high`` drawn log-uniformly, both ends included."""
+    return st.one_of(st.sampled_from([low, high]),
+                     st.floats(math.log10(low), math.log10(high)).map(lambda e: min(max(10.0 ** e, low), high)))
+
+
+# What the pseudocount's bounds promise: at every pseudocount within them, no
+# number of the smoothing overflows, divides by zero or turns invalid, at
+# count totals up to 1e15.  Counts on a few cells leave most symbols unseen,
+# whose marginals are the smallest.
+@settings(deadline=None)
+@given(pseudocount=_log_uniform(pmi.MIN_PSEUDOCOUNT, pmi.MAX_PSEUDOCOUNT), total=_log_uniform(1.0, 1e15),
+       seed=st.integers(0, 2**32 - 1))
+def test_counts_to_pmi_stays_finite_across_the_pseudocount_range(pseudocount, total, seed):
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(1, 20)
+    half = np.zeros(N * N)
+    half[rng.choice(N * N, size=cells, replace=False)] = np.floor(rng.dirichlet(np.ones(cells)) * total / 2)
+    counts = half.reshape(N, N) + half.reshape(N, N).T
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        scores = pmi._counts_to_pmi(counts, pseudocount)
+    assert np.isfinite(scores).all()
 
 
 def test_matrix_file_round_trip(tmp_path):
@@ -251,3 +279,15 @@ def test_weighted_counts_equal_one_alignment_per_seed(pool, picks, seed, gap):
     got = pmi._count_pairs(seeds, table, gap)
     assert np.array_equal(got, oracles.count_pairs_per_seed(seeds, table, gap))
     assert got.dtype == np.float64
+
+
+# What MAX_GAP_PENALTY promises: with every score and the gap at its bound,
+# the alignment score of words of up to 40 symbols stays finite.
+@settings(deadline=None)
+@given(a=st.text(alphabet=phoneme.INVENTORY, max_size=40), b=st.text(alphabet=phoneme.INVENTORY, max_size=40),
+       seed=st.integers(0, 2**32 - 1))
+def test_align_stays_finite_with_scores_and_gap_at_the_bound(a, b, seed):
+    table = pmi.MAX_GAP_PENALTY * np.random.default_rng(seed).choice([-1.0, 1.0], size=(N, N))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        score, _ = similarity.align(a, b, table, -pmi.MAX_GAP_PENALTY)
+    assert math.isfinite(score)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -56,8 +58,7 @@ def test_fit_errors():
         svm.fit(np.array([[np.nan], [1.0]]), np.array([0, 1]), C=1.0)
 
 
-# An infinite feature is bad data, not an overflow of the descent: it would
-# otherwise come back as Diverged, blaming C.
+# An infinite feature is bad data, rejected before the descent sees it.
 @pytest.mark.parametrize("value", [np.inf, -np.inf])
 def test_an_infinite_feature_is_rejected_naming_it(value):
     X, y = _separable(n=30, seed=19)
@@ -190,19 +191,39 @@ def test_grid_search_errors():
         svm.grid_search_cv(X2, y2, folds=10)
 
 
-# An overflowed objective never beats the zero start; returning that start
-# would be an all-zero model, so the descent fails naming the C instead, and
-# without a numpy warning.
+# C is bounded where it enters, so a C that would overflow the descent is
+# turned away naming it before any descent runs.
 def test_fit_with_an_overflowing_C_raises_naming_it():
     X, y = _separable(n=30, seed=18)
-    with pytest.raises(svm.Diverged, match=r"C = 1e\+160;"):
+    with pytest.raises(ValueError, match=r"^C 1e\+160 is not in \(0, 1e\+100\]$"):
         svm.fit(X, y, C=1e160)
+    for C in (float(np.nextafter(svm.MAX_C, np.inf)), 0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"^C {re.escape(repr(C))} is not in"):
+            svm.fit(X, y, C=C)
+    assert svm.fit(X, y, C=svm.MAX_C, passes=50).C == svm.MAX_C
 
 
 def test_grid_search_names_only_the_overflowing_C():
     X, y = _separable(n=30, seed=18)
-    with pytest.raises(svm.Diverged, match=r"overflowed for C = 1e\+160;"):
+    with pytest.raises(ValueError, match=r"^C 1e\+160 is not in \(0, 1e\+100\]$"):
         svm.grid_search_cv(X, y, C_grid=(1.0, 1e160), folds=3, seed=0, passes=50)
+
+
+def test_grid_search_needs_two_folds():
+    X, y = _separable(n=40, seed=20)
+    with pytest.raises(ValueError, match="^folds must be >= 2, got 1$"):
+        svm.grid_search_cv(X, y, folds=1)
+
+
+# a negative pass count would otherwise return the all-zero start for every C
+@pytest.mark.parametrize("search", [False, True])
+def test_negative_passes_raise_naming_them(search):
+    X, y = _separable(n=40, seed=20)
+    with pytest.raises(ValueError, match="^passes must be >= 0, got -5$"):
+        if search:
+            svm.grid_search_cv(X, y, folds=5, passes=-5)
+        else:
+            svm.fit(X, y, passes=-5)
 
 
 def test_model_file_round_trip(tmp_path):
@@ -344,3 +365,23 @@ def test_fit_on_every_row_twice_is_bit_identical(seed, n, d, C, passes):
     twice = svm.fit(np.vstack([X, X]), np.concatenate([y, y]), C=C, passes=passes)
     for field in ("weights", "bias", "mean", "std"):
         assert np.array_equal(getattr(once, field), getattr(twice, field)), field
+
+
+# What the bound svm.MAX_C promises: for every C up to it, no number of the
+# descent overflows.  One outlier row takes a standardised entry to nearly
+# sqrt(n), the largest it can be.
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 30), d=st.integers(1, 5),
+       Cs=st.lists(st.one_of(st.just(svm.MAX_C),
+                             st.floats(-2.0, np.log10(svm.MAX_C)).map(lambda e: min(10.0 ** e, svm.MAX_C))),
+                   min_size=1, max_size=3),
+       passes=st.integers(1, 300))
+def test_descend_stays_finite_for_every_C_up_to_the_bound(seed, n, d, Cs, passes):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d))
+    X[rng.integers(n)] = 1e6 * rng.choice([-1.0, 1.0], size=d)
+    y = rng.permutation(np.arange(n) % 2)
+    Z, ys, counts, _, _ = svm._standardized(X, np.where(y == 1, 1.0, -1.0), np.ones(n, dtype=np.int64))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        W, b = svm._descend(Z, ys, counts, np.array(Cs), passes)
+    assert np.isfinite(W).all() and np.isfinite(b).all()
