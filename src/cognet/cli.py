@@ -155,7 +155,7 @@ _OPTIONS = {
     "pad_len": (int, 10, _FIT, None),
     "c_grid": (_parse_grid, (0.01, 0.1, 1.0, 10.0, 100.0), _FIT, None),
     "folds": (int, 10, _FIT, None),
-    "svm_passes": (int, 2000, _FIT, None),
+    "svm_passes": (int, 2000, _FIT, "cap on the Newton steps of each SVM fit, which ends on its own in a few"),
     "threshold": (artifact.finite_float, None, ("evaluate", "pipeline"), None),
     "mode": (str, None, ("pipeline",), None),
     "train_fraction": (artifact.finite_float, 0.7, ("pipeline",), None),
@@ -298,9 +298,6 @@ def _train_system(options: dict, train_pairs: list[wordlists.WordPair], out_dir:
     search = grid_search_cv(X, y, C_grid=options["c_grid"], folds=options["folds"],
                             seed=seed, passes=options["svm_passes"])
     model = artifacts["svm"] = svm.fit(X, y, C=search.best_C, passes=options["svm_passes"])
-    if not model.weights.any() and model.bias == 0.0:  # no pass beat the zero start
-        print(f"cognet: warning: the SVM for C = {model.C:g} is all zero: no pass of its descent "
-              "improved on the zero start; a smaller C or more --svm-passes may help", file=sys.stderr)
     svm.save_model(model, out_dir / "model.txt", system)
     _write_tsv(out_dir / "cv_results.tsv", ["C", "mean_accuracy"],
                ([_g(c), _g(search.cv_scores[c])] for c in sorted(search.cv_scores)))

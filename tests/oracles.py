@@ -17,13 +17,15 @@ are computed one pair at a time, with Python dynamic programs (the global,
 local and semi-global scores from the score-only :func:`dp_score`) and
 ``Counter`` n-gram multisets.  Average precision sorts the ranks in
 Python and sums precision in a loop.  The PMI symbol-pair counts align
-every seed, repeats included, and count without weights.  The SVM fit
-recomputes the margins at the top of every pass, and the grid search makes
-one separate fit per C and fold.
+every seed, repeats included, and count without weights.  The exact SVM
+fit tries every active set of a few distinct rows; the Newton SVM fit sums
+over every sample and finds each step's length by bisection, and the grid
+search makes one separate Newton fit per C and fold.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from functools import lru_cache
 
@@ -535,43 +537,83 @@ def average_precision_loop(labels, scores) -> float:
 
 # ------------------------------------------------------------------ SVM fit
 
-def svm_fit_recomputed(X, y, C: float = 1.0, passes: int = 2000) -> svm.LinearModel:
-    """``svm.fit`` for one C alone, computing ``Z @ w + b`` afresh for each pass's subgradient."""
+def _svm_signed_rows(X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each sample's signed row y * [z, 1], z standardised by the samples' own mean and deviation; and those."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
     Z = (X - mean) / std
-    ys = np.where(y == 1, 1.0, -1.0)
-    n = Z.shape[0]
+    return np.where(y == 1, 1.0, -1.0)[:, None] * np.column_stack([Z, np.ones(len(Z))]), mean, std
 
-    def objective(w, b):
-        hinge = np.maximum(0.0, 1.0 - ys * (Z @ w + b))
-        return 0.5 * float(w @ w) + C * float(hinge.mean())
 
-    w = np.zeros(Z.shape[1])
-    b = 0.0
-    best_obj = objective(w, b)
-    best_w, best_b = w.copy(), b
-    for t in range(1, passes + 1):
-        margins = ys * (Z @ w + b)
-        active = margins < 1.0
-        grad_w = w - (C / n) * (ys[active] @ Z[active])
-        grad_b = -(C / n) * float(ys[active].sum())
-        eta = 1.0 / t
-        w = w - eta * grad_w
-        b = b - eta * grad_b
-        obj = objective(w, b)
-        if obj < best_obj:
-            best_obj = obj
-            best_w, best_b = w.copy(), b
-    return svm.LinearModel(weights=best_w, bias=best_b, mean=mean, std=std, C=C)
+def svm_theta_enumerated(A: np.ndarray, C: float, groups: np.ndarray) -> np.ndarray:
+    """The theta minimising ||theta||^2 / 2 + C * mean(max(0, 1 - A theta)^2), by trying every active set.
+
+    ``A`` holds one signed row per sample, and samples of one group (ids
+    ``0..u-1``) are identical, so they are active together.  Each of the 2^u
+    subsets of groups keeps its rows' squared hinges as whole squares and
+    drops the rest, and that quadratic's minimiser solves one linear system.
+    The subset whose own minimiser leaves exactly its rows below margin 1 is
+    consistent, and its minimiser is the objective's; the subset whose
+    minimiser breaks that least is kept, so rounding cannot lose it.
+    """
+    n, p = A.shape
+    subsets = np.array(list(itertools.product([False, True], repeat=int(groups.max()) + 1)))
+    active = subsets[:, groups].astype(np.float64)  # [2^u, n]
+    scale = 2.0 * C / n
+    hess = np.eye(p) + scale * np.einsum("sn,ni,nj->sij", active, A, A)
+    theta = np.linalg.solve(hess, scale * (active @ A)[..., None])[..., 0]
+    slack = 1.0 - theta @ A.T
+    broken = np.where(active > 0.0, np.maximum(-slack, 0.0), np.maximum(slack, 0.0)).max(axis=1)
+    return theta[np.argmin(broken)]
+
+
+def svm_fit_enumerated(X, y, C: float = 1.0) -> svm.LinearModel:
+    """``svm.fit`` for one C, exact: :func:`svm_theta_enumerated` over every sample, repeats as one group."""
+    A, mean, std = _svm_signed_rows(X, y)
+    _, groups = np.unique(np.column_stack([X, y]), axis=0, return_inverse=True)
+    theta = svm_theta_enumerated(A, C, groups.ravel())
+    return svm.LinearModel(weights=theta[:-1], bias=float(theta[-1]), mean=mean, std=std, C=C)
+
+
+def svm_fit_newton(X, y, C: float = 1.0, passes: int = 2000) -> svm.LinearModel:
+    """``svm.fit`` for one C alone: its Newton steps, summed over every sample.
+
+    Each step's length is where the objective's slope along it, which
+    increases, crosses zero, found by bisection: bracketed by doubling from
+    1, then halved until the bracket's ends are adjacent floats.
+    """
+    A, mean, std = _svm_signed_rows(X, y)
+    n, p = A.shape
+    scale = 2.0 * C / n
+    theta = np.zeros(p)
+    last = None
+    for _ in range(passes):
+        slack = 1.0 - A @ theta
+        active = slack > 0.0
+        grad = theta - scale * (np.maximum(slack, 0.0) @ A)
+        if (last is not None and np.array_equal(active, last)) or not grad.any():
+            break
+        last = active
+        s = np.linalg.solve(np.eye(p) + scale * A[active].T @ A[active], -grad)
+
+        def slope(t):
+            return (theta + t * s) @ s - scale * (np.maximum(1.0 - A @ (theta + t * s), 0.0) @ (A @ s))
+
+        lo, hi = 0.0, 1.0
+        while slope(hi) < 0.0:
+            lo, hi = hi, 2.0 * hi
+        while lo < (mid := (lo + hi) / 2.0) < hi:
+            lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
+        theta = theta + hi * s
+    return svm.LinearModel(weights=theta[:-1], bias=float(theta[-1]), mean=mean, std=std, C=C)
 
 
 def grid_search_cv_separate(X, y, C_grid=(0.01, 0.1, 1.0, 10.0, 100.0), folds: int = 10,
                             seed: int = 0, passes: int = 2000) -> svm.GridSearchResult:
-    """``svm.grid_search_cv`` by one separate :func:`svm_fit_recomputed` per C and fold."""
+    """``svm.grid_search_cv`` by one separate :func:`svm_fit_newton` per C and fold."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.shape[0] < folds:
@@ -586,7 +628,7 @@ def grid_search_cv_separate(X, y, C_grid=(0.01, 0.1, 1.0, 10.0, 100.0), folds: i
             val = assignment == k
             if not val.any():
                 continue
-            model = svm_fit_recomputed(X[~val], y[~val], C=C, passes=passes)
+            model = svm_fit_newton(X[~val], y[~val], C=C, passes=passes)
             accs.append(float(np.mean((svm.decision_function(model, X[val]) >= 0) == y[val])))
         cv_scores[float(C)] = float(np.mean(accs))
     best_score = max(cv_scores.values())
