@@ -209,7 +209,8 @@ def _finish(out_dir: Path, command: str, options: dict, message: str) -> int:
 def features_for(system: str, pairs: list[wordlists.WordPair], artifacts: dict):
     """What ``system`` classifies for each distinct pair of forms, and each pair's row among them.
 
-    A ConvNet classifies rendered (xa, xb, y), an SVM a feature matrix.
+    A ConvNet classifies (forms, index, y): a table of the rendered distinct
+    forms and each pair's two rows in it.  An SVM classifies a feature matrix.
     """
     unique, inverse = wordlists.distinct(pairs, key=lambda p: p.forms)
     if system in NEURAL_SYSTEMS:
@@ -329,7 +330,8 @@ def _score_and_report(options: dict, artifacts: dict, pairs: list[wordlists.Word
     system = options["system"]
     features, inverse = features_for(system, pairs, artifacts)
     if system in NEURAL_SYSTEMS:
-        scores = artifacts["net"].predict(features[0], features[1])
+        forms, index, _ = features
+        scores = artifacts["net"].predict(forms, index)
     else:
         scores = decision_function(artifacts["svm"], features)
     threshold = options["threshold"]

@@ -220,17 +220,18 @@ class Model:
             self._trunk_backward(cache, gflat, grads)
         return loss, grads
 
-    def predict(self, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    def predict(self, forms: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Pair scores in [0, 1]; dropout disabled.
 
-        Pairs are scored PREDICT_CHUNK rows at a time, so memory does not
-        grow with the number of pairs.  Siamese-Euclid returns exp(-D): a
-        monotone score, not a calibrated probability.  No pairs give an
-        empty (0,) array.
+        ``forms`` and ``index`` are as :func:`encode_pairs` returns them.
+        Pairs are gathered and scored PREDICT_CHUNK rows of ``index`` at a
+        time, so memory is the form table plus one chunk.  Siamese-Euclid
+        returns exp(-D): a monotone score, not a calibrated probability.
+        No pairs give an empty (0,) array.
         """
         out = np.concatenate([np.zeros(0)] + [
-            self.forward(xa[i:i + PREDICT_CHUNK], xb[i:i + PREDICT_CHUNK])[0]
-            for i in range(0, xa.shape[0], PREDICT_CHUNK)
+            self.forward(forms[index[i:i + PREDICT_CHUNK, 0]], forms[index[i:i + PREDICT_CHUNK, 1]])[0]
+            for i in range(0, index.shape[0], PREDICT_CHUNK)
         ])
         if self.spec.architecture == SIAMESE_EUCLID:
             return np.exp(-out)
@@ -243,29 +244,30 @@ def build(spec: ModelSpec, seed: int = 0) -> Model:
 
 
 def encode_pairs(pairs, pad_len: int = 10):
-    """Render word pairs as matrix arrays.
+    """Render word pairs as one table of forms and each pair's rows in it.
 
-    Returns (xa, xb, y) for the WordPair objects ``pairs``, with xa and xb
-    shaped [n, pad_len, 16].  Each distinct form is rendered once, in order
-    of first appearance.
+    Returns (forms, index, y) for the WordPair objects ``pairs``: ``forms``
+    is [k, pad_len, 16] with each distinct form rendered once, in order of
+    first appearance, and ``index`` is [n, 2], each pair's a-row and b-row.
     """
     if not pairs:
         raise EmptyDataset("no pairs to encode")
     forms, row = wordlists.distinct([form for pair in pairs for form in (pair.a.form, pair.b.form)])
     table = np.array([phoneme.word_to_matrix(form, pad_len) for form in forms])
-    return table[row[0::2]], table[row[1::2]], np.array([pair.label for pair in pairs], dtype=np.float64)
+    return table, row.reshape(-1, 2), np.array([pair.label for pair in pairs], dtype=np.float64)
 
 
 def train(model: Model, pairs, cfg: TrainConfig = TrainConfig()):
     """Mini-batch adadelta training; returns (params, per-epoch mean loss).
 
-    ``pairs`` is (xa, xb, y) as :func:`encode_pairs` renders them.  A
-    single generator seeded with cfg.seed drives both the epoch shuffles
-    and the dropout masks, so runs are reproducible.  Raises
-    FloatingPointError when the running loss overflows.
+    ``pairs`` is (forms, index, y) as :func:`encode_pairs` returns them;
+    each batch gathers its two sides from the form table.  A single
+    generator seeded with cfg.seed drives both the epoch shuffles and the
+    dropout masks, so runs are reproducible.  Raises FloatingPointError
+    when the running loss overflows.
     """
-    xa, xb, y = pairs
-    n = xa.shape[0]
+    forms, index, y = pairs
+    n = index.shape[0]
     if n == 0:
         raise EmptyDataset("training set is empty")
     rng = np.random.default_rng(cfg.seed)
@@ -276,9 +278,8 @@ def train(model: Model, pairs, cfg: TrainConfig = TrainConfig()):
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            loss, grads = model.loss_and_grads(
-                xa[batch], xb[batch], y[batch], margin=cfg.margin, rng=rng
-            )
+            ia, ib = index[batch].T
+            loss, grads = model.loss_and_grads(forms[ia], forms[ib], y[batch], margin=cfg.margin, rng=rng)
             total += loss * len(batch)
             if not np.isfinite(total):  # the log loss is clipped, so only the margin can overflow it
                 raise FloatingPointError(f"margin {cfg.margin:g} leaves the training loss non-finite ({total})")

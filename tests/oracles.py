@@ -9,10 +9,12 @@ a substitution function for every DP cell.  The convolution and its
 gradient are computed one kernel offset at a time, with no unfolding, and
 also by im2col over channels-last [B,H,W,C] arrays, the layout the
 production ops used before they stored activations batch-minor; max
-pooling takes numpy's argmax over each window.  The batched DP scores are
-also computed pair-major, one DP row of every pair at a time with the gap
-runs taken by ``np.maximum.accumulate``: the layout the production engine
-used before it put the pair axis innermost.  The similarity features
+pooling takes numpy's argmax over each window.  ConvNet inputs are
+rendered as a copy of each side of every pair, and trained on by slicing
+those copies per batch.  The batched DP scores are also computed
+pair-major, one DP row of every pair at a time with the gap runs taken by
+``np.maximum.accumulate``: the layout the production engine used before it
+put the pair axis innermost.  The similarity features
 are computed one pair at a time, with Python dynamic programs (the global,
 local and semi-global scores from the score-only :func:`dp_score`) and
 ``Counter`` n-gram multisets.  Average precision sorts the ranks in
@@ -33,6 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from cognet import phoneme, similarity, svm
+from cognet.neural.adadelta import AdadeltaState, adadelta_step
 
 
 def edit_distance_enum(a: str, b: str) -> int:
@@ -371,6 +374,31 @@ def conv2d_backward_offsets(cache, grad):
 
 
 # ------------------------------------------------- per-pair similarity features
+
+def encode_pairs_per_side(pairs, pad_len: int = 10):
+    """ConvNet inputs as (xa, xb, y): a rendered [n, pad_len, 16] copy of each side of every pair."""
+    xa = np.array([phoneme.word_to_matrix(p.a.form, pad_len) for p in pairs])
+    xb = np.array([phoneme.word_to_matrix(p.b.form, pad_len) for p in pairs])
+    return xa, xb, np.array([p.label for p in pairs], dtype=np.float64)
+
+
+def train_per_side(model, pairs, cfg):
+    """``neural.model.train`` over (xa, xb, y), each batch sliced from the per-side copies."""
+    xa, xb, y = pairs
+    rng = np.random.default_rng(cfg.seed)
+    state = AdadeltaState.for_params(model.params)
+    history = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(xa.shape[0])
+        total = 0.0
+        for start in range(0, xa.shape[0], cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            loss, grads = model.loss_and_grads(xa[batch], xb[batch], y[batch], margin=cfg.margin, rng=rng)
+            total += loss * len(batch)
+            adadelta_step(model.params, grads, state)
+        history.append(total / xa.shape[0])
+    return model.params, history
+
 
 def edit_distance_dp(a: str, b: str) -> int:
     """Levenshtein distance with unit insert/delete/substitute costs."""

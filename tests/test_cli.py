@@ -614,8 +614,8 @@ def test_repeated_pairs_score_as_when_every_pair_is_scored(system, every_system,
     cli._score_and_report(options, artifacts, pairs, tmp_path, "repeats")
     # every pair scored in full, with no pair shared
     if system in cli.NEURAL_SYSTEMS:
-        xa, xb, _ = encode_pairs(pairs, artifacts["net"].spec.pad_len)
-        want = artifacts["net"].predict(xa, xb)
+        forms, index, _ = encode_pairs(pairs, artifacts["net"].spec.pad_len)
+        want = artifacts["net"].predict(forms, index)
     else:
         def features(a, b):
             if system == "ortho_svm":

@@ -1,12 +1,16 @@
+import dataclasses
 import hashlib
 import logging
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cognet.neural import model as neural_model
 from cognet.neural import (
+    ARCHITECTURES,
     MANHATTAN,
     SIAMESE_EUCLID,
     TWO_CHANNEL,
@@ -25,18 +29,30 @@ from cognet import synthetic, wordlists
 from cognet.artifact import ArtifactError
 from cognet.wordlists import Lexeme, WordPair
 from conftest import max_rel_err, numeric_grad
-from oracles import conv2d_backward_im2col, conv2d_im2col
+from oracles import conv2d_backward_im2col, conv2d_im2col, encode_pairs_per_side, train_per_side
 
 
 def _toy_pairs(n=20, seed=0):
-    """Half identical pairs (label 1), half unrelated pairs (label 0)."""
+    """Half identical pairs (label 1), half unrelated pairs (label 0), as (forms, index, y).
+
+    Forms 0..n-1 are the a-sides; the unrelated pairs' b-sides follow them.
+    """
     rng = np.random.default_rng(seed)
-    xa = (rng.random((n, 10, 16)) > 0.5).astype(float)
-    xb = xa.copy()
     half = n // 2
-    xb[half:] = (rng.random((n - half, 10, 16)) > 0.5).astype(float)
+    forms = (rng.random((2 * n - half, 10, 16)) > 0.5).astype(float)
+    index = np.stack([np.arange(n), np.r_[np.arange(half), np.arange(n, 2 * n - half)]], axis=1)
     y = np.array([1.0] * half + [0.0] * (n - half))
-    return xa, xb, y
+    return forms, index, y
+
+
+def _sides(forms, index):
+    """Each pair's two rendered forms, as forward and loss_and_grads take them."""
+    return forms[index[:, 0]], forms[index[:, 1]]
+
+
+def _self_pairs(n):
+    """The index pairing each of n forms with itself."""
+    return np.repeat(np.arange(n)[:, None], 2, axis=1)
 
 
 def test_default_shape_pipeline():
@@ -91,7 +107,7 @@ def test_weight_tying_branches_agree():
     fa, _ = net._trunk(x[..., None])
     fb, _ = net._trunk(x[..., None])
     assert np.array_equal(fa, fb)
-    d = net.predict(x, x)
+    d = net.predict(x, _self_pairs(5))
     h, _ = net.forward(x, x)
     # identical inputs: abs-diff layer sees zeros, so the head sees a constant
     assert np.allclose(h, h[0])
@@ -102,14 +118,14 @@ def test_untrained_zeroed_output_layer_predicts_half():
     net = build(ModelSpec(MANHATTAN), seed=0)
     net.params["out_w"][:] = 0.0
     net.params["out_b"][:] = 0.0
-    xa, xb, _ = _toy_pairs(6)
-    assert np.allclose(net.predict(xa, xb), 0.5)
+    forms, index, _ = _toy_pairs(6)
+    assert np.allclose(net.predict(forms, index), 0.5)
 
 
 def test_predict_is_deterministic():
     net = build(ModelSpec(MANHATTAN), seed=1)
-    xa, xb, _ = _toy_pairs(8)
-    assert np.array_equal(net.predict(xa, xb), net.predict(xa, xb))
+    forms, index, _ = _toy_pairs(8)
+    assert np.array_equal(net.predict(forms, index), net.predict(forms, index))
 
 
 @pytest.mark.parametrize("arch", [MANHATTAN, TWO_CHANNEL])
@@ -117,12 +133,12 @@ def test_training_learns_separable_toy_set(arch):
     net = build(ModelSpec(arch), seed=2)
     data = _toy_pairs(20, seed=5)
     _, history = train(net, data, TrainConfig(epochs=50, batch_size=8, seed=3))
-    xa, xb, y = data
-    preds = (net.predict(xa, xb) >= 0.5).astype(float)
+    forms, index, y = data
+    preds = (net.predict(forms, index) >= 0.5).astype(float)
     assert np.mean(preds == y) == 1.0
     assert all(np.isfinite(history))
     # identical pairs score at least as high as disjoint ones
-    assert net.predict(xa[:1], xb[:1])[0] >= net.predict(xa[-1:], xb[-1:])[0]
+    assert net.predict(forms, index[:1])[0] >= net.predict(forms, index[-1:])[0]
 
 
 def test_training_same_seed_reproduces_history():
@@ -139,8 +155,8 @@ def test_training_different_seed_still_learns():
     net2 = build(ModelSpec(MANHATTAN), seed=10)
     _, h_b = train(net2, data, TrainConfig(epochs=50, batch_size=8, seed=12))
     assert h_a != h_b
-    xa, xb, y = data
-    assert np.mean((net2.predict(xa, xb) >= 0.5) == (y == 1)) == 1.0
+    forms, index, y = data
+    assert np.mean((net2.predict(forms, index) >= 0.5) == (y == 1)) == 1.0
 
 
 def test_zero_epochs_returns_initial_params():
@@ -154,15 +170,15 @@ def test_zero_epochs_returns_initial_params():
 def test_training_empty_dataset_raises():
     net = build(ModelSpec(MANHATTAN))
     with pytest.raises(EmptyDataset):
-        train(net, (np.zeros((0, 10, 16)), np.zeros((0, 10, 16)), np.zeros(0)))
+        train(net, (np.zeros((0, 10, 16)), np.zeros((0, 2), dtype=np.intp), np.zeros(0)))
 
 
 def test_siamese_euclid_trains_with_contrastive():
     net = build(ModelSpec(SIAMESE_EUCLID), seed=20)
     data = _toy_pairs(16, seed=21)
     _, history = train(net, data, TrainConfig(epochs=30, batch_size=8, seed=22))
-    xa, xb, y = data
-    scores = net.predict(xa, xb)
+    forms, index, y = data
+    scores = net.predict(forms, index)
     assert np.all((scores >= 0) & (scores <= 1))
     # identical pairs score above disjoint pairs on average
     assert scores[y == 1].mean() > scores[y == 0].mean()
@@ -174,8 +190,9 @@ def _pair(a: str, b: str, label: int) -> WordPair:
 
 
 def test_encode_pairs_shapes_and_errors():
-    xa, xb, y = encode_pairs([_pair("fVt", "fVd", 1), _pair("m", "pVk", 0)], pad_len=10)
-    assert xa.shape == (2, 10, 16) and xb.shape == (2, 10, 16)
+    forms, index, y = encode_pairs([_pair("fVt", "fVd", 1), _pair("m", "pVk", 0)], pad_len=10)
+    assert forms.shape == (4, 10, 16) and index.shape == (2, 2) and index.dtype == np.intp
+    assert index.tolist() == [[0, 1], [2, 3]]
     assert np.array_equal(y, [1.0, 0.0])
     with pytest.raises(EmptyDataset):
         encode_pairs([], pad_len=10)
@@ -185,30 +202,60 @@ def test_encode_pairs_renders_each_form_once(caplog):
     long_word = "ptkbdszmnlrw"  # 12 symbols, truncated at pad_len 10
     pairs = [_pair(long_word, "fVt", 1), _pair("mVn", long_word, 0), _pair(long_word, long_word, 1)]
     with caplog.at_level(logging.WARNING, logger="cognet.phoneme"):
-        xa, xb, y = encode_pairs(pairs, pad_len=10)
+        forms, index, y = encode_pairs(pairs, pad_len=10)
     assert [r.message for r in caplog.records if "truncated" in r.message] == [
         f"word {long_word!r} truncated from 12 to 10 symbols"
     ]
-    assert np.array_equal(xa[0], xa[2]) and np.array_equal(xa[0], xb[1])
+    assert forms.shape == (3, 10, 16)
+    assert index[0, 0] == index[2, 0] == index[1, 1] == index[2, 1]
+
+
+@st.composite
+def _pairs_with_repeats(draw):
+    """A synthetic family's pairs, some forms tripled in length and some pairs listed again."""
+    lexemes = synthetic.generate_family(draw(st.integers(1, 3)), draw(st.integers(2, 5)),
+                                        seed=draw(st.integers(0, 2**16)))
+    tripled = draw(st.sets(st.integers(0, len(lexemes) - 1), min_size=1))
+    lexemes = [dataclasses.replace(lex, form=lex.form * 3) if i in tripled else lex
+               for i, lex in enumerate(lexemes)]
+    pairs = wordlists.generate_pairs(lexemes)
+    return pairs + draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(pairs=_pairs_with_repeats(), pad_len=st.integers(4, 10), arch=st.sampled_from(ARCHITECTURES))
+def test_form_table_gathers_the_per_side_copies_and_trains_as_they_do(pairs, pad_len, arch):
+    forms, index, y = encode_pairs(pairs, pad_len)
+    xa, xb, oracle_y = encode_pairs_per_side(pairs, pad_len)
+    assert index.shape == (len(pairs), 2) and index.dtype == np.intp
+    assert forms[index[:, 0]].tobytes() == xa.tobytes() and forms[index[:, 1]].tobytes() == xb.tobytes()
+    assert np.array_equal(y, oracle_y)
+    assert forms.shape[0] == len({form for pair in pairs for form in pair.forms})
+    spec = ModelSpec(arch, conv_filters=2, fc_units=2, pad_len=pad_len)
+    cfg = TrainConfig(batch_size=3, epochs=2, seed=4)
+    params, history = train(build(spec, seed=1), (forms, index, y), cfg)
+    oracle_params, oracle_history = train_per_side(build(spec, seed=1), (xa, xb, y), cfg)
+    assert history == oracle_history
+    assert all(params[k].tobytes() == oracle_params[k].tobytes() for k in params)
 
 
 @pytest.mark.parametrize("arch", [SIAMESE_EUCLID, MANHATTAN, TWO_CHANNEL])
 def test_chunked_predict_equals_one_forward(arch):
     n = 2 * neural_model.PREDICT_CHUNK + 44  # two full chunks and a ragged tail
     net = build(ModelSpec(arch), seed=3)
-    xa, xb, _ = _toy_pairs(n, seed=4)
-    scores = net.predict(xa, xb)
-    out, _ = net.forward(xa, xb, training=False)
+    forms, index, _ = _toy_pairs(n, seed=4)
+    scores = net.predict(forms, index)
+    out, _ = net.forward(*_sides(forms, index), training=False)
     expected = np.exp(-out) if arch == SIAMESE_EUCLID else out
     assert scores.shape == (n,)
     assert np.allclose(scores, expected, rtol=1e-12, atol=0)
-    assert np.array_equal(scores, net.predict(xa, xb))
+    assert np.array_equal(scores, net.predict(forms, index))
 
 
 @pytest.mark.parametrize("arch", [SIAMESE_EUCLID, MANHATTAN, TWO_CHANNEL])
 def test_predict_on_no_pairs_is_empty(arch):
     net = build(ModelSpec(arch), seed=3)
-    scores = net.predict(np.zeros((0, 10, 16)), np.zeros((0, 10, 16)))
+    scores = net.predict(np.zeros((0, 10, 16)), np.zeros((0, 2), dtype=np.intp))
     assert scores.shape == (0,) and scores.dtype == np.float64
 
 
@@ -220,8 +267,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         path = tmp_path / f"{arch}.txt"
         save_checkpoint(net, path)
         loaded = load_checkpoint(path)
-        xa, xb, _ = data
-        assert np.array_equal(loaded.predict(xa, xb), net.predict(xa, xb))
+        forms, index, _ = data
+        assert np.array_equal(loaded.predict(forms, index), net.predict(forms, index))
         assert loaded.spec == net.spec
 
 
@@ -238,9 +285,9 @@ def test_stored_checkpoint_loads_and_a_pool_other_than_2x2_is_rejected(tmp_path)
     path = tmp_path / "model.txt"
     path.write_text(text, encoding="utf-8")
     loaded = load_checkpoint(path, MANHATTAN)
-    xa, xb, _ = _toy_pairs(12, seed=9)
+    forms, index, _ = _toy_pairs(12, seed=9)
     assert loaded.spec == net.spec
-    assert np.array_equal(loaded.predict(xa, xb), net.predict(xa, xb))
+    assert np.array_equal(loaded.predict(forms, index), net.predict(forms, index))
     save_checkpoint(loaded, tmp_path / "resaved.txt")
     assert (tmp_path / "resaved.txt").read_text(encoding="utf-8") == text
     path.write_text(text.replace("pool\t2x2", "pool\t2x1"), encoding="utf-8")
@@ -319,13 +366,14 @@ def test_scores_equal_the_im2col_oracle_bit_for_bit(arch, monkeypatch):
     rng = np.random.default_rng(6)
     for v in net.params.values():
         v += rng.normal(scale=0.1, size=v.shape)  # nonzero biases too
-    xa, xb, y = _word_pairs(neural_model.PREDICT_CHUNK + 72)
+    forms, index, y = _word_pairs(neural_model.PREDICT_CHUNK + 72)
+    xa, xb = _sides(forms, index)
     batch = slice(0, neural_model.PREDICT_CHUNK)
-    scores = net.predict(xa, xb)
+    scores = net.predict(forms, index)
     loss, grads = net.loss_and_grads(xa[batch], xb[batch], y[batch], rng=np.random.default_rng(7))
     monkeypatch.setattr(neural_model.ops, "conv2d", conv2d_im2col)
     monkeypatch.setattr(neural_model.ops, "conv2d_backward", conv2d_backward_im2col)
-    assert np.array_equal(scores, net.predict(xa, xb))
+    assert np.array_equal(scores, net.predict(forms, index))
     oracle_loss, oracle_grads = net.loss_and_grads(xa[batch], xb[batch], y[batch], rng=np.random.default_rng(7))
     assert loss == oracle_loss
     for name, g in grads.items():
@@ -335,7 +383,7 @@ def test_scores_equal_the_im2col_oracle_bit_for_bit(arch, monkeypatch):
 @pytest.mark.parametrize("arch", [SIAMESE_EUCLID, MANHATTAN, TWO_CHANNEL])
 def test_trunk_activations_are_stored_batch_minor(arch):
     net = build(ModelSpec(arch), seed=5)
-    x = _toy_pairs(9)[0][..., None].repeat(net.spec.in_channels, axis=-1)
+    x = _sides(*_toy_pairs(9)[:2])[0][..., None].repeat(net.spec.in_channels, axis=-1)
     _, (_, relu1_mask, (a1, _), relu2_mask, (_, pool_idx), _) = net._trunk(x)
     for stored in (relu1_mask, a1, relu2_mask, pool_idx):
         assert stored.transpose(3, 1, 2, 0).flags.c_contiguous
