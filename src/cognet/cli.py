@@ -209,18 +209,19 @@ def _finish(out_dir: Path, command: str, options: dict, message: str) -> int:
 def features_for(system: str, pairs: list[wordlists.WordPair], artifacts: dict):
     """What ``system`` classifies for each distinct pair of forms, and each pair's row among them.
 
-    A ConvNet classifies (forms, index, y): a table of the rendered distinct
-    forms and each pair's two rows in it.  An SVM classifies a feature matrix.
+    A ConvNet classifies (forms, index): the rendered distinct forms and each
+    distinct pair's two rows in them.  An SVM classifies a feature matrix.
     """
-    unique, inverse = wordlists.distinct(pairs, key=lambda p: p.forms)
+    forms, index, row = wordlists.form_table([p.forms for p in pairs])
     if system in NEURAL_SYSTEMS:
         from .neural import model as neural_model
-        return neural_model.encode_pairs(unique, artifacts["net"].spec.pad_len), inverse
+        return (neural_model.render(forms, artifacts["net"].spec.pad_len), index), row
     if system == "pmi_svm":
         from . import pmi
-        return np.array([pmi.pmi_features(*p.forms, artifacts["pmi_matrix"]) for p in unique]), inverse
+        return np.array([pmi.pmi_features(forms[a], forms[b], artifacts["pmi_matrix"])
+                         for a, b in index.tolist()]), row
     from . import similarity
-    return similarity.feature_matrix([p.forms for p in unique]), inverse
+    return similarity.feature_matrix(forms, index), row
 
 
 def _g(value: float) -> str:
@@ -234,11 +235,11 @@ def cmd_featurize(options: dict) -> int:
     out = Path(options["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
     header = ["family", "concept", "language_a", "form_a", "language_b", "form_b", "label"]
-    feats, inverse = features_for("ortho_svm", pairs, {})
+    feats, row = features_for("ortho_svm", pairs, {})
     _write_tsv(out, header + list(similarity.FEATURE_NAMES), (
         [p.family, p.concept, p.a.language, p.a.form, p.b.language, p.b.form, str(p.label)]
         + [_g(v) for v in feats[k]]
-        for p, k in zip(pairs, inverse)
+        for p, k in zip(pairs, row)
     ))
     return _finish(out.parent, "featurize", options, f"wrote {len(pairs)} feature rows to {out}")
 
@@ -293,8 +294,8 @@ def _train_system(options: dict, train_pairs: list[wordlists.WordPair], out_dir:
                   pmi.estimate_pmi([p.forms for p in train_pairs], _pmi_config(options)))
         pmi.save_matrix(matrix, out_dir / "pmi_matrix.tsv")
         artifacts["pmi_matrix"] = matrix
-    feats, inverse = features_for(system, train_pairs, artifacts)
-    X = feats[inverse]  # every repeat stays a training row
+    feats, row = features_for(system, train_pairs, artifacts)
+    X = feats[row]  # every repeat stays a training row
     y = np.array([p.label for p in train_pairs])
     search = grid_search_cv(X, y, C_grid=options["c_grid"], folds=options["folds"],
                             seed=seed, passes=options["svm_passes"])
@@ -328,16 +329,13 @@ def _score_and_report(options: dict, artifacts: dict, pairs: list[wordlists.Word
                       out_dir: Path, title: str) -> str:
     """Score ``pairs``, threshold, evaluate, and write report.txt and report.tsv."""
     system = options["system"]
-    features, inverse = features_for(system, pairs, artifacts)
-    if system in NEURAL_SYSTEMS:
-        forms, index, _ = features
-        scores = artifacts["net"].predict(forms, index)
-    else:
-        scores = decision_function(artifacts["svm"], features)
+    features, row = features_for(system, pairs, artifacts)
+    scores = (artifacts["net"].predict(*features) if system in NEURAL_SYSTEMS
+              else decision_function(artifacts["svm"], features))
     threshold = options["threshold"]
     if threshold is None:  # SVM scores are uncalibrated margins; split at zero
         threshold = 0.5 if system in NEURAL_SYSTEMS else 0.0
-    report = metrics.evaluate(np.array([p.label for p in pairs]), scores[inverse], threshold=threshold)
+    report = metrics.evaluate(np.array([p.label for p in pairs]), scores[row], threshold=threshold)
     text = metrics.render_report(report, title=title)
     (out_dir / "report.txt").write_text(text, encoding="utf-8")
     (out_dir / "report.tsv").write_text(metrics.report_tsv(report), encoding="utf-8")
@@ -425,6 +423,8 @@ def run(argv=None) -> int:
                    for key, (cast, default, _, _) in _OPTIONS.items()}
         if options["seed"] is None:
             raise UsageError("a --seed is required (reproducibility contract)")
+        if options["seed"] < 0:
+            raise UsageError(f"--seed must be >= 0, got {options['seed']}")
         return _COMMANDS[args.command][0](options)
     except (UsageError, FloatingPointError) as exc:  # a FloatingPointError is an overflowing --margin
         print(f"cognet: usage error: {exc}", file=sys.stderr)

@@ -243,6 +243,11 @@ def build(spec: ModelSpec, seed: int = 0) -> Model:
     return Model(spec, seed=seed)
 
 
+def render(forms, pad_len: int = 10) -> np.ndarray:
+    """The [k, pad_len, 16] table of the feature matrices of ``forms``, one row each."""
+    return np.array([phoneme.word_to_matrix(form, pad_len) for form in forms])
+
+
 def encode_pairs(pairs, pad_len: int = 10):
     """Render word pairs as one table of forms and each pair's rows in it.
 
@@ -252,9 +257,8 @@ def encode_pairs(pairs, pad_len: int = 10):
     """
     if not pairs:
         raise EmptyDataset("no pairs to encode")
-    forms, row = wordlists.distinct([form for pair in pairs for form in (pair.a.form, pair.b.form)])
-    table = np.array([phoneme.word_to_matrix(form, pad_len) for form in forms])
-    return table, row.reshape(-1, 2), np.array([pair.label for pair in pairs], dtype=np.float64)
+    forms, index, row = wordlists.form_table([pair.forms for pair in pairs])
+    return render(forms, pad_len), index[row], np.array([pair.label for pair in pairs], dtype=np.float64)
 
 
 def train(model: Model, pairs, cfg: TrainConfig = TrainConfig()):

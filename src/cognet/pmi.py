@@ -93,27 +93,27 @@ def _counts_to_pmi(counts: np.ndarray, pseudocount: float) -> np.ndarray:
     return np.log2(joint) - np.log2(np.outer(marginal, marginal))
 
 
-def _count_pairs(seeds: list[tuple[str, str]], scores: np.ndarray, gap: float) -> np.ndarray:
+def _count_pairs(seeds: list[tuple[str, str]], repeats, scores: np.ndarray, gap: float) -> np.ndarray:
     """Symmetric counts of the symbol pairs that the seeds' alignments under ``scores`` and ``gap`` match up.
 
-    Each distinct seed is aligned once, and its symbol pairs count once per
-    repeat; the weights are whole numbers, so the counts are exact.
+    Each seed is aligned once, and its symbol pairs count ``repeats`` times;
+    the weights are whole numbers, so the counts are exact.
     """
     idx = phoneme.SYMBOL_INDEX
-    unique, inverse = wordlists.distinct(seeds)
     codes = [[idx[x] * N + idx[y] for x, y in similarity.align(a, b, scores, gap)[1]
-              if x != similarity.GAP and y != similarity.GAP] for a, b in unique]
-    repeats = np.repeat(np.bincount(inverse), [len(c) for c in codes])
+              if x != similarity.GAP and y != similarity.GAP] for a, b in seeds]
+    weights = np.repeat(repeats, [len(c) for c in codes])
     counts = np.bincount(np.fromiter(itertools.chain.from_iterable(codes), dtype=np.int64),
-                         weights=repeats, minlength=N * N).reshape(N, N).astype(np.float64)
+                         weights=weights, minlength=N * N).reshape(N, N).astype(np.float64)
     return counts + counts.T
 
 
-def seed_pairs(pairs: list[tuple[str, str]], cutoff: float) -> list[tuple[str, str]]:
-    """The nonempty pairs whose edit distance over the longer length is at most ``cutoff``."""
-    words = [(a, b) for a, b in pairs if a and b]
-    edits = similarity.measure_table(words, ("edit",))[:, 0]
-    return [(a, b) for (a, b), e in zip(words, edits) if e / max(len(a), len(b)) <= cutoff]
+def seed_pairs(forms: list[str], index: np.ndarray, cutoff: float) -> np.ndarray:
+    """The rows of ``index`` whose nonempty forms' edit distance over the longer length is at most ``cutoff``."""
+    la, lb = np.array([len(f) for f in forms], dtype=np.int64)[index].T
+    rows = np.flatnonzero((la > 0) & (lb > 0))
+    edits = similarity.measure_table([(forms[a], forms[b]) for a, b in index[rows].tolist()], ("edit",))[:, 0]
+    return rows[edits / np.maximum(la, lb)[rows] <= cutoff]
 
 
 def estimate_pmi(pairs: list[tuple[str, str]], cfg: PMIConfig = PMIConfig()) -> PMIMatrix:
@@ -125,16 +125,17 @@ def estimate_pmi(pairs: list[tuple[str, str]], cfg: PMIConfig = PMIConfig()) -> 
     when the largest matrix change drops below ``cfg.convergence_tol`` or
     after ``cfg.max_iterations`` realignments.
     """
-    seeds = seed_pairs(pairs, cfg.initial_cutoff)
-    if not seeds:
-        raise EmptySeedSet(
-            f"no pair passed the cutoff {cfg.initial_cutoff} out of {len(pairs)}"
-        )
+    forms, index, row = wordlists.form_table(pairs)
+    rows = seed_pairs(forms, index, cfg.initial_cutoff)
+    if not rows.size:
+        raise EmptySeedSet(f"no pair passed the cutoff {cfg.initial_cutoff} out of {len(pairs)}")
+    seeds = [(forms[a], forms[b]) for a, b in index[rows].tolist()]
+    repeats = np.bincount(row, minlength=len(index))[rows]
 
-    scores = _counts_to_pmi(_count_pairs(seeds, _EDIT_SCORES, -1.0), cfg.pseudocount)
+    scores = _counts_to_pmi(_count_pairs(seeds, repeats, _EDIT_SCORES, -1.0), cfg.pseudocount)
 
     for iterations in range(1, cfg.max_iterations + 1):  # PMIConfig asks for at least one
-        new_scores = _counts_to_pmi(_count_pairs(seeds, scores, cfg.gap_penalty), cfg.pseudocount)
+        new_scores = _counts_to_pmi(_count_pairs(seeds, repeats, scores, cfg.gap_penalty), cfg.pseudocount)
         delta = float(np.max(np.abs(new_scores - scores)))
         scores = new_scores
         if delta < cfg.convergence_tol:

@@ -2,18 +2,20 @@
 
 The measures operate on plain symbol strings, so they apply unchanged to
 ASJP words and to their coarser sound-class renderings.  They are computed
-in batches: :func:`measure_table` codes each distinct string once as a
-padded column of integers, and handles a chunk of distinct pairs at a
-time.  Its arrays are pair-minor: the pair axis is innermost, so each
-numpy op runs along every pair of the chunk at once.  One score-only DP
-fill gives five measures (Needleman-Wunsch global, Smith-Waterman local,
-semi-global with free end gaps, edit distance and LCS); it keeps two DP
-rows and takes each row's runs of gaps as a prefix max in log2(n + 1)
-doubling steps.  The n-gram measures pair up equal n-grams by occurrence
-rank.  :func:`align` is the one aligner that also returns the aligned
-symbol pairs.  It is global only and aligns ASJP words under a 35 x 35
-substitution table plus a linear gap score: the form of the matrix that
-its caller, the PMI module, learns.
+in batches over a form table (``wordlists.form_table``):
+:func:`feature_matrix` renders each form once per alphabet, and
+:func:`measure_table` codes each distinct string once as a padded column
+of integers and handles a chunk of distinct pairs at a time.  Its arrays
+are pair-minor: the pair axis is innermost, so each numpy op runs along
+every pair of the chunk at once.  One score-only DP fill gives five
+measures (Needleman-Wunsch global, Smith-Waterman local, semi-global with
+free end gaps, edit distance and LCS); it keeps two DP rows and takes each
+row's runs of gaps as a prefix max in log2(n + 1) doubling steps.  The
+n-gram measures pair up equal n-grams by occurrence rank.  :func:`align`
+is the one aligner that also returns the aligned symbol pairs.  It is
+global only and aligns ASJP words under a 35 x 35 substitution table plus
+a linear gap score: the form of the matrix that its caller, the PMI
+module, learns.
 """
 
 from __future__ import annotations
@@ -280,35 +282,32 @@ def measure_table(pairs: Sequence[tuple[str, str]], names: Sequence[str] = MEASU
     their first string's length, so a chunk's DP rows stop near the length
     of its words.
     """
-    unique, inverse = wordlists.distinct(pairs)
-    strings, k = wordlists.distinct([s for pair in unique for s in pair])
-    ka, kb = k[0::2], k[1::2]
+    strings, index, row = wordlists.form_table(pairs)
+    ka, kb = index.T
     words = _Words(strings)
     order = np.argsort(words.lengths[ka], kind="stable")
-    out = np.empty((len(unique), len(names)))
-    for s in range(0, len(unique), CHUNK):
+    out = np.empty((len(index), len(names)))
+    for s in range(0, len(index), CHUNK):
         chunk = order[s:s + CHUNK]
         out[chunk] = _measure_chunk(words, ka[chunk], kb[chunk], names)
-    return out[inverse]
+    return out[row]
 
 
-def feature_matrix(pairs: Sequence[tuple[str, str]]) -> np.ndarray:
-    """The [n, 33] features of ASJP word pairs, columns in ``FEATURE_NAMES`` order.
+def feature_matrix(forms: Sequence[str], index: np.ndarray) -> np.ndarray:
+    """The [n, 33] features of the ASJP word pairs ``(forms[a], forms[b])``, one per row ``(a, b)`` of ``index``.
 
-    Each distinct form is rendered once per alphabet.  The length features
-    come from the ASJP transcriptions.
+    Columns follow ``FEATURE_NAMES``.  Each form is rendered once per
+    alphabet; the length features come from the ASJP transcriptions.
     """
-    if not all(a and b for a, b in pairs):
+    if not all(forms):
         raise ValueError("similarity features require nonempty words")
-    forms = {form for pair in pairs for form in pair}
-    rendered = [{f: phoneme.to_sound_class(f, phoneme.SCHEMES[alph]) for f in forms} for alph in ALPHABETS]
-    table = measure_table([(r[a], r[b]) for a, b in pairs for r in rendered])
-    n = len(pairs)
+    rendered = [[phoneme.to_sound_class(f, phoneme.SCHEMES[alph]) for f in forms] for alph in ALPHABETS]
+    table = measure_table([(r[a], r[b]) for a, b in index.tolist() for r in rendered])
+    n = len(index)
     # measure-major: the measure index varies slowest
     measures = table.reshape(n, len(ALPHABETS), len(MEASURES)).transpose(0, 2, 1)
     measures = measures.reshape(n, len(MEASURES) * len(ALPHABETS))  # not (n, -1): n may be 0
-    la = np.array([len(a) for a, _ in pairs], dtype=np.float64)
-    lb = np.array([len(b) for _, b in pairs], dtype=np.float64)
+    la, lb = np.array([len(f) for f in forms], dtype=np.float64)[index].T
     return np.column_stack([measures, la, lb, np.abs(la - lb)])
 
 
@@ -332,7 +331,7 @@ class SimilarityFeatures:
 
 def extract_features(a_asjp: str, b_asjp: str) -> SimilarityFeatures:
     """All ten measures in all three alphabets plus length features, for one pair."""
-    row = feature_matrix([(a_asjp, b_asjp)])[0]
+    row = feature_matrix([a_asjp, b_asjp], np.array([[0, 1]]))[0]
     return SimilarityFeatures(
         measures=tuple(row[:len(ALPHABETS) * len(MEASURES)].tolist()),
         len_a=len(a_asjp),

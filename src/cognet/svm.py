@@ -60,10 +60,10 @@ class LinearModel:
 def _distinct_rows(X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct (row, label) pairs of a training set, and each sample's index among them.
 
-    Returns the distinct rows of ``X`` as a float64 copy, their +-1 labels
-    and ``inverse``, so that sample i is row ``inverse[i]``; the solver
-    weighs each distinct row by how often it occurs.  Raises on a shape
-    mismatch or a non-finite feature.
+    Returns the distinct rows of ``X`` (read back from their keys), their
+    +-1 labels and ``inverse``, so that sample i is row ``inverse[i]``; the
+    solver weighs each distinct row by how often it occurs.  Raises on a
+    shape mismatch or a non-finite feature.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -74,9 +74,9 @@ def _distinct_rows(X, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not np.isfinite(X).all():
         i, j = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"X[{i}, {j}] is {X[i, j]}: features must be finite")
-    keyed = np.column_stack([X, y == 1])
-    first, inverse = wordlists.distinct(range(len(keyed)), key=lambda i: keyed[i].tobytes())
-    return X[first], np.where(y[first] == 1, 1.0, -1.0), inverse
+    keys, inverse = wordlists.distinct(row.tobytes() for row in np.column_stack([X, y == 1]))
+    rows = np.frombuffer(b"".join(keys), dtype=np.float64).reshape(len(keys), -1)
+    return rows[:, :-1], np.where(rows[:, -1] == 1.0, 1.0, -1.0), inverse
 
 
 def _standardized(rows: np.ndarray, ys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -57,7 +57,10 @@ class WordPair:
     a: Lexeme
     b: Lexeme
     label: int
-    concept: str
+
+    @property
+    def concept(self) -> str:
+        return self.a.concept
 
     @property
     def family(self) -> str:
@@ -152,23 +155,26 @@ def generate_pairs(lexemes: list[Lexeme]) -> list[WordPair]:
         for a, b in itertools.combinations(members, 2):
             if a.language == b.language:
                 continue
-            pairs.append(WordPair(
-                a=a, b=b,
-                label=int(a.cognate_class == b.cognate_class),
-                concept=concept,
-            ))
+            pairs.append(WordPair(a=a, b=b, label=int(a.cognate_class == b.cognate_class)))
     return pairs
 
 
-def distinct(items, key=None) -> tuple[list, np.ndarray]:
-    """The first item with each distinct key, in order of appearance, and each item's index among them.
-
-    ``key`` defaults to the item itself.  Work that depends only on the key
-    is done once per distinct item and gathered back with the index.
-    """
+def distinct(items) -> tuple[list, np.ndarray]:
+    """The distinct items in order of first appearance, and each item's index among them."""
     first: dict = {}
-    inverse = [first.setdefault(item if key is None else key(item), (len(first), item))[0] for item in items]
-    return [item for _, item in first.values()], np.array(inverse, dtype=np.intp)
+    inverse = [first.setdefault(item, len(first)) for item in items]
+    return list(first), np.array(inverse, dtype=np.intp)
+
+
+def form_table(pairs) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The distinct forms of string pairs, the distinct ordered pairs as rows into them, and each pair's row.
+
+    ``forms`` and ``index`` keep first-appearance order, and pair i is
+    ``(forms[a], forms[b])`` for ``a, b = index[row[i]]`` (intp, [u, 2] and [n]).
+    """
+    forms, k = distinct([form for pair in pairs for form in pair])
+    keys, row = distinct((k[0::2] * len(forms) + k[1::2]).tolist())
+    return forms, np.stack(np.divmod(np.array(keys, dtype=np.intp), len(forms)), axis=1), row
 
 
 def split(

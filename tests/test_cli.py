@@ -34,6 +34,30 @@ def test_missing_seed_exits_1(family_tsv, tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+# every command reads the seed; numpy's generators take no negative one
+NEGATIVE_SEED_RUNS = {"featurize": ["featurize", "--out", "f.tsv"], "pmi-train": ["pmi-train", "--out", "pmi.tsv"]}
+for _system in cli.SYSTEMS:
+    NEGATIVE_SEED_RUNS[f"train-{_system}"] = ["train", "--system", _system, "--out-dir", "run"]
+    NEGATIVE_SEED_RUNS[f"pipeline-{_system}"] = ["pipeline", "--system", _system, "--out-dir", "run",
+                                                 "--mode", "cross-concept"]
+
+
+@pytest.mark.parametrize("run", sorted(NEGATIVE_SEED_RUNS))
+def test_negative_seed_is_a_usage_error_naming_it(run, family_tsv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.run([*NEGATIVE_SEED_RUNS[run], "--data", str(family_tsv), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "cognet: usage error: --seed must be >= 0, got -1\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_negative_config_seed_is_a_usage_error_naming_it(family_tsv, tmp_path, capsys):
+    prefix = _write_config(tmp_path, "[run]\nseed = -3\n")
+    assert cli.run(prefix + ["train", "--data", str(family_tsv), "--system", "ortho_svm",
+                             "--out-dir", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "cognet: usage error: --seed must be >= 0, got -3\n"
+    assert not (tmp_path / "run").exists()
+
+
 def test_an_escaping_exception_is_an_internal_error(family_tsv, tmp_path, monkeypatch, capsys):
     def crash(options):
         raise RuntimeError("boom")

@@ -185,8 +185,7 @@ def test_siamese_euclid_trains_with_contrastive():
 
 
 def _pair(a: str, b: str, label: int) -> WordPair:
-    return WordPair(Lexeme("fam", "L1", "c", a, "x"), Lexeme("fam", "L2", "c", b, "x" if label else "y"),
-                    label, "c")
+    return WordPair(Lexeme("fam", "L1", "c", a, "x"), Lexeme("fam", "L2", "c", b, "x" if label else "y"), label)
 
 
 def test_encode_pairs_shapes_and_errors():

@@ -227,13 +227,18 @@ def _fixture_pairs():
 @pytest.mark.parametrize("cutoff", [0.2, 0.5, 0.75, 1.0])
 def test_seed_pairs_equal_per_pair_edit_distance_cutoff(cutoff):
     pairs = _fixture_pairs()
-    assert pmi.seed_pairs(pairs, cutoff) == _per_pair_seeds(pairs, cutoff)
+    forms, index, row = wordlists.form_table(pairs)
+    seeds = pmi.seed_pairs(forms, index, cutoff)
+    # gathered back to every pair, repeats included, the seed rows pick the per-pair seeds
+    assert [pair for pair, r in zip(pairs, row) if r in seeds] == _per_pair_seeds(pairs, cutoff)
 
 
 def test_matrix_equals_one_from_per_pair_seeds(monkeypatch):
     pairs = _fixture_pairs()
     got = pmi.estimate_pmi(pairs)
-    monkeypatch.setattr(pmi, "seed_pairs", _per_pair_seeds)
+    seeds = _per_pair_seeds(pairs, pmi.PMIConfig().initial_cutoff)
+    monkeypatch.setattr(pmi, "_count_pairs",
+                        lambda _seeds, _repeats, scores, gap: oracles.count_pairs_per_seed(seeds, scores, gap))
     want = pmi.estimate_pmi(pairs)
     assert np.array_equal(got.scores, want.scores)
     assert (got.iterations, got.final_delta, got.converged) == (
@@ -276,7 +281,8 @@ def test_weighted_counts_equal_one_alignment_per_seed(pool, picks, seed, gap):
     else:
         half = np.random.default_rng(seed).normal(0.0, 2.0, size=(N, N))
         table = half + half.T
-    got = pmi._count_pairs(seeds, table, gap)
+    forms, index, row = wordlists.form_table(seeds)
+    got = pmi._count_pairs([(forms[a], forms[b]) for a, b in index.tolist()], np.bincount(row), table, gap)
     assert np.array_equal(got, oracles.count_pairs_per_seed(seeds, table, gap))
     assert got.dtype == np.float64
 

@@ -203,13 +203,19 @@ def test_extract_features_rejects_empty_words():
         sim.extract_features("", "fVt")
 
 
+def _pair_features(pairs):
+    """``feature_matrix`` over the form table of string pairs, gathered back to every pair."""
+    forms, index, row = wordlists.form_table(pairs)
+    return sim.feature_matrix(forms, index)[row]
+
+
 def test_feature_matrix_rejects_empty_words():
     with pytest.raises(ValueError):
-        sim.feature_matrix([("fVt", "fVd"), ("fVt", "")])
+        sim.feature_matrix(["fVt", "fVd", ""], np.array([[0, 1], [0, 2]]))
 
 
 def test_feature_matrix_of_no_pairs_has_33_columns():
-    features = sim.feature_matrix([])
+    features = sim.feature_matrix([], np.empty((0, 2), dtype=np.intp))
     assert features.shape == (0, 33)
     assert features.dtype == np.float64
 
@@ -285,7 +291,7 @@ def test_feature_matrix_equals_per_pair_oracle_on_synthetic_family():
     lexemes = synthetic.generate_family(n_concepts=30, n_languages=8, seed=7)
     pairs = [(p.a.form, p.b.form) for p in wordlists.generate_pairs(lexemes)]
     assert len(pairs) * len(sim.ALPHABETS) > 2 * sim.CHUNK
-    _assert_bitwise_equal_to_oracle(pairs, sim.feature_matrix(pairs))
+    _assert_bitwise_equal_to_oracle(pairs, _pair_features(pairs))
 
 
 def _asjp_words(symbols=phoneme.INVENTORY):
@@ -309,7 +315,7 @@ def test_feature_matrix_equals_per_pair_oracle(words, apart, chunk):
     # pairs across several chunks
     pairs = [(a, b) for i, a in enumerate(words) for b in words[i:]] + apart
     with mock.patch.object(sim, "CHUNK", chunk):
-        features = sim.feature_matrix(pairs)
+        features = _pair_features(pairs)
     _assert_bitwise_equal_to_oracle(pairs, features)
     assert (features[len(pairs) - len(apart):, sim.FEATURE_NAMES.index("local_asjp")] == 0.0).all()
 
@@ -326,7 +332,7 @@ def test_repeated_and_reordered_pairs_equal_per_pair_oracle(words, picks, chunk)
     # splits the distinct pairs across chunks
     pairs = [(words[i % len(words)], words[j % len(words)]) for i, j in picks]
     with mock.patch.object(sim, "CHUNK", chunk):
-        features = sim.feature_matrix(pairs)
+        features = _pair_features(pairs)
         table = sim.measure_table(pairs)
     _assert_bitwise_equal_to_oracle(pairs, features)
     # the ASJP measures are every third of the measure-major feature columns

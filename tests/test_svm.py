@@ -261,7 +261,8 @@ def _family_features():
     forms = [(p.a.form, p.b.form) for p in pairs]
     matrix = pmi.estimate_pmi(forms)
     y = np.array([p.label for p in pairs])
-    return {"ortho": (similarity.feature_matrix(forms), y),
+    table, index, row = wordlists.form_table(forms)
+    return {"ortho": (similarity.feature_matrix(table, index)[row], y),
             "pmi": (np.array([pmi.pmi_features(a, b, matrix) for a, b in forms]), y)}
 
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cognet import synthetic
 from cognet.wordlists import (
     CROSS_CONCEPT,
     CROSS_FAMILY,
@@ -10,6 +13,7 @@ from cognet.wordlists import (
     SchemaError,
     SplitSpec,
     distinct,
+    form_table,
     generate_pairs,
     load_wordlist,
     split,
@@ -230,8 +234,42 @@ def test_distinct_keeps_first_items_and_indexes_every_item():
     items, inverse = distinct(["b", "a", "b", "c", "a"])
     assert items == ["b", "a", "c"] and inverse.tolist() == [0, 1, 0, 2, 1]
     assert inverse.dtype == np.intp
-    words = ["pVt", "PVT", "kVs", "pvt"]
-    firsts, inverse = distinct(words, key=str.lower)
-    assert firsts == ["pVt", "kVs"] and inverse.tolist() == [0, 0, 1, 0]
     items, inverse = distinct([])
     assert items == [] and inverse.shape == (0,)
+
+
+def test_form_table_keeps_first_appearance_order():
+    forms, index, row = form_table([("kVs", "pVt"), ("pVt", "mVn"), ("kVs", "pVt"), ("mVn", "mVn")])
+    assert forms == ["kVs", "pVt", "mVn"]
+    assert index.tolist() == [[0, 1], [1, 2], [2, 2]] and row.tolist() == [0, 1, 0, 2]
+    assert index.dtype == row.dtype == np.intp
+
+
+def test_form_table_tells_a_pair_from_its_reversal():
+    forms, index, row = form_table([("pVt", "kVs"), ("kVs", "pVt"), ("pVt", "kVs")])
+    assert forms == ["pVt", "kVs"] and index.tolist() == [[0, 1], [1, 0]] and row.tolist() == [0, 1, 0]
+
+
+def test_form_table_of_no_pairs():
+    forms, index, row = form_table([])
+    assert forms == [] and index.shape == (0, 2) and row.shape == (0,)
+    assert index.dtype == row.dtype == np.intp
+
+
+@st.composite
+def _pairs_with_repeats_and_reversals(draw):
+    lexemes = synthetic.generate_family(draw(st.integers(1, 4)), draw(st.integers(2, 6)),
+                                        seed=draw(st.integers(0, 2**16)))
+    pairs = [p.forms for p in generate_pairs(lexemes)]
+    picks = draw(st.lists(st.tuples(st.sampled_from(pairs), st.booleans()), max_size=2 * len(pairs)))
+    return pairs + [pair[::-1] if flip else pair for pair, flip in picks]
+
+
+@settings(max_examples=50, deadline=None)
+@given(pairs=_pairs_with_repeats_and_reversals())
+def test_form_table_equals_distinct_over_pair_tuples(pairs):
+    forms, index, row = form_table(pairs)
+    unique, inverse = distinct(pairs)
+    assert forms == distinct([form for pair in pairs for form in pair])[0]
+    assert [(forms[a], forms[b]) for a, b in index.tolist()] == unique
+    assert index.shape == (len(unique), 2) and np.array_equal(row, inverse)
