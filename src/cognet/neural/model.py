@@ -25,6 +25,13 @@ ARCHITECTURES = (SIAMESE_EUCLID, MANHATTAN, TWO_CHANNEL)
 PREDICT_CHUNK = 128  # rows per forward pass in Model.predict
 
 
+# The largest conv_filters, fc_units and pad_len, far above the paper's 10,
+# 8 and 10.  With the other sizes at their defaults, a 128-pair training step
+# at any one bound peaks under 200 MiB; a size past one is a typo, which
+# would otherwise end in a failed allocation of up to petabytes.
+MAX_SIZES = {"conv_filters": 256, "fc_units": 4096, "pad_len": 128}
+
+
 class InvalidSpec(ValueError):
     pass
 
@@ -47,6 +54,9 @@ class ModelSpec:
             raise InvalidSpec(f"unknown architecture {self.architecture!r}")
         if self.conv_filters < 1 or self.fc_units < 1 or self.pad_len < 1:
             raise InvalidSpec("conv_filters, fc_units, and pad_len must be >= 1")
+        for name, bound in MAX_SIZES.items():
+            if getattr(self, name) > bound:
+                raise InvalidSpec(f"{name} {getattr(self, name)} is not in [1, {bound}]")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidSpec("dropout_rate must be in [0, 1)")
         k = self.kernel
@@ -133,22 +143,29 @@ class Model:
 
     # trunk: conv -> relu -> conv -> relu -> pool -> flatten
 
-    def _trunk(self, x: np.ndarray):
-        p = self.params
-        z1, c1 = ops.conv2d(x, p["conv1_w"], p["conv1_b"])
-        a1, cr1 = ops.relu(z1)
-        z2, c2 = ops.conv2d(a1, p["conv2_w"], p["conv2_b"])
-        a2, cr2 = ops.relu(z2)
-        pooled, cp = ops.maxpool2(a2)
-        flat = pooled.reshape(x.shape[0], -1)  # copies the batch-minor map in [h, w, f] order, fc_w's row order
-        return flat, (c1, cr1, c2, cr2, cp, pooled.shape)
+    def _trunk(self, x: np.ndarray, tape: bool = True):
+        """The flat features of ``x`` and the trunk's tape, the caches its backward reads.
 
-    def _trunk_backward(self, cache, gflat, grads: dict[str, np.ndarray]) -> None:
-        c1, cr1, c2, cr2, cp, pooled_shape = cache
+        The tape holds the input, conv2's input, the two ReLU masks and the uint8 pool
+        index; each ReLU overwrites its pre-activation.  Without ``tape`` it
+        is None, the pool keeps no index, and each activation is released
+        once the next layer has read it.
+        """
+        p = self.params
+        a, c1 = ops.conv2d(x, p["conv1_w"], p["conv1_b"], tape)
+        a, cr1 = ops.relu(a, out=a, tape=tape)
+        a, c2 = ops.conv2d(a, p["conv2_w"], p["conv2_b"], tape)
+        a, cr2 = ops.relu(a, out=a, tape=tape)
+        a, cp = ops.maxpool2(a, tape)
+        flat = a.reshape(x.shape[0], -1)  # copies the batch-minor map in [h, w, f] order, fc_w's row order
+        return flat, (c1, cr1, c2, cr2, cp, a.shape) if tape else None
+
+    def _trunk_backward(self, tape, gflat, grads: dict[str, np.ndarray]) -> None:
+        c1, cr1, c2, cr2, cp, pooled_shape = tape
         g = ops.maxpool2_backward(cp, gflat.reshape(pooled_shape))
-        g = ops.relu_backward(cr2, g)
+        g = ops.relu_backward(cr2, g, out=g)
         g, gk2, gb2 = ops.conv2d_backward(c2, g)
-        g = ops.relu_backward(cr1, g)
+        g = ops.relu_backward(cr1, g, out=g)
         # nothing upstream of the input needs its gradient
         _, gk1, gb1 = ops.conv2d_backward(c1, g, input_grad=False)
         grads["conv1_w"] += gk1
@@ -159,7 +176,7 @@ class Model:
     def _head(self, h: np.ndarray, training: bool, rng):
         p = self.params
         z1, cfc = ops.dense(h, p["fc_w"], p["fc_b"])
-        a1, cr = ops.relu(z1)
+        a1, cr = ops.relu(z1, out=z1, tape=training)
         a1d, cdo = ops.dropout(a1, self.spec.dropout_rate, training, rng)
         z2, cout = ops.dense(a1d, p["out_w"], p["out_b"])
         prob, csig = ops.sigmoid(z2[:, 0])
@@ -182,20 +199,23 @@ class Model:
                 rng: np.random.Generator | None = None):
         """Score each pair: probability for log-loss heads, distance for Euclid.
 
-        Trunk, pair layer, then the dense head unless the distance is the score.
+        Trunk, pair layer, then the dense head unless the distance is the
+        score.  Returns (scores, tape).  Training keeps each trunk's tape for
+        backward, as ``_trunk`` describes; scoring keeps no backward state at
+        all, and its tape is None.
         """
         arch = self.spec.architecture
         if arch == TWO_CHANNEL:  # one trunk pass over the pair as two channels
-            h, trunk = self._trunk(np.stack([xa, xb], axis=-1))
+            h, trunk = self._trunk(np.stack([xa, xb], axis=-1), training)
             trunks, cpair = [trunk], None
         else:  # one trunk pass per word, with shared weights
-            (fa, ca), (fb, cb) = self._trunk(xa[..., None]), self._trunk(xb[..., None])
+            (fa, ca), (fb, cb) = self._trunk(xa[..., None], training), self._trunk(xb[..., None], training)
             trunks = [ca, cb]
             h, cpair = ops.euclid(fa, fb) if arch == SIAMESE_EUCLID else ops.abs_diff(fa, fb)
-        if arch == SIAMESE_EUCLID:
-            return h, (trunks, cpair, None)
-        prob, chead = self._head(h, training, rng)
-        return prob, (trunks, cpair, chead)
+        chead = None
+        if arch != SIAMESE_EUCLID:
+            h, chead = self._head(h, training, rng)
+        return h, (trunks, cpair, chead) if training else None
 
     def loss_and_grads(self, xa: np.ndarray, xb: np.ndarray, y: np.ndarray,
                        margin: float = 1.0, rng: np.random.Generator | None = None):
@@ -214,10 +234,12 @@ class Model:
             gflats = ops.euclid_backward(cpair, losses.contrastive_loss_grad(out, y, margin) / n)
         else:
             loss = float(losses.log_loss(out, y).mean())
-            gh = self._head_backward(chead, losses.log_loss_grad(out, y) / n, grads)
-            gflats = [gh] if arch == TWO_CHANNEL else ops.abs_diff_backward(cpair, gh)
-        for cache, gflat in zip(trunks, gflats):
-            self._trunk_backward(cache, gflat, grads)
+            gflats = [self._head_backward(chead, losses.log_loss_grad(out, y) / n, grads)]
+            if arch == MANHATTAN:
+                gflats = ops.abs_diff_backward(cpair, gflats[0])
+        del cpair, chead  # read by now; the trunks' backward passes are the step's peak
+        for gflat in gflats:  # each trunk's tape is released once its backward has run
+            self._trunk_backward(trunks.pop(0), gflat, grads)
         return loss, grads
 
     def predict(self, forms: np.ndarray, index: np.ndarray) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Layer primitives over batched numpy arrays, each with an exact backward.
 
 Every forward returns (output, cache); the matching backward consumes the
-cache and the upstream gradient.  Spatial tensors have the shape [batch,
-height, width, channels]; dense activations are [batch, units].  All
-arithmetic is float64.
+cache and the upstream gradient.  The trunk's ops (conv2d, relu, maxpool2)
+take ``tape``: with it false they keep nothing a backward would read and
+return None for the cache, so scoring holds only the activations
+themselves.  Spatial tensors have the shape [batch, height, width,
+channels]; dense activations are [batch, units].  All arithmetic is
+float64.
 
 The spatial ops store their outputs batch-minor: each returns the
 [B,H,W,C]-shaped transpose of a contiguous [C,H,W,B] buffer, so a
@@ -49,12 +52,12 @@ def _at_offsets(rows: np.ndarray, kh: int, kw: int, W: int, B: int, n: int) -> l
     return [rows[:, (a * W + b) * B:(a * W + b) * B + n] for a in range(kh) for b in range(kw)]
 
 
-def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray):
+def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, tape: bool = True):
     """Valid (unpadded) convolution: [B,H,W,C] x [kh,kw,C,F] -> [B,H-kh+1,W-kw+1,F].
 
-    Output rows are computed at the full input width W from one shifted
-    slice per kernel offset (see ``_at_offsets``); the kw - 1 wrapped
-    columns are then cut off.
+    The cache is (x, kernels).  Output rows are computed at the full input
+    width W from one shifted slice per kernel offset (see ``_at_offsets``);
+    the kw - 1 wrapped columns are then cut off.
     """
     if x.ndim != 4 or kernels.ndim != 4:
         raise ShapeMismatch(f"conv2d expects 4-D input and kernels, got {x.shape}, {kernels.shape}")
@@ -81,7 +84,7 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray):
             o[:] = bias[:, None]
             for k, v in zip(kernels.reshape(-1, C, F), views):
                 o += k.T @ v[:, cols]
-    return _swap(np.ascontiguousarray(full.reshape(F, oh, W, B)[:, :, :ow])), (x, kernels)
+    return _swap(np.ascontiguousarray(full.reshape(F, oh, W, B)[:, :, :ow])), (x, kernels) if tape else None
 
 
 def conv2d_backward(cache, grad, input_grad: bool = True):
@@ -121,20 +124,25 @@ def conv2d_backward(cache, grad, input_grad: bool = True):
     return _swap(gx.reshape(C, H, W, B)), gk, gb
 
 
-def relu(x: np.ndarray):
-    """max(x, 0) and its mask, both in x's memory layout (batch-minor stays batch-minor)."""
-    out = np.maximum(x, 0.0)
-    return out, (x > 0.0)
+def relu(x: np.ndarray, out: np.ndarray | None = None, tape: bool = True):
+    """max(x, 0) and its mask x > 0, both in x's memory layout (batch-minor stays batch-minor).
+
+    ``out=x`` runs in place, so the pre-activation is gone once its ReLU has run.
+    """
+    out = np.maximum(x, 0.0, out=out)
+    return out, (out > 0.0) if tape else None
 
 
-def relu_backward(cache, grad):
-    return grad * cache
+def relu_backward(cache, grad, out: np.ndarray | None = None):
+    """grad times the mask; ``out=grad`` consumes a gradient that no one else reads."""
+    return np.multiply(grad, cache, out=out)
 
 
-def maxpool2(x: np.ndarray):
+def maxpool2(x: np.ndarray, tape: bool = True):
     """2x2 window max with stride 2; an odd last row or column is dropped.
 
-    Ties go to the first maximum in row-major window order, as with argmax.
+    The cache is x's shape and each window's argmax, 0-3 in row-major order
+    as uint8; ties go to the first maximum, as with argmax.
     """
     if x.ndim != 4:
         raise ShapeMismatch(f"maxpool2 expects [B,H,W,F], got {x.shape}")
@@ -144,13 +152,14 @@ def maxpool2(x: np.ndarray):
         raise ShapeMismatch(f"input {H}x{W} too small for 2x2 pooling")
     t = _swap(x)
     out = t[:, :2 * oh:2, :2 * ow:2].copy()  # every window's element at position 0
-    idx = np.zeros(out.shape, dtype=np.intp)
+    idx = np.zeros(out.shape, dtype=np.uint8) if tape else None
     for k in range(1, 4):  # the other positions, in row-major order
         i, j = divmod(k, 2)
         at_k = t[:, i:2 * oh:2, j:2 * ow:2]
-        np.putmask(idx, at_k > out, k)  # strict: a tie keeps the earlier position
+        if tape:
+            np.putmask(idx, at_k > out, k)  # strict: a tie keeps the earlier position
         np.maximum(out, at_k, out=out)
-    return _swap(out), (x.shape, _swap(idx))
+    return _swap(out), (x.shape, _swap(idx)) if tape else None
 
 
 def maxpool2_backward(cache, grad):

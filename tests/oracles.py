@@ -292,8 +292,8 @@ def _unfold(x, kh, kw):
     return windows.transpose(0, 1, 2, 4, 5, 3).reshape(-1, kh * kw * x.shape[3])
 
 
-def conv2d_im2col(x, kernels, bias):
-    """Valid convolution over channels-last arrays: (out, (x, kernels)).
+def conv2d_im2col(x, kernels, bias, tape=True):
+    """Valid convolution over channels-last arrays: (out, (x, kernels)), or (out, None) without ``tape``.
 
     One GEMM over the unfolded windows for C <= 2, else the per-offset sum
     in (a, b) order: the float order the batch-minor ops must reproduce.
@@ -302,8 +302,10 @@ def conv2d_im2col(x, kernels, bias):
     kh, kw, _, F = kernels.shape
     oh, ow = H - kh + 1, W - kw + 1
     if C <= 2:
-        return (_unfold(x, kh, kw) @ kernels.reshape(-1, F) + bias).reshape(B, oh, ow, F), (x, kernels)
-    return conv2d_offsets(x, kernels, bias), (x, kernels)
+        out = (_unfold(x, kh, kw) @ kernels.reshape(-1, F) + bias).reshape(B, oh, ow, F)
+    else:
+        out = conv2d_offsets(x, kernels, bias)
+    return out, (x, kernels) if tape else None
 
 
 def conv2d_backward_im2col(cache, grad, input_grad=True):

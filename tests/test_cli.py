@@ -4,6 +4,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 import cognet
 from cognet import artifact, cli, phoneme, pmi, similarity, svm, synthetic, wordlists
 from cognet.neural import encode_pairs, load_checkpoint
+from cognet.neural import model as neural_model
 
 import oracles
 
@@ -476,10 +478,12 @@ def test_help_and_usage_errors_import_no_system_layer(args, code):
     assert [m for m in modules if m.startswith(unused)] == []
 
 
-# Minor page faults per step over steps 11-30 of Manhattan training on 128
-# random pairs, with the heap kept as the CLI keeps it.
+# Minor page faults per step over steps 11-30 of Manhattan training on
+# random pairs, as many as the first argument, with the heap kept as the CLI
+# keeps it.
 TRAINING_FAULTS = """
 import resource
+import sys
 import numpy as np
 from cognet import cli
 from cognet.neural import model
@@ -488,8 +492,9 @@ from cognet.neural.adadelta import AdadeltaState, adadelta_step
 cli._keep_freed_heap()
 rng = np.random.default_rng(0)
 net = model.build(model.ModelSpec("manhattan"), seed=0)
-xa, xb = rng.integers(0, 2, (2, 128, 10, 16)).astype(np.float64)
-y = rng.integers(0, 2, 128).astype(np.float64)
+batch = int(sys.argv[1])
+xa, xb = rng.integers(0, 2, (2, batch, 10, 16)).astype(np.float64)
+y = rng.integers(0, 2, batch).astype(np.float64)
 state = AdadeltaState.for_params(net.params)
 for step in range(30):
     if step == 10:
@@ -502,7 +507,27 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
 def test_kept_heap_ends_page_faults_in_training_steps():
-    assert float(_python(TRAINING_FAULTS)) < 50
+    assert float(_python(TRAINING_FAULTS, "128")) < 50
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
+def test_kept_heap_ends_page_faults_at_batch_size_512():
+    assert float(_python(TRAINING_FAULTS, "512")) < 50
+
+
+def test_a_512_pair_manhattan_step_peaks_under_the_trim_threshold():
+    # past the threshold glibc would hand the step's freed pages back and fault them in again
+    rng = np.random.default_rng(0)
+    net = neural_model.build(neural_model.ModelSpec("manhattan"), seed=0)
+    xa, xb = rng.integers(0, 2, (2, 512, 10, 16)).astype(np.float64)
+    y = rng.integers(0, 2, 512).astype(np.float64)
+    tracemalloc.start()
+    try:
+        net.loss_and_grads(xa, xb, y, rng=rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cli._TRIM_THRESHOLD
 
 
 @pytest.mark.parametrize("error", [OSError, AttributeError])
@@ -731,6 +756,9 @@ UNBUILDABLE_HEADERS = {
     "kernel\t11x3": "kernel (11, 3) exhausts the 10x16 input",
     "conv_filters\t0": "conv_filters, fc_units, and pad_len must be >= 1",
     "pad_len\t3": "2x2 pooling exhausts the feature map",
+    "conv_filters\t100000000": "conv_filters 100000000 is not in [1, 256]",
+    "fc_units\t1000000000000": "fc_units 1000000000000 is not in [1, 4096]",
+    "pad_len\t100000000000": "pad_len 100000000000 is not in [1, 128]",
 }
 
 
@@ -810,6 +838,23 @@ def test_bad_option_values_are_usage_errors(case, family_tsv, tmp_path, capsys):
         common += ["--out-dir", str(tmp_path / "run")]
     assert cli.run(prefix + args + common) == 1
     assert "usage error" in capsys.readouterr().err
+
+
+# each size is rejected before anything is allocated: unbounded, they ask for petabytes
+@pytest.mark.parametrize("command, option, field, value, bound", [
+    ("train", "--filters", "conv_filters", "100000000", 256),
+    ("pipeline", "--fc-units", "fc_units", "1000000000000", 4096),
+    ("train", "--pad-len", "pad_len", "100000000000", 128),
+])
+def test_network_size_past_its_bound_is_a_usage_error_naming_it(command, option, field, value, bound,
+                                                                 family_tsv, tmp_path, capsys):
+    args = [command, "--system", "two_channel", "--data", str(family_tsv), "--seed", "3",
+            "--out-dir", str(tmp_path / "run"), option, value]
+    if command == "pipeline":
+        args += ["--mode", "cross-concept"]
+    assert cli.run(args) == 1
+    assert capsys.readouterr().err == f"cognet: usage error: {field} {value} is not in [1, {bound}]\n"
+    assert not (tmp_path / "run" / "model.txt").exists()
 
 
 def test_unknown_config_key_is_named(family_tsv, tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,3 +387,92 @@ def test_trunk_activations_are_stored_batch_minor(arch):
     _, (_, relu1_mask, (a1, _), relu2_mask, (_, pool_idx), _) = net._trunk(x)
     for stored in (relu1_mask, a1, relu2_mask, pool_idx):
         assert stored.transpose(3, 1, 2, 0).flags.c_contiguous
+
+
+def _long_word_pairs(n):
+    """n pairs of a synthetic family's words spelled four times over: 12-20 symbols, past pad_len 10."""
+    lexemes = [dataclasses.replace(lex, form=lex.form * 4)
+               for lex in synthetic.generate_family(n_concepts=6, n_languages=6, seed=12)]
+    return encode_pairs(wordlists.generate_pairs(lexemes)[:n], 10)
+
+
+SCORED_SIDES = {
+    "one_row": lambda: _sides(*_word_pairs(1)[:2]),
+    "ragged_chunk": lambda: _sides(*_word_pairs(neural_model.PREDICT_CHUNK + 44)[:2]),
+    "longer_than_pad_len": lambda: _sides(*_long_word_pairs(60)[:2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCORED_SIDES))
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_scoring_forward_equals_the_taped_forward_bit_for_bit(arch, case):
+    net = build(ModelSpec(arch, dropout_rate=0.0), seed=5)
+    rng = np.random.default_rng(6)
+    for v in net.params.values():
+        v += rng.normal(scale=0.1, size=v.shape)  # nonzero biases too
+    xa, xb = SCORED_SIDES[case]()
+    inputs = xa.tobytes() + xb.tobytes()
+    scores, tape = net.forward(xa, xb)
+    taped, (trunks, _, _) = net.forward(xa, xb, training=True, rng=np.random.default_rng(7))
+    assert tape is None and len(trunks) == (1 if arch == TWO_CHANNEL else 2)
+    assert scores.tobytes() == taped.tobytes()
+    assert xa.tobytes() + xb.tobytes() == inputs  # ReLU runs in place on activations, never on the inputs
+
+
+def _traced_peak(fn) -> int:
+    """The tracemalloc peak, in bytes, of what fn() allocates."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_a_scoring_chunk_holds_no_tape(arch):
+    net = build(ModelSpec(arch), seed=5)
+    xa, xb = _sides(*_toy_pairs(neural_model.PREDICT_CHUNK)[:2])
+    scoring = _traced_peak(lambda: net.forward(xa, xb))
+    taped = _traced_peak(lambda: net.forward(xa, xb, training=True, rng=np.random.default_rng(0)))
+    # at most conv2's input, its full-width output buffer and its output, and the
+    # first trunk's features: 3.5 MiB at the default spec
+    assert scoring <= 3.8 * 2**20
+    _, (trunks, _, _) = net.forward(xa, xb, training=True, rng=np.random.default_rng(0))
+    _, mask1, (a1, _), mask2, (_, idx), _ = trunks[0]
+    assert idx.dtype == np.uint8
+    if arch != TWO_CHANNEL:  # the second trunk runs without the first one's tape
+        assert scoring + sum(a.nbytes for a in (a1, mask1, mask2, idx)) <= taped
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_trunk_ops_keep_caches_only_for_training_and_relu_runs_in_place(arch, monkeypatch):
+    calls = []
+
+    def recorded(op):
+        def run(x, *args, **kwargs):
+            out, cache = op(x, *args, **kwargs)
+            calls.append((op.__name__, cache is not None, out is x))
+            return out, cache
+        return run
+
+    for name in ("conv2d", "relu", "maxpool2"):
+        monkeypatch.setattr(neural_model.ops, name, recorded(getattr(neural_model.ops, name)))
+    net = build(ModelSpec(arch), seed=5)
+    forms, index, y = _toy_pairs(9)
+    trunk_passes = 1 if arch == TWO_CHANNEL else 2
+    head = [] if arch == SIAMESE_EUCLID else ["relu"]
+    net.predict(forms, index)
+    scoring, calls[:] = calls[:], []
+    net.loss_and_grads(*_sides(forms, index), y, rng=np.random.default_rng(0))
+    assert [name for name, _, _ in scoring] == [name for name, _, _ in calls] == \
+        ["conv2d", "relu", "conv2d", "relu", "maxpool2"] * trunk_passes + head
+    assert not any(cached for _, cached, _ in scoring) and all(cached for _, cached, _ in calls)
+    assert all(in_place for name, _, in_place in scoring + calls if name == "relu")
+
+
+@pytest.mark.parametrize("field, bound", sorted(neural_model.MAX_SIZES.items()))
+def test_network_sizes_are_bounded(field, bound):
+    assert getattr(ModelSpec(MANHATTAN, **{field: bound}), field) == bound
+    with pytest.raises(InvalidSpec, match=f"^{field} {bound + 1} is not in \\[1, {bound}\\]$"):
+        ModelSpec(MANHATTAN, **{field: bound + 1})
