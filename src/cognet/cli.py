@@ -38,13 +38,23 @@ class UsageError(Exception):
     pass
 
 
+# the option behind each library field whose message _user_values reports
+_FIELD_OPTIONS = {
+    "conv_filters": "--filters", "kernel": "--kernel", "fc_units": "--fc-units", "dropout_rate": "--dropout",
+    "pad_len": "--pad-len", "batch_size": "--batch-size", "epochs": "--epochs", "margin": "--margin",
+    "initial_cutoff": "--cutoff", "max_iterations": "--max-iterations", "convergence_tol": "--tol",
+    "train_fraction": "--train-fraction",
+}
+
+
 @contextmanager
 def _user_values():
-    """Report an invalid option value as a usage error, not a data error."""
+    """Report an invalid option value as a usage error naming the option, not a data error."""
     try:
         yield
     except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+        field, space, rest = str(exc).partition(" ")
+        raise UsageError(_FIELD_OPTIONS.get(field, field) + space + rest) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -388,9 +398,7 @@ _COMMANDS = {
 }
 
 
-# mallopt(3) parameters and the values _keep_freed_heap pins
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_TRIM_THRESHOLD, _MMAP_THRESHOLD = 32 << 20, 16 << 20  # the smallest pair that ends the faults at batch 128
+_M_TRIM_THRESHOLD, _M_MMAP_MAX = -1, -4  # mallopt(3) parameters
 
 
 def _keep_freed_heap() -> None:
@@ -398,15 +406,15 @@ def _keep_freed_heap() -> None:
 
     A ConvNet training step frees megabytes of numpy temporaries, and by
     default glibc returns them to the kernel and faults them back in on the
-    next step.  Fixed thresholds stop that.
+    next step.  Serving every block from the heap and never trimming it stops that.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, -1)
+    mallopt(_M_MMAP_MAX, 0)
 
 
 def run(argv=None) -> int:

@@ -52,10 +52,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise InvalidSpec(f"unknown architecture {self.architecture!r}")
-        if self.conv_filters < 1 or self.fc_units < 1 or self.pad_len < 1:
-            raise InvalidSpec("conv_filters, fc_units, and pad_len must be >= 1")
         for name, bound in MAX_SIZES.items():
-            if getattr(self, name) > bound:
+            if not 1 <= getattr(self, name) <= bound:
                 raise InvalidSpec(f"{name} {getattr(self, name)} is not in [1, {bound}]")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidSpec("dropout_rate must be in [0, 1)")

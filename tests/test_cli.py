@@ -4,7 +4,6 @@ import platform
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -478,9 +477,9 @@ def test_help_and_usage_errors_import_no_system_layer(args, code):
     assert [m for m in modules if m.startswith(unused)] == []
 
 
-# Minor page faults per step over steps 11-30 of Manhattan training on
-# random pairs, as many as the first argument, with the heap kept as the CLI
-# keeps it.
+# Minor page faults per step over steps 11-30 of training the architecture
+# named by the second argument on random pairs, as many as the first, with
+# the heap kept as the CLI keeps it.
 TRAINING_FAULTS = """
 import resource
 import sys
@@ -491,8 +490,8 @@ from cognet.neural.adadelta import AdadeltaState, adadelta_step
 
 cli._keep_freed_heap()
 rng = np.random.default_rng(0)
-net = model.build(model.ModelSpec("manhattan"), seed=0)
-batch = int(sys.argv[1])
+batch, architecture = int(sys.argv[1]), sys.argv[2]
+net = model.build(model.ModelSpec(architecture), seed=0)
 xa, xb = rng.integers(0, 2, (2, batch, 10, 16)).astype(np.float64)
 y = rng.integers(0, 2, batch).astype(np.float64)
 state = AdadeltaState.for_params(net.params)
@@ -505,29 +504,11 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
 """
 
 
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
-def test_kept_heap_ends_page_faults_in_training_steps():
-    assert float(_python(TRAINING_FAULTS, "128")) < 50
-
-
-@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc thresholds")
-def test_kept_heap_ends_page_faults_at_batch_size_512():
-    assert float(_python(TRAINING_FAULTS, "512")) < 50
-
-
-def test_a_512_pair_manhattan_step_peaks_under_the_trim_threshold():
-    # past the threshold glibc would hand the step's freed pages back and fault them in again
-    rng = np.random.default_rng(0)
-    net = neural_model.build(neural_model.ModelSpec("manhattan"), seed=0)
-    xa, xb = rng.integers(0, 2, (2, 512, 10, 16)).astype(np.float64)
-    y = rng.integers(0, 2, 512).astype(np.float64)
-    tracemalloc.start()
-    try:
-        net.loss_and_grads(xa, xb, y, rng=rng)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < cli._TRIM_THRESHOLD
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="pins glibc's malloc settings")
+@pytest.mark.parametrize("architecture, batch", [("manhattan", 128), ("manhattan", 512), ("manhattan", 1024),
+                                                 ("siamese_euclid", 1024), ("two_channel", 1024)])
+def test_kept_heap_ends_page_faults_in_training_steps(architecture, batch):
+    assert float(_python(TRAINING_FAULTS, str(batch), architecture)) < 50
 
 
 @pytest.mark.parametrize("error", [OSError, AttributeError])
@@ -754,7 +735,7 @@ def test_defective_artifact_is_a_data_error_naming_file_and_line(case, trained, 
 # header lines whose spec cannot be built, and why
 UNBUILDABLE_HEADERS = {
     "kernel\t11x3": "kernel (11, 3) exhausts the 10x16 input",
-    "conv_filters\t0": "conv_filters, fc_units, and pad_len must be >= 1",
+    "conv_filters\t0": "conv_filters 0 is not in [1, 256]",
     "pad_len\t3": "2x2 pooling exhausts the feature map",
     "conv_filters\t100000000": "conv_filters 100000000 is not in [1, 256]",
     "fc_units\t1000000000000": "fc_units 1000000000000 is not in [1, 4096]",
@@ -826,6 +807,24 @@ USAGE_ERRORS = {
     "gap_penalty_nan": ["pmi-train", "--gap-penalty", "nan", "--out", "OUT/pmi.tsv"],
     "tol_nan": ["pmi-train", "--tol", "nan", "--out", "OUT/pmi.tsv"],
     "threshold_nan": ["pipeline", "--system", "ortho_svm", "--mode", "cross-concept", "--threshold", "nan"],
+    "margin_0": ["train", "--system", "siamese_euclid", "--margin", "0"],
+    "tol_0": ["train", "--system", "pmi_svm", "--tol", "0"],
+    "max_iterations_0": ["pmi-train", "--max-iterations", "0", "--out", "OUT/pmi.tsv"],
+}
+
+# A value that a library dataclass turns away is reported under the option
+# that was typed, not the field it fills: each such case's whole message.
+OPTION_NAMED_ERRORS = {
+    "filters_0": "--filters 0 is not in [1, 256]",
+    "dropout_1": "--dropout must be in [0, 1)",
+    "kernel_exhausts_input": "--kernel (11, 3) exhausts the 10x16 input",
+    "batch_size_0": "--batch-size must be >= 1",
+    "epochs_negative": "--epochs must be >= 0",
+    "margin_0": "--margin must be > 0",
+    "cutoff_0": "--cutoff must be in (0, 1]",
+    "tol_0": "--tol must be > 0",
+    "max_iterations_0": "--max-iterations must be >= 1",
+    "train_fraction_1.5": "--train-fraction must be in (0, 1)",
 }
 
 
@@ -837,7 +836,10 @@ def test_bad_option_values_are_usage_errors(case, family_tsv, tmp_path, capsys):
     if args[0] != "pmi-train":
         common += ["--out-dir", str(tmp_path / "run")]
     assert cli.run(prefix + args + common) == 1
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    if case in OPTION_NAMED_ERRORS:
+        assert err == f"cognet: usage error: {OPTION_NAMED_ERRORS[case]}\n"
 
 
 # each size is rejected before anything is allocated: unbounded, they ask for petabytes
@@ -853,8 +855,10 @@ def test_network_size_past_its_bound_is_a_usage_error_naming_it(command, option,
     if command == "pipeline":
         args += ["--mode", "cross-concept"]
     assert cli.run(args) == 1
-    assert capsys.readouterr().err == f"cognet: usage error: {field} {value} is not in [1, {bound}]\n"
+    assert capsys.readouterr().err == f"cognet: usage error: {option} {value} is not in [1, {bound}]\n"
     assert not (tmp_path / "run" / "model.txt").exists()
+    with pytest.raises(neural_model.InvalidSpec, match=f"^{field} {value} is not in"):  # the library names its field
+        neural_model.ModelSpec("two_channel", **{field: int(value)})
 
 
 def test_unknown_config_key_is_named(family_tsv, tmp_path, capsys):

@@ -474,5 +474,6 @@ def test_trunk_ops_keep_caches_only_for_training_and_relu_runs_in_place(arch, mo
 @pytest.mark.parametrize("field, bound", sorted(neural_model.MAX_SIZES.items()))
 def test_network_sizes_are_bounded(field, bound):
     assert getattr(ModelSpec(MANHATTAN, **{field: bound}), field) == bound
-    with pytest.raises(InvalidSpec, match=f"^{field} {bound + 1} is not in \\[1, {bound}\\]$"):
-        ModelSpec(MANHATTAN, **{field: bound + 1})
+    for value in (0, bound + 1):
+        with pytest.raises(InvalidSpec, match=f"^{field} {value} is not in \\[1, {bound}\\]$"):
+            ModelSpec(MANHATTAN, **{field: value})
