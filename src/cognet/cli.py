@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import hashlib
 import json
 import sys
 import traceback
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -38,23 +38,22 @@ class UsageError(Exception):
     pass
 
 
-# the option behind each library field whose message _user_values reports
+# the option that fills each field of the library configs, and that a usage error names for it
 _FIELD_OPTIONS = {
-    "conv_filters": "--filters", "kernel": "--kernel", "fc_units": "--fc-units", "dropout_rate": "--dropout",
-    "pad_len": "--pad-len", "batch_size": "--batch-size", "epochs": "--epochs", "margin": "--margin",
-    "initial_cutoff": "--cutoff", "max_iterations": "--max-iterations", "convergence_tol": "--tol",
-    "train_fraction": "--train-fraction",
+    "conv_filters": "filters", "kernel": "kernel", "fc_units": "fc_units", "dropout_rate": "dropout",
+    "pad_len": "pad_len", "batch_size": "batch_size", "epochs": "epochs", "margin": "margin", "seed": "seed",
+    "initial_cutoff": "cutoff", "max_iterations": "max_iterations", "convergence_tol": "tol",
+    "pseudocount": "pseudocount", "gap_penalty": "gap_penalty", "train_fraction": "train_fraction",
 }
 
 
-@contextmanager
-def _user_values():
-    """Report an invalid option value as a usage error naming the option, not a data error."""
+def _config(cls, options: dict, **given):
+    """``cls`` with each field not ``given`` read from its option; an invalid value is a usage error."""
     try:
-        yield
+        return cls(**{f.name: options[_FIELD_OPTIONS[f.name]] for f in dataclasses.fields(cls)
+                      if f.name not in given}, **given)
     except ValueError as exc:
-        field, space, rest = str(exc).partition(" ")
-        raise UsageError(_FIELD_OPTIONS.get(field, field) + space + rest) from exc
+        raise UsageError(exc) from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -179,7 +178,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cognet", description=__doc__.splitlines()[0])
     parser.add_argument("--config", help="INI config file with option defaults")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text) in _COMMANDS.items():
+    for command, (_, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for key, (cast, _, commands, option_help) in _OPTIONS.items():
             if command in commands:
@@ -240,7 +239,6 @@ def _g(value: float) -> str:
 
 def cmd_featurize(options: dict) -> int:
     from . import similarity
-    _require(options, "data", "out")
     _, pairs = _load_pairs(options)
     out = Path(options["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -254,17 +252,9 @@ def cmd_featurize(options: dict) -> int:
     return _finish(out.parent, "featurize", options, f"wrote {len(pairs)} feature rows to {out}")
 
 
-def _pmi_config(options: dict):
-    from . import pmi
-    with _user_values():
-        return pmi.PMIConfig(options["cutoff"], options["max_iterations"], options["tol"],
-                             options["pseudocount"], options["gap_penalty"])
-
-
 def cmd_pmi_train(options: dict) -> int:
     from . import pmi
-    _require(options, "data", "out")
-    cfg = _pmi_config(options)
+    cfg = _config(pmi.PMIConfig, options)
     _, pairs = _load_pairs(options)
     matrix = pmi.estimate_pmi([p.forms for p in pairs], cfg)
     out = Path(options["out"])
@@ -275,33 +265,41 @@ def cmd_pmi_train(options: dict) -> int:
                    f"delta={matrix.final_delta:.3g}, converged={matrix.converged})")
 
 
-def _train_system(options: dict, train_pairs: list[wordlists.WordPair], out_dir: Path) -> dict:
-    """Train the chosen system, write its artifacts to ``out_dir`` and return them."""
-    system, seed = options["system"], options["seed"]
+def _training(options: dict) -> dict:
+    """Check the training options and build the ``cfg``, ``spec`` or ``pmi_matrix`` it takes, before any input."""
+    system = options["system"]
     if system in NEURAL_SYSTEMS:
         from .neural import model as neural_model
-        with _user_values():
-            spec = neural_model.ModelSpec(system, options["filters"], options["kernel"],
-                                          options["fc_units"], options["dropout"], options["pad_len"])
-            net = neural_model.build(spec, seed=seed)
-            cfg = neural_model.TrainConfig(options["batch_size"], options["epochs"], options["margin"],
-                                           seed)
-        artifacts = {"net": net}
-        _, history = neural_model.train(net, neural_model.encode_pairs(train_pairs, spec.pad_len), cfg)
-        neural_model.save_checkpoint(net, out_dir / "model.txt")
-        _write_tsv(out_dir / "loss_history.tsv", ["epoch", "mean_loss"],
-                   ([str(epoch), _g(loss)] for epoch, loss in enumerate(history, 1)))
-        return artifacts
-
+        return {"spec": _config(neural_model.ModelSpec, options, architecture=system),
+                "cfg": _config(neural_model.TrainConfig, options)}
     if options["folds"] < 2:
         raise UsageError("--folds must be >= 2")
     if options["svm_passes"] < 0:
         raise UsageError("--svm-passes must be >= 0")
+    if system != "pmi_svm":
+        return {}
+    from . import pmi
+    return ({"pmi_matrix": pmi.load_matrix(options["pmi_matrix"])} if options["pmi_matrix"] else
+            {"cfg": _config(pmi.PMIConfig, options)})
+
+
+def _train_system(options: dict, training: dict, train_pairs: list[wordlists.WordPair], out_dir: Path) -> dict:
+    """Train the chosen system with ``training``, write its artifacts to ``out_dir`` and return them."""
+    system, seed = options["system"], options["seed"]
+    if system in NEURAL_SYSTEMS:
+        from .neural import model as neural_model
+        net = neural_model.build(training["spec"], seed=seed)
+        _, history = neural_model.train(net, neural_model.encode_pairs(train_pairs, net.spec.pad_len),
+                                        training["cfg"])
+        neural_model.save_checkpoint(net, out_dir / "model.txt")
+        _write_tsv(out_dir / "loss_history.tsv", ["epoch", "mean_loss"],
+                   ([str(epoch), _g(loss)] for epoch, loss in enumerate(history, 1)))
+        return {"net": net}
+
     artifacts = {}
     if system == "pmi_svm":
         from . import pmi
-        matrix = (pmi.load_matrix(options["pmi_matrix"]) if options["pmi_matrix"] else
-                  pmi.estimate_pmi([p.forms for p in train_pairs], _pmi_config(options)))
+        matrix = training.get("pmi_matrix") or pmi.estimate_pmi([p.forms for p in train_pairs], training["cfg"])
         pmi.save_matrix(matrix, out_dir / "pmi_matrix.tsv")
         artifacts["pmi_matrix"] = matrix
     feats, row = features_for(system, train_pairs, artifacts)
@@ -353,16 +351,15 @@ def _score_and_report(options: dict, artifacts: dict, pairs: list[wordlists.Word
 
 
 def cmd_train(options: dict) -> int:
-    _require(options, "data", "system", "out_dir")
+    training = _training(options)
     _, pairs = _load_pairs(options)
     out_dir = _out_dir(options)
-    _train_system(options, pairs, out_dir)
+    _train_system(options, training, pairs, out_dir)
     return _finish(out_dir, "train", options,
                    f"trained {options['system']} on {len(pairs)} pairs; artifacts in {out_dir}")
 
 
 def cmd_evaluate(options: dict) -> int:
-    _require(options, "data", "system", "model", "out_dir")
     artifacts = load_artifacts(options)
     _, pairs = _load_pairs(options)
     out_dir = _out_dir(options)
@@ -371,30 +368,29 @@ def cmd_evaluate(options: dict) -> int:
 
 
 def cmd_pipeline(options: dict) -> int:
-    _require(options, "data", "system", "out_dir", "mode")
     families = {}
     if options["mode"] == "cross-family":
         _require(options, "train_families", "test_families")
         families = {key: _families(options, key) for key in ("train_families", "test_families")}
-    with _user_values():
-        spec = wordlists.SplitSpec(options["mode"].replace("-", "_"), options["train_fraction"],
-                                   options["seed"])
+    spec = _config(wordlists.SplitSpec, options, mode=options["mode"].replace("-", "_"))
+    training = _training(options)
     lexemes, pairs = _load_pairs(options)
     train_pairs, test_pairs = wordlists.split(pairs, lexemes, spec, **families)
     out_dir = _out_dir(options)
-    artifacts = _train_system(options, train_pairs, out_dir)
+    artifacts = _train_system(options, training, train_pairs, out_dir)
     title = (f"system: {options['system']}  mode: {options['mode']}  "
              f"train pairs: {len(train_pairs)}  test pairs: {len(test_pairs)}")
     return _finish(out_dir, "pipeline", options,
                    _score_and_report(options, artifacts, test_pairs, out_dir, title))
 
 
+# each command: its function, the options it requires, and its help
 _COMMANDS = {
-    "featurize": (cmd_featurize, "write similarity features for all pairs"),
-    "pmi-train": (cmd_pmi_train, "estimate a PMI matrix from word pairs"),
-    "train": (cmd_train, "train one system on every pair in the data"),
-    "evaluate": (cmd_evaluate, "score a trained model on a word list"),
-    "pipeline": (cmd_pipeline, "split, train, and evaluate one system"),
+    "featurize": (cmd_featurize, ("data", "out"), "write similarity features for all pairs"),
+    "pmi-train": (cmd_pmi_train, ("data", "out"), "estimate a PMI matrix from word pairs"),
+    "train": (cmd_train, ("data", "system", "out_dir"), "train one system on every pair in the data"),
+    "evaluate": (cmd_evaluate, ("data", "system", "model", "out_dir"), "score a trained model on a word list"),
+    "pipeline": (cmd_pipeline, ("data", "system", "out_dir", "mode"), "split, train, and evaluate one system"),
 }
 
 
@@ -433,9 +429,12 @@ def run(argv=None) -> int:
             raise UsageError("a --seed is required (reproducibility contract)")
         if options["seed"] < 0:
             raise UsageError(f"--seed must be >= 0, got {options['seed']}")
+        _require(options, *_COMMANDS[args.command][1])
         return _COMMANDS[args.command][0](options)
     except (UsageError, FloatingPointError) as exc:  # a FloatingPointError is an overflowing --margin
-        print(f"cognet: usage error: {exc}", file=sys.stderr)
+        field, space, rest = str(exc).partition(" ")  # a library field leading the message is named as its option
+        field = "--" + _FIELD_OPTIONS[field].replace("_", "-") if field in _FIELD_OPTIONS else field
+        print(f"cognet: usage error: {field}{space}{rest}", file=sys.stderr)
         return 1
     except DATA_ERRORS as exc:
         print(f"cognet: data error: {exc}", file=sys.stderr)

@@ -60,6 +60,7 @@ class ModelSpec:
         k = self.kernel
         if not (isinstance(k, tuple) and len(k) == 2 and all(isinstance(d, int) and d >= 1 for d in k)):
             raise InvalidSpec(f"kernel must be a pair of positive ints, got {k!r}")
+        self.shape_pipeline()
 
     @property
     def in_channels(self) -> int:

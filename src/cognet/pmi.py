@@ -45,7 +45,7 @@ FEATURE_NAMES = ("pmi", "len_a", "len_b", "abs_len_diff")  # pmi_features' colum
 
 def _check_gap_penalty(value: float) -> float:
     if not -MAX_GAP_PENALTY <= value < 0:
-        raise ValueError(f"gap penalty {value:g} is not in [-{MAX_GAP_PENALTY:g}, 0)")
+        raise ValueError(f"gap_penalty {value:g} is not in [-{MAX_GAP_PENALTY:g}, 0)")
     return value
 
 

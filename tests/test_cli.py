@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import platform
@@ -63,7 +64,7 @@ def test_an_escaping_exception_is_an_internal_error(family_tsv, tmp_path, monkey
     def crash(options):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(cli._COMMANDS, "featurize", (crash, "crash"))
+    monkeypatch.setitem(cli._COMMANDS, "featurize", (crash, ("data", "out"), "crash"))
     monkeypatch.setattr(sys, "argv", ["cognet", "featurize", "--data", str(family_tsv),
                                       "--out", str(tmp_path / "f.tsv"), "--seed", "1"])
     with pytest.raises(SystemExit) as exc:
@@ -289,7 +290,7 @@ def test_overflowing_margin_is_a_usage_error_naming_it(margin, batch_size, famil
                            "--batch-size", batch_size, "--out-dir", str(tmp_path)],
                           env=_checkout_env(), capture_output=True, text=True)
     assert proc.returncode == 1
-    assert proc.stderr == (f"cognet: usage error: margin {float(margin):g} "
+    assert proc.stderr == (f"cognet: usage error: --margin {float(margin):g} "
                            "leaves the training loss non-finite (inf)\n")
     assert not list(tmp_path.iterdir())
 
@@ -304,7 +305,7 @@ def test_overflowing_gap_penalty_is_a_usage_error_naming_it(command, family_tsv,
     else:
         args += ["--out", str(out / "pmi.tsv")]
     assert cli.run([command, *args]) == 1
-    assert capsys.readouterr().err == "cognet: usage error: gap penalty -1e+308 is not in [-1e+300, 0)\n"
+    assert capsys.readouterr().err == "cognet: usage error: --gap-penalty -1e+308 is not in [-1e+300, 0)\n"
     assert not list(out.glob("report.*")) and not list(out.glob("pmi*.tsv"))
 
 
@@ -333,7 +334,7 @@ def test_pmi_matrix_with_gap_penalty_past_its_bound_is_a_data_error_naming_its_l
                     "--out-dir", str(out_dir), "--pmi-matrix", str(matrix),
                     "--model", str(tmp_path / "trained" / "model.txt")]) == 2
     assert capsys.readouterr().err == (f"cognet: data error: {matrix}:{line}: gap_penalty: "
-                                       "gap penalty -1e+308 is not in [-1e+300, 0)\n")
+                                       "gap_penalty -1e+308 is not in [-1e+300, 0)\n")
     assert not list(out_dir.glob("report.*"))
 
 
@@ -602,7 +603,7 @@ def test_pseudocount_too_large_for_finite_scores_is_a_usage_error(args, family_t
     args = [a.replace("OUT", str(tmp_path)) for a in args]
     assert cli.run(args + ["--data", str(family_tsv), "--seed", "7"]) == 1
     err = capsys.readouterr().err
-    assert re.fullmatch(r"cognet: usage error: pseudocount 1e\+30[68] is not in \[1e-100, 1e\+305\]\n", err), err
+    assert re.fullmatch(r"cognet: usage error: --pseudocount 1e\+30[68] is not in \[1e-100, 1e\+305\]\n", err), err
     assert not list(tmp_path.rglob("*.tsv"))
 
 
@@ -613,7 +614,7 @@ def test_pseudocount_too_large_for_finite_scores_is_a_usage_error(args, family_t
 def test_pseudocount_too_small_for_finite_scores_is_a_usage_error(args, family_tsv, tmp_path, capsys):
     args = [a.replace("OUT", str(tmp_path)) for a in args]
     assert cli.run(args + ["--data", str(family_tsv), "--seed", "7", "--pseudocount", "1e-200"]) == 1
-    assert capsys.readouterr().err == "cognet: usage error: pseudocount 1e-200 is not in [1e-100, 1e+305]\n"
+    assert capsys.readouterr().err == "cognet: usage error: --pseudocount 1e-200 is not in [1e-100, 1e+305]\n"
     assert not list(tmp_path.rglob("*.tsv"))
 
 
@@ -788,7 +789,8 @@ USAGE_ERRORS = {
     "c_grid_not_a_number": ["train", "--system", "ortho_svm", "--c-grid", "1,x"],
     "c_grid_not_positive": ["train", "--system", "ortho_svm", "--c-grid", "0,1"],
     "folds_1": ["train", "--system", "ortho_svm", "--folds", "1"],
-    "svm_passes_negative": ["pipeline", "--system", "ortho_svm", "--svm-passes", "-3"],
+    "svm_passes_negative": ["pipeline", "--system", "ortho_svm", "--mode", "cross-concept",
+                            "--svm-passes", "-3"],
     "cutoff_0": ["pmi-train", "--cutoff", "0", "--out", "OUT/pmi.tsv"],
     "train_fraction_1.5": ["pipeline", "--system", "ortho_svm", "--mode", "cross-concept",
                            "--train-fraction", "1.5"],
@@ -825,21 +827,38 @@ OPTION_NAMED_ERRORS = {
     "tol_0": "--tol must be > 0",
     "max_iterations_0": "--max-iterations must be >= 1",
     "train_fraction_1.5": "--train-fraction must be in (0, 1)",
+    "folds_1": "--folds must be >= 2",
+    "svm_passes_negative": "--svm-passes must be >= 0",
 }
 
 
+# A refused run creates nothing, and it is refused before any input is read:
+# with the word list missing, it is refused with the same message.
 @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
 def test_bad_option_values_are_usage_errors(case, family_tsv, tmp_path, capsys):
     args = [a.replace("OUT", str(tmp_path)) for a in USAGE_ERRORS[case]]
     prefix = _write_config(tmp_path, args.pop(0)[len("CONFIG:"):]) if args[0].startswith("CONFIG:") else []
-    common = ["--data", str(family_tsv), "--seed", "3"]
     if args[0] != "pmi-train":
-        common += ["--out-dir", str(tmp_path / "run")]
-    assert cli.run(prefix + args + common) == 1
+        args += ["--out-dir", str(tmp_path / "run")]
+    assert cli.run(prefix + args + ["--data", str(family_tsv), "--seed", "3"]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err
     if case in OPTION_NAMED_ERRORS:
         assert err == f"cognet: usage error: {OPTION_NAMED_ERRORS[case]}\n"
+    assert not (tmp_path / "run").exists() and not (tmp_path / "pmi.tsv").exists()
+    assert cli.run(prefix + args + ["--data", str(tmp_path / "missing.tsv"), "--seed", "3"]) == 1
+    assert capsys.readouterr().err == err
+    assert not (tmp_path / "run").exists() and not (tmp_path / "pmi.tsv").exists()
+
+
+def test_each_option_defaults_to_the_library_default_of_its_field():
+    fields = {f.name: f.default for cls in (neural_model.ModelSpec, neural_model.TrainConfig, pmi.PMIConfig,
+                                            wordlists.SplitSpec) for f in dataclasses.fields(cls)}
+    assert set(cli._FIELD_OPTIONS) == set(fields) - {"architecture", "mode"}  # the two that the CLI passes
+    defaulted = set(cli._FIELD_OPTIONS) - {"seed"}  # the CLI requires a --seed
+    assert len(defaulted) == 14
+    for field in defaulted:
+        assert cli._OPTIONS[cli._FIELD_OPTIONS[field]][1] == fields[field], field
 
 
 # each size is rejected before anything is allocated: unbounded, they ask for petabytes
