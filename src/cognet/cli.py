@@ -3,8 +3,8 @@
 Subcommands: featurize, pmi-train, train, evaluate, pipeline.  Options can
 come from an INI-style config file (``key = value`` under ``[section]``
 headers) with command-line flags taking precedence.  Every run writes a
-manifest (resolved options plus input digests) next to its outputs, and
-all randomness flows from the single ``--seed``.
+manifest (the options it read plus digests of the files it read) next to
+its outputs, and all randomness flows from the single ``--seed``.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 internal error (an
 exception no check expected; its traceback is printed).
@@ -43,7 +43,8 @@ _FIELD_OPTIONS = {
     "conv_filters": "filters", "kernel": "kernel", "fc_units": "fc_units", "dropout_rate": "dropout",
     "pad_len": "pad_len", "batch_size": "batch_size", "epochs": "epochs", "margin": "margin", "seed": "seed",
     "initial_cutoff": "cutoff", "max_iterations": "max_iterations", "convergence_tol": "tol",
-    "pseudocount": "pseudocount", "gap_penalty": "gap_penalty", "train_fraction": "train_fraction",
+    "pseudocount": "pseudocount", "gap_penalty": "gap_penalty", "mode": "mode",
+    "train_fraction": "train_fraction", "train_families": "train_families", "test_families": "test_families",
 }
 
 
@@ -56,19 +57,21 @@ def _config(cls, options: dict, **given):
         raise UsageError(exc) from exc
 
 
+class _Options(dict):
+    """The resolved options; ``read`` holds each one the run has read, by key."""
+
+    def __init__(self, values: dict):
+        super().__init__(values)
+        self.read = {}
+
+    def __getitem__(self, key):
+        self.read[key] = value = super().__getitem__(key)
+        return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         raise UsageError(message)
-
-
-def _write_manifest(out_dir: Path, command: str, options: dict, inputs: list) -> None:
-    manifest = {
-        "command": command,
-        "options": options,
-        "inputs": {str(p): hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs},
-    }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                                           encoding="utf-8")
 
 
 def _write_tsv(path: Path, header: list[str], rows) -> None:
@@ -126,12 +129,9 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"C grid {text!r}: {exc}") from None
 
 
-def _families(options: dict, key: str) -> set[str]:
-    """The comma-separated family names of ``options[key]``; at least one."""
-    families = {f.strip() for f in options[key].split(",") if f.strip()}
-    if not families:
-        raise UsageError(f"--{key.replace('_', '-')} names no family")
-    return families
+def _families(text: str) -> frozenset[str]:
+    """The family names of a comma list."""
+    return frozenset(f.strip() for f in text.split(",") if f.strip())
 
 
 _ALL = ("featurize", "pmi-train", "train", "evaluate", "pipeline")
@@ -168,10 +168,10 @@ _OPTIONS = {
     "threshold": (artifact.finite_float, None, ("evaluate", "pipeline"), None),
     "mode": (str, None, ("pipeline",), None),
     "train_fraction": (artifact.finite_float, 0.7, ("pipeline",), None),
-    "train_families": (str, None, ("pipeline",), None),
-    "test_families": (str, None, ("pipeline",), None),
+    "train_families": (_families, frozenset(), ("pipeline",), None),
+    "test_families": (_families, frozenset(), ("pipeline",), None),
 }
-_CHOICES = {"system": SYSTEMS, "mode": ("cross-concept", "cross-family")}
+_CHOICES = {"system": SYSTEMS, "mode": wordlists.MODES}
 
 
 def build_parser() -> _Parser:
@@ -188,7 +188,7 @@ def build_parser() -> _Parser:
 
 
 def _require(options: dict, *keys: str) -> None:
-    missing = [k for k in keys if options.get(k) is None]
+    missing = [k for k in keys if options[k] is None]
     if missing:
         raise UsageError(f"missing required option(s): {', '.join('--' + k.replace('_', '-') for k in missing)}")
 
@@ -207,10 +207,14 @@ def _out_dir(options: dict) -> Path:
     return out_dir
 
 
-def _finish(out_dir: Path, command: str, options: dict, message: str) -> int:
-    """Write the manifest over every input file named in ``options`` and print ``message``."""
-    inputs = [options[k] for k in ("data", "model", "pmi_matrix") if options[k]]
-    _write_manifest(out_dir, command, options, inputs)
+def _finish(out_dir: Path, command: str, options: _Options, message: str) -> int:
+    """Write the manifest of the options the run read and the input files among them; print ``message``."""
+    read = options.read
+    inputs = {read[k]: hashlib.sha256(Path(read[k]).read_bytes()).hexdigest()
+              for k in ("data", "model", "pmi_matrix") if read.get(k)}
+    manifest = {"command": command, "options": read, "inputs": inputs}
+    (out_dir / "manifest.json").write_text(  # a family set is recorded as its sorted names
+        json.dumps(manifest, indent=2, sort_keys=True, default=sorted) + "\n", encoding="utf-8")
     print(message, end="" if message.endswith("\n") else "\n")
     return 0
 
@@ -368,14 +372,10 @@ def cmd_evaluate(options: dict) -> int:
 
 
 def cmd_pipeline(options: dict) -> int:
-    families = {}
-    if options["mode"] == "cross-family":
-        _require(options, "train_families", "test_families")
-        families = {key: _families(options, key) for key in ("train_families", "test_families")}
-    spec = _config(wordlists.SplitSpec, options, mode=options["mode"].replace("-", "_"))
+    spec = _config(wordlists.SplitSpec, options)
     training = _training(options)
     lexemes, pairs = _load_pairs(options)
-    train_pairs, test_pairs = wordlists.split(pairs, lexemes, spec, **families)
+    train_pairs, test_pairs = wordlists.split(pairs, lexemes, spec)
     out_dir = _out_dir(options)
     artifacts = _train_system(options, training, train_pairs, out_dir)
     title = (f"system: {options['system']}  mode: {options['mode']}  "
@@ -423,8 +423,8 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         config = _load_config(args.config)
-        options = {key: _resolve(args, config, key, cast, default)
-                   for key, (cast, default, _, _) in _OPTIONS.items()}
+        options = _Options({key: _resolve(args, config, key, cast, default)
+                            for key, (cast, default, _, _) in _OPTIONS.items()})
         if options["seed"] is None:
             raise UsageError("a --seed is required (reproducibility contract)")
         if options["seed"] < 0:

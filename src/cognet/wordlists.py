@@ -21,16 +21,12 @@ logger = logging.getLogger(__name__)
 
 HEADER = ("family", "language", "concept", "asjp_form", "cognate_class")
 
-CROSS_CONCEPT = "cross_concept"
-CROSS_FAMILY = "cross_family"
+# the split modes, spelled as ``--mode`` spells them
+CROSS_CONCEPT, CROSS_FAMILY = MODES = ("cross-concept", "cross-family")
 
 
 # a word list that does not follow the schema, reported as ``FILE:LINE: msg``
 SchemaError = artifact.ArtifactError
-
-
-class OverlappingFamilies(artifact.DataError):
-    pass
 
 
 class EmptySide(artifact.DataError):
@@ -74,15 +70,26 @@ class WordPair:
 
 @dataclass(frozen=True)
 class SplitSpec:
+    """A whole split: CROSS_CONCEPT reads the fraction and seed, CROSS_FAMILY the two disjoint family sets."""
+
     mode: str
     train_fraction: float = 0.7
     seed: int = 0
+    train_families: frozenset[str] = frozenset()
+    test_families: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if self.mode not in (CROSS_CONCEPT, CROSS_FAMILY):
+        if self.mode not in MODES:
             raise ValueError(f"unknown split mode {self.mode!r}")
         if self.mode == CROSS_CONCEPT and not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must be in (0, 1)")
+        if self.mode == CROSS_FAMILY:
+            for side in ("train_families", "test_families"):
+                if not getattr(self, side):
+                    raise ValueError(f"{side} names no family")
+            shared = self.train_families & self.test_families
+            if shared:
+                raise ValueError(f"test_families shares {', '.join(sorted(shared))} with the train families")
 
 
 def load_wordlist(path, counters: dict | None = None) -> list[Lexeme]:
@@ -177,19 +184,12 @@ def form_table(pairs) -> tuple[list[str], np.ndarray, np.ndarray]:
     return forms, np.stack(np.divmod(np.array(keys, dtype=np.intp), len(forms)), axis=1), row
 
 
-def split(
-    pairs: list[WordPair],
-    lexemes: list[Lexeme],
-    spec: SplitSpec,
-    train_families: set[str] | None = None,
-    test_families: set[str] | None = None,
-) -> tuple[list[WordPair], list[WordPair]]:
+def split(pairs: list[WordPair], lexemes: list[Lexeme], spec: SplitSpec) -> tuple[list[WordPair], list[WordPair]]:
     """Partition pairs for evaluation.
 
     CROSS_CONCEPT shuffles the concept list with the spec seed and assigns
     whole concepts to one side, so no concept straddles the split.
-    CROSS_FAMILY routes pairs by family membership; the two family sets
-    must be disjoint.
+    CROSS_FAMILY routes pairs by the spec's family sets.
     """
     if spec.mode == CROSS_CONCEPT:
         concepts = sorted({lex.concept for lex in lexemes})
@@ -203,15 +203,8 @@ def split(
         train = [p for p in pairs if p.concept in train_set]
         test = [p for p in pairs if p.concept not in train_set]
     else:
-        if not train_families or not test_families:
-            raise ValueError("cross-family split requires train and test family sets")
-        train_families = set(train_families)
-        test_families = set(test_families)
-        shared = train_families & test_families
-        if shared:
-            raise OverlappingFamilies(f"families on both sides: {sorted(shared)}")
-        train = [p for p in pairs if p.family in train_families]
-        test = [p for p in pairs if p.family in test_families]
+        train = [p for p in pairs if p.family in spec.train_families]
+        test = [p for p in pairs if p.family in spec.test_families]
     if not train or not test:
         raise EmptySide("a split side has no pairs")
     return train, test

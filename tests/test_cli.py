@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import platform
@@ -232,7 +233,8 @@ def test_pipeline_cross_family_requires_disjoint_sets(family_tsv, tmp_path):
         "--mode", "cross-family", "--out-dir", str(tmp_path / "xfam"), "--seed", "5",
         "--train-families", "synthetica", "--test-families", "synthetica",
     ])
-    assert code == 2  # overlapping families is a data error
+    assert code == 1  # overlapping family sets are a bad option, not bad data
+    assert not (tmp_path / "xfam").exists()
 
 
 def test_pipeline_rerun_is_byte_identical(family_tsv, tmp_path):
@@ -585,14 +587,12 @@ def test_config_file_that_is_not_utf8_is_a_usage_error_naming_it(family_tsv, tmp
 def test_config_values_are_literal(family_tsv, tmp_path, monkeypatch):
     # '%' is no interpolation escape, and '%(seed)s' names no other key
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "run.cfg").write_text("[run]\nseed = 4\nout-dir = runs/100%\ntrain-families = %(seed)s\n",
-                                      encoding="utf-8")
+    (tmp_path / "run.cfg").write_text("[run]\nseed = 4\nout-dir = runs/%(seed)s-100%\n", encoding="utf-8")
     assert cli.run(["--config", "run.cfg", "train", "--data", str(family_tsv), "--system", "ortho_svm",
                     *QUICK_SVM]) == 0
-    assert (tmp_path / "runs" / "100%" / "model.txt").exists()
-    manifest = json.loads((tmp_path / "runs" / "100%" / "manifest.json").read_text(encoding="utf-8"))
-    assert manifest["options"]["out_dir"] == "runs/100%"
-    assert manifest["options"]["train_families"] == "%(seed)s"
+    assert (tmp_path / "runs" / "%(seed)s-100%" / "model.txt").exists()
+    manifest = json.loads((tmp_path / "runs" / "%(seed)s-100%" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["options"]["out_dir"] == "runs/%(seed)s-100%"
 
 
 @pytest.mark.parametrize("args", [
@@ -799,6 +799,8 @@ USAGE_ERRORS = {
                                    "--train-families", ",", "--test-families", "fam"],
     "test_families_blank": ["pipeline", "--system", "ortho_svm", "--mode", "cross-family",
                             "--train-families", "fam", "--test-families", " "],
+    "families_overlap": ["pipeline", "--system", "ortho_svm", "--mode", "cross-family",
+                         "--train-families", "famA", "--test-families", "famA,famB"],
     "config_c_grid": ["CONFIG:[svm]\nc_grid = 1,x\n", "train", "--system", "ortho_svm"],
     "config_kernel": ["CONFIG:[net]\nkernel = 2\n", "train", "--system", "manhattan"],
     "config_system": ["CONFIG:[run]\nsystem = nope\n", "train"],
@@ -829,6 +831,10 @@ OPTION_NAMED_ERRORS = {
     "train_fraction_1.5": "--train-fraction must be in (0, 1)",
     "folds_1": "--folds must be >= 2",
     "svm_passes_negative": "--svm-passes must be >= 0",
+    "cross_family_without_families": "--train-families names no family",
+    "train_families_only_commas": "--train-families names no family",
+    "test_families_blank": "--test-families names no family",
+    "families_overlap": "--test-families shares famA with the train families",
 }
 
 
@@ -854,9 +860,9 @@ def test_bad_option_values_are_usage_errors(case, family_tsv, tmp_path, capsys):
 def test_each_option_defaults_to_the_library_default_of_its_field():
     fields = {f.name: f.default for cls in (neural_model.ModelSpec, neural_model.TrainConfig, pmi.PMIConfig,
                                             wordlists.SplitSpec) for f in dataclasses.fields(cls)}
-    assert set(cli._FIELD_OPTIONS) == set(fields) - {"architecture", "mode"}  # the two that the CLI passes
-    defaulted = set(cli._FIELD_OPTIONS) - {"seed"}  # the CLI requires a --seed
-    assert len(defaulted) == 14
+    assert set(cli._FIELD_OPTIONS) == set(fields) - {"architecture"}  # the one that the CLI passes
+    defaulted = set(cli._FIELD_OPTIONS) - {"seed", "mode"}  # the CLI requires a --seed, and pipeline a --mode
+    assert len(defaulted) == 16
     for field in defaulted:
         assert cli._OPTIONS[cli._FIELD_OPTIONS[field]][1] == fields[field], field
 
@@ -878,6 +884,40 @@ def test_network_size_past_its_bound_is_a_usage_error_naming_it(command, option,
     assert not (tmp_path / "run" / "model.txt").exists()
     with pytest.raises(neural_model.InvalidSpec, match=f"^{field} {value} is not in"):  # the library names its field
         neural_model.ModelSpec("two_channel", **{field: int(value)})
+
+
+# the manifest holds the options each run read and the digests of the files it
+# read: (arguments besides --data and --seed, recorded options besides data and
+# seed, files read besides --data).  An option that only another system reads,
+# such as --tol or --pmi-matrix for ortho_svm, is accepted, ignored and not recorded.
+_SVM_KEYS = {"system", "out_dir", "c_grid", "folds", "svm_passes"}
+_PMI_KEYS = {"cutoff", "max_iterations", "tol", "pseudocount", "gap_penalty"}
+MANIFEST_RUNS = {
+    "featurize": (["featurize", "--out", "OUT/f.tsv"], {"out"}, []),
+    "pmi_train": (["pmi-train", "--out", "OUT/pmi.tsv"], {"out"} | _PMI_KEYS, []),
+    "train_manhattan": (["train", "--system", "manhattan", "--out-dir", "OUT", "--epochs", "1", "--tol", "0"],
+                        {"system", "out_dir", "filters", "kernel", "fc_units", "dropout", "pad_len", "batch_size",
+                         "epochs", "margin"}, []),
+    "train_ortho_svm": (["train", "--system", "ortho_svm", "--out-dir", "OUT", *QUICK_SVM, "--filters", "0",
+                         "--tol", "0", "--pmi-matrix", "nope.tsv"], _SVM_KEYS, []),
+    "train_pmi_svm": (["train", "--system", "pmi_svm", "--out-dir", "OUT", *QUICK_SVM],
+                      _SVM_KEYS | _PMI_KEYS | {"pmi_matrix"}, []),
+    "train_pmi_svm_with_matrix": (["train", "--system", "pmi_svm", "--out-dir", "OUT", *QUICK_SVM, "--tol", "0",
+                                   "--pmi-matrix", "TRAINED/pmi_svm/pmi_matrix.tsv"],
+                                  _SVM_KEYS | {"pmi_matrix"}, ["TRAINED/pmi_svm/pmi_matrix.tsv"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MANIFEST_RUNS))
+def test_manifest_holds_the_options_and_files_the_run_read(case, family_tsv, trained, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    args, keys, files = ([a.replace("TRAINED", str(trained)).replace("OUT", str(tmp_path)) for a in part]
+                         for part in MANIFEST_RUNS[case])
+    assert cli.run([*args, "--data", str(family_tsv), "--seed", "3"]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert set(manifest["options"]) == set(keys) | {"data", "seed"}
+    assert manifest["inputs"] == {f: hashlib.sha256(Path(f).read_bytes()).hexdigest()
+                                  for f in [str(family_tsv), *files]}
 
 
 def test_unknown_config_key_is_named(family_tsv, tmp_path, capsys):

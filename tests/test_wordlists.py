@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from cognet.wordlists import (
     CROSS_FAMILY,
     EmptySide,
     Lexeme,
-    OverlappingFamilies,
     SchemaError,
     SplitSpec,
     distinct,
@@ -191,26 +192,18 @@ def test_cross_family_split_routes_by_family():
     fam_b = _family(4, family="famB")
     lexemes = fam_a + fam_b
     pairs = generate_pairs(lexemes)
-    train, test = split(pairs, lexemes, SplitSpec(CROSS_FAMILY),
-                        train_families={"famA"}, test_families={"famB"})
+    train, test = split(pairs, lexemes, SplitSpec(CROSS_FAMILY, train_families=frozenset({"famA"}),
+                                                  test_families=frozenset({"famB"})))
     assert all(p.family == "famA" for p in train)
     assert all(p.family == "famB" for p in test)
-
-
-def test_cross_family_overlap_raises():
-    lexemes = _family(4, family="famA") + _family(4, family="famB")
-    pairs = generate_pairs(lexemes)
-    with pytest.raises(OverlappingFamilies):
-        split(pairs, lexemes, SplitSpec(CROSS_FAMILY),
-              train_families={"famA", "famB"}, test_families={"famB"})
 
 
 def test_cross_family_empty_side_raises():
     lexemes = _family(4, family="famA")
     pairs = generate_pairs(lexemes)
     with pytest.raises(EmptySide):
-        split(pairs, lexemes, SplitSpec(CROSS_FAMILY),
-              train_families={"famA"}, test_families={"famC"})
+        split(pairs, lexemes, SplitSpec(CROSS_FAMILY, train_families=frozenset({"famA"}),
+                                        test_families=frozenset({"famC"})))
 
 
 def test_label_soundness_rederivable():
@@ -221,13 +214,24 @@ def test_label_soundness_rederivable():
         assert pair.a.family == pair.b.family
 
 
+# each bad spec and its message
+BAD_SPLIT_SPECS = [
+    ({"mode": "holdout"}, "unknown split mode 'holdout'"),
+    ({"mode": "cross_concept"}, "unknown split mode 'cross_concept'"),  # modes are spelled as --mode spells them
+    ({"mode": CROSS_CONCEPT, "train_fraction": 1.0}, "train_fraction must be in (0, 1)"),
+    ({"mode": CROSS_FAMILY}, "train_families names no family"),
+    ({"mode": CROSS_FAMILY, "train_families": frozenset({"famA"})}, "test_families names no family"),
+    ({"mode": CROSS_FAMILY, "train_families": frozenset({"famA", "famB"}), "test_families": frozenset({"famB"})},
+     "test_families shares famB with the train families"),
+    ({"mode": CROSS_FAMILY, "train_families": frozenset({"b", "a", "c"}), "test_families": frozenset({"a", "b"})},
+     "test_families shares a, b with the train families"),
+]
+
+
 def test_split_spec_validation():
-    with pytest.raises(ValueError):
-        SplitSpec("holdout")
-    with pytest.raises(ValueError):
-        SplitSpec(CROSS_CONCEPT, train_fraction=1.0)
-
-
+    for kwargs, message in BAD_SPLIT_SPECS:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SplitSpec(**kwargs)
 
 
 def test_distinct_keeps_first_items_and_indexes_every_item():
