@@ -48,24 +48,34 @@ _FIELD_OPTIONS = {
 }
 
 
-def _config(cls, options: dict, **given):
-    """``cls`` with each field not ``given`` read from its option; an invalid value is a usage error."""
+def _config(cls, options: dict, names=(), **given):
+    """``cls`` with each field of ``names`` (default: all not ``given``) read from its option, the rest defaulted.
+
+    An invalid value is a usage error.
+    """
+    names = names or [f.name for f in dataclasses.fields(cls) if f.name not in given]
     try:
-        return cls(**{f.name: options[_FIELD_OPTIONS[f.name]] for f in dataclasses.fields(cls)
-                      if f.name not in given}, **given)
+        return cls(**{name: options[_FIELD_OPTIONS[name]] for name in names}, **given)
     except ValueError as exc:
         raise UsageError(exc) from exc
 
 
+_INPUTS = ("data", "model", "pmi_matrix")  # the options that name a file the run reads
+
+
 class _Options(dict):
-    """The resolved options; ``read`` holds each one the run has read, by key."""
+    """The resolved options; ``read`` holds each one the run has read, by key, and ``inputs`` the
+    SHA-256 digest of each file they name, taken as its option is first read: before any output exists.
+    """
 
     def __init__(self, values: dict):
         super().__init__(values)
-        self.read = {}
+        self.read, self.inputs = {}, {}
 
     def __getitem__(self, key):
         self.read[key] = value = super().__getitem__(key)
+        if key in _INPUTS and value and value not in self.inputs:
+            self.inputs[value] = hashlib.sha256(Path(value).read_bytes()).hexdigest()
         return value
 
 
@@ -188,7 +198,7 @@ def build_parser() -> _Parser:
 
 
 def _require(options: dict, *keys: str) -> None:
-    missing = [k for k in keys if options[k] is None]
+    missing = [k for k in keys if options.get(k) is None]  # a check, not a read: nothing is recorded or hashed
     if missing:
         raise UsageError(f"missing required option(s): {', '.join('--' + k.replace('_', '-') for k in missing)}")
 
@@ -209,10 +219,7 @@ def _out_dir(options: dict) -> Path:
 
 def _finish(out_dir: Path, command: str, options: _Options, message: str) -> int:
     """Write the manifest of the options the run read and the input files among them; print ``message``."""
-    read = options.read
-    inputs = {read[k]: hashlib.sha256(Path(read[k]).read_bytes()).hexdigest()
-              for k in ("data", "model", "pmi_matrix") if read.get(k)}
-    manifest = {"command": command, "options": read, "inputs": inputs}
+    manifest = {"command": command, "options": options.read, "inputs": options.inputs}
     (out_dir / "manifest.json").write_text(  # a family set is recorded as its sorted names
         json.dumps(manifest, indent=2, sort_keys=True, default=sorted) + "\n", encoding="utf-8")
     print(message, end="" if message.endswith("\n") else "\n")
@@ -320,10 +327,10 @@ def _train_system(options: dict, training: dict, train_pairs: list[wordlists.Wor
 
 def load_artifacts(options: dict) -> dict:
     """Read what ``--system`` was trained into; each file must record that system."""
-    system, path = options["system"], options["model"]
+    system = options["system"]
     if system in NEURAL_SYSTEMS:
         from .neural import model as neural_model
-        return {"net": neural_model.load_checkpoint(path, system)}
+        return {"net": neural_model.load_checkpoint(options["model"], system)}
     artifacts = {}
     if system == "pmi_svm":
         from . import pmi
@@ -333,7 +340,7 @@ def load_artifacts(options: dict) -> dict:
     else:
         from . import similarity
         names = similarity.FEATURE_NAMES
-    artifacts["svm"] = svm.load_model(path, system, len(names))
+    artifacts["svm"] = svm.load_model(options["model"], system, len(names))
     return artifacts
 
 
@@ -372,7 +379,8 @@ def cmd_evaluate(options: dict) -> int:
 
 
 def cmd_pipeline(options: dict) -> int:
-    spec = _config(wordlists.SplitSpec, options)
+    mode = options["mode"]  # each mode reads only its own fields; the others are ignored and not recorded
+    spec = _config(wordlists.SplitSpec, options, wordlists.MODE_FIELDS[mode], mode=mode)
     training = _training(options)
     lexemes, pairs = _load_pairs(options)
     train_pairs, test_pairs = wordlists.split(pairs, lexemes, spec)

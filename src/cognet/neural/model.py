@@ -159,12 +159,20 @@ class Model:
         flat = a.reshape(x.shape[0], -1)  # copies the batch-minor map in [h, w, f] order, fc_w's row order
         return flat, (c1, cr1, c2, cr2, cp, a.shape) if tape else None
 
-    def _trunk_backward(self, tape, gflat, grads: dict[str, np.ndarray]) -> None:
-        c1, cr1, c2, cr2, cp, pooled_shape = tape
-        g = ops.maxpool2_backward(cp, gflat.reshape(pooled_shape))
-        g = ops.relu_backward(cr2, g, out=g)
+    def _trunk_backward(self, trunks: list, gflats: list, grads: dict[str, np.ndarray]) -> None:
+        """Backward through the last of ``trunks`` and ``gflats``, popped here and each tape entry dropped
+        once read; passed in, they would stay alive in the caller until the call returns (Python 3.10)."""
+        c1, cr1, c2, cr2, cp, pooled_shape = trunks.pop()
+        (B, oh, ow, F), W = cp[0], c2[0].shape[2]
+        # conv2's output gradient, built once at its input width W: the wrapped columns stay zero
+        g = np.zeros((F, oh, W, B)).transpose(3, 1, 2, 0)  # batch-minor, as the trunk's activations
+        valid = ops.maxpool2_backward(cp, gflats.pop().reshape(pooled_shape), out=g[:, :, :ow])
+        ops.relu_backward(cr2, valid, out=valid)
+        del cp, cr2, valid
         g, gk2, gb2 = ops.conv2d_backward(c2, g)
+        del c2  # conv2's input, the largest tape entry
         g = ops.relu_backward(cr1, g, out=g)
+        del cr1
         # nothing upstream of the input needs its gradient
         _, gk1, gb1 = ops.conv2d_backward(c1, g, input_grad=False)
         grads["conv1_w"] += gk1
@@ -230,15 +238,17 @@ class Model:
         if arch == SIAMESE_EUCLID:
             with np.errstate(over="ignore"):  # train reports an overflowed loss, naming the margin
                 loss = float(losses.contrastive_loss(out, y, margin).mean())
-            gflats = ops.euclid_backward(cpair, losses.contrastive_loss_grad(out, y, margin) / n)
+            gflats = list(ops.euclid_backward(cpair, losses.contrastive_loss_grad(out, y, margin) / n))
         else:
             loss = float(losses.log_loss(out, y).mean())
             gflats = [self._head_backward(chead, losses.log_loss_grad(out, y) / n, grads)]
             if arch == MANHATTAN:
-                gflats = ops.abs_diff_backward(cpair, gflats[0])
+                gflats = list(ops.abs_diff_backward(cpair, gflats[0]))
         del cpair, chead  # read by now; the trunks' backward passes are the step's peak
-        for gflat in gflats:  # each trunk's tape is released once its backward has run
-            self._trunk_backward(trunks.pop(0), gflat, grads)
+        # the last trunk first, as its forward ran last: the newest tape is freed first and the heap
+        # is reused like a stack; two trunks' gradients sum to the same bits in either order
+        while trunks:
+            self._trunk_backward(trunks, gflats, grads)
         return loss, grads
 
     def predict(self, forms: np.ndarray, index: np.ndarray) -> np.ndarray:

@@ -13,6 +13,12 @@ The spatial ops store their outputs batch-minor: each returns the
 trunk's activations stay batch-minor from layer to layer, and its GEMMs,
 copies and element-wise loops run along rows of H*W*B or B values, not C.
 Any other [B,H,W,C] array is accepted too, at the cost of one copy.
+
+``conv2d_backward`` takes its output gradient at the output width W - kw + 1,
+which it copies once into a zeroed buffer at the input width W, or at W
+itself, which it reads as is; there the kw - 1 wrapped columns of each row
+lie under no output and must be zero.  ``maxpool2_backward(out=)`` builds
+such a gradient in place, in the valid columns of a zeroed buffer.
 """
 
 from __future__ import annotations
@@ -90,19 +96,25 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, tape: bool = Tr
 def conv2d_backward(cache, grad, input_grad: bool = True):
     """Gradients (gx, gk, gb) of conv2d; gx is None when ``input_grad`` is false.
 
-    ``grad`` is laid out at the full input width with zeros in the wrapped
-    columns, so the forward's shifted slices serve here too: gk is grad
+    ``grad`` is at the output width or the input width (see the module
+    docstring), so the forward's shifted slices serve here too: gk is grad
     times the window columns (per offset for C > 2), and each offset adds
     its product with grad into the same slice of gx.
     """
     x, kernels = cache
     kh, kw, C, F = kernels.shape
     B, H, W, _ = x.shape
-    _, oh, ow, _ = grad.shape
+    _, oh, gw, _ = grad.shape
+    if gw not in (W - kw + 1, W):
+        raise ShapeMismatch(f"gradient width {gw} is neither the output width {W - kw + 1} nor the input width {W}")
     n = (oh * W - kw + 1) * B
-    padded = np.zeros((F, oh, W, B))
-    padded[:, :, :ow] = _swap(grad)
-    g = padded.reshape(F, -1)[:, :n]
+    if gw == W:
+        g = _rows(grad)
+    else:
+        padded = np.zeros((F, oh, W, B))
+        padded[:, :, :gw] = _swap(grad)
+        g = padded.reshape(F, -1)
+    g = g[:, :n]
     views = _at_offsets(_rows(x), kh, kw, W, B, n)
     gk = np.zeros((F, kh * kw * C))  # columns in (a, b, c) order
     gx = np.zeros((C, H * W * B)) if input_grad else None
@@ -162,14 +174,18 @@ def maxpool2(x: np.ndarray, tape: bool = True):
     return _swap(out), (x.shape, _swap(idx)) if tape else None
 
 
-def maxpool2_backward(cache, grad):
+def maxpool2_backward(cache, grad, out: np.ndarray | None = None):
+    """The input's gradient, each window's ``grad`` at its argmax and zero elsewhere, written
+    into ``out`` when given: any [B,H,W,F] array, whose values are never read."""
     (B, H, W, F), idx = cache
     _, oh, ow, _ = idx.shape
     idx, grad = _swap(idx), np.ascontiguousarray(_swap(grad))
-    gx = np.zeros((F, H, W, B))
+    gx = np.empty((F, H, W, B)) if out is None else _swap(out)
     for k in range(4):  # as in relu_backward, a mask multiplies the gradient
         i, j = divmod(k, 2)
         np.multiply(grad, idx == k, out=gx[:, i:2 * oh:2, j:2 * ow:2])
+    gx[:, 2 * oh:] = 0.0  # a dropped odd last row and column
+    gx[:, :, 2 * ow:] = 0.0
     return _swap(gx)
 
 

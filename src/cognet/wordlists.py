@@ -68,9 +68,13 @@ class WordPair:
         return self.a.form, self.b.form
 
 
+# the fields of SplitSpec that each mode reads: the fraction and seed, or the two disjoint family sets
+MODE_FIELDS = {CROSS_CONCEPT: ("train_fraction", "seed"), CROSS_FAMILY: ("train_families", "test_families")}
+
+
 @dataclass(frozen=True)
 class SplitSpec:
-    """A whole split: CROSS_CONCEPT reads the fraction and seed, CROSS_FAMILY the two disjoint family sets."""
+    """A whole split, with the fields that ``MODE_FIELDS`` names for its mode."""
 
     mode: str
     train_fraction: float = 0.7

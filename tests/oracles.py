@@ -312,11 +312,16 @@ def conv2d_backward_im2col(cache, grad, input_grad=True):
     """Gradients (gx, gk, gb) of a valid convolution by im2col, gx None unless ``input_grad``.
 
     Each of gk and gx is one GEMM over an unfolded operand: gx is the full
-    correlation of the zero-padded grad with the flipped kernels.
+    correlation of the zero-padded grad with the flipped kernels.  ``grad``
+    is at the output width, or at the input width with its wrapped columns
+    zero, as ``ops.conv2d_backward`` takes it; those columns are dropped.
     """
     x, kernels = cache
     kh, kw, C, F = kernels.shape
-    B, oh, ow, _ = grad.shape
+    ow = x.shape[2] - kw + 1
+    assert not grad[:, :, ow:].any(), "an input-width gradient's wrapped columns must be zero"
+    grad = grad[:, :, :ow]
+    B, oh, _, _ = grad.shape
     gk = (_unfold(x, kh, kw).T @ grad.reshape(-1, F)).reshape(kernels.shape)
     gb = np.ones(B * oh * ow) @ grad.reshape(-1, F)
     if not input_grad:

@@ -920,6 +920,43 @@ def test_manifest_holds_the_options_and_files_the_run_read(case, family_tsv, tra
                                   for f in [str(family_tsv), *files]}
 
 
+def test_manifest_digests_an_input_as_it_was_read_before_an_output_overwrites_it(family_tsv, tmp_path):
+    same = tmp_path / "same.tsv"
+    same.write_bytes(family_tsv.read_bytes())
+    assert cli.run(["featurize", "--data", str(same), "--out", str(same), "--seed", "3"]) == 0
+    assert same.read_bytes() != family_tsv.read_bytes()  # the feature file replaced the word list
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"] == {str(same): hashlib.sha256(family_tsv.read_bytes()).hexdigest()}
+
+
+# each split mode reads and records only its own SplitSpec fields; an option only
+# the other mode reads is accepted, ignored and not recorded, a bad value included:
+# (mode options, stray options, recorded split options)
+SPLIT_RUNS = {
+    "cross_concept": (["--mode", "cross-concept"], ["--train-families", "famA", "--test-families", "famA"],
+                      {"train_fraction"}),
+    "cross_family": (["--mode", "cross-family", "--train-families", "famA", "--test-families", "famB"],
+                     ["--train-fraction", "1.5"], {"train_families", "test_families"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_RUNS))
+def test_pipeline_records_only_the_split_fields_its_mode_reads(case, tmp_path):
+    data = tmp_path / "two_families.tsv"
+    wordlists.write_wordlist([*synthetic.generate_family(n_concepts=6, n_languages=4, seed=3, family="famA"),
+                              *synthetic.generate_family(n_concepts=6, n_languages=4, seed=4, family="famB")], data)
+    mode, stray, recorded = SPLIT_RUNS[case]
+    out_dir = tmp_path / "run"
+    assert cli.run(["pipeline", "--data", str(data), "--system", "ortho_svm", "--out-dir", str(out_dir),
+                    "--seed", "3", *QUICK_SVM, *mode, *stray]) == 0
+    options = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))["options"]
+    split_options = {"train_fraction", "train_families", "test_families"}
+    assert split_options & set(options) == recorded
+    assert options["mode"] == mode[1]
+    if case == "cross_family":
+        assert (options["train_families"], options["test_families"]) == (["famA"], ["famB"])
+
+
 def test_unknown_config_key_is_named(family_tsv, tmp_path, capsys):
     prefix = _write_config(tmp_path, "[net]\nepoch = 1\n")
     assert cli.run(prefix + ["train", "--system", "manhattan", "--data", str(family_tsv), "--seed", "3",

@@ -445,6 +445,23 @@ def test_a_scoring_chunk_holds_no_tape(arch):
         assert scoring + sum(a.nbytes for a in (a1, mask1, mask2, idx)) <= taped
 
 
+# The traced peak of a 128-pair training step at the default spec, inputs
+# gathered in the call, with a margin of about 6%: it measured 6.12, 6.13 and
+# 4.68 MiB (Siamese-Euclid, Manhattan, 2-channel) where it was 7.44, 7.45 and
+# 6.00 MiB with conv2's gradient built at the output width and padded in a
+# copy, and each tape held until its trunk's backward returned.
+STEP_PEAK_MIB = {SIAMESE_EUCLID: 6.5, MANHATTAN: 6.5, TWO_CHANNEL: 5.0}
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_a_training_step_holds_only_what_backward_still_reads(arch):
+    net = build(ModelSpec(arch), seed=5)
+    forms, index, y = _word_pairs(neural_model.PREDICT_CHUNK)
+    ia, ib = index.T
+    peak = _traced_peak(lambda: net.loss_and_grads(forms[ia], forms[ib], y, rng=np.random.default_rng(0)))
+    assert peak <= STEP_PEAK_MIB[arch] * 2**20
+
+
 @pytest.mark.parametrize("arch", ARCHITECTURES)
 def test_trunk_ops_keep_caches_only_for_training_and_relu_runs_in_place(arch, monkeypatch):
     calls = []

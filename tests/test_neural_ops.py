@@ -281,6 +281,42 @@ def test_conv2d_backward_matches_per_offset_oracle(C, kernel, B):
     assert np.array_equal(gk, got[1]) and np.array_equal(gb, got[2])
 
 
+@pytest.mark.parametrize("kernel", [(1, 1), (2, 3), (3, 2)])
+@pytest.mark.parametrize("C", [1, 2, 10])
+def test_conv2d_backward_reads_a_gradient_at_either_width(C, kernel):
+    rng = np.random.default_rng(C * 10 + kernel[1])
+    x = rng.normal(size=(5, 10, 16, C))
+    _, cache = ops.conv2d(x, rng.normal(size=(*kernel, C, 10)), rng.normal(size=10))
+    grad = rng.normal(size=(5, 11 - kernel[0], 17 - kernel[1], 10))
+    wide = np.zeros((5, 11 - kernel[0], 16, 10))  # zero-padded to the input width
+    wide[:, :, :grad.shape[2]] = grad
+    for input_grad in (True, False):
+        expected = ops.conv2d_backward(cache, grad, input_grad)
+        for padded in (wide, _batch_minor(wide)):
+            got = ops.conv2d_backward(cache, padded, input_grad)
+            for g, e in zip(got, expected):
+                assert (g is None and e is None) or g.tobytes() == e.tobytes()
+    narrower = 16 - kernel[1]  # one column short of the output width
+    with pytest.raises(ops.ShapeMismatch, match=f"^gradient width {narrower} is neither"):
+        ops.conv2d_backward(cache, np.zeros((5, 11 - kernel[0], narrower, 10)))
+
+
+@pytest.mark.parametrize("shape", [(5, 8, 12, 10), (3, 7, 5, 2), (2, 9, 13, 3)])
+def test_maxpool2_backward_writes_into_out_exactly_what_it_returns(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = np.round(rng.normal(size=shape), 1)  # ties too
+    _, cache = ops.maxpool2(x)
+    grad = rng.normal(size=(shape[0], shape[1] // 2, shape[2] // 2, shape[3]))
+    expected = ops.maxpool2_backward(cache, grad).tobytes()
+    B, H, W, F = shape
+    wider = np.full((F, H, W + 2, B), np.nan).transpose(3, 1, 2, 0)  # a batch-minor buffer's valid columns
+    for out in (np.full(shape, np.nan), _batch_minor(np.full(shape, np.nan)), wider[:, :, :W]):
+        got = ops.maxpool2_backward(cache, grad, out=out)
+        assert np.shares_memory(got, out)
+        assert got.tobytes() == out.tobytes() == expected  # every element written, signs of zeros included
+    assert np.isnan(wider[:, :, W:]).all()
+
+
 def test_relu_gradients():
     rng = np.random.default_rng(11)
     for _ in range(20):
