@@ -62,8 +62,10 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, tape: bool = Tr
     """Valid (unpadded) convolution: [B,H,W,C] x [kh,kw,C,F] -> [B,H-kh+1,W-kw+1,F].
 
     The cache is (x, kernels).  Output rows are computed at the full input
-    width W from one shifted slice per kernel offset (see ``_at_offsets``);
-    the kw - 1 wrapped columns are then cut off.
+    width W from one shifted slice per kernel offset (see ``_at_offsets``),
+    a block of whole rows at a time into one reused buffer; each block's
+    valid columns are copied into the output, and its kw - 1 wrapped
+    columns per row are dropped.
     """
     if x.ndim != 4 or kernels.ndim != 4:
         raise ShapeMismatch(f"conv2d expects 4-D input and kernels, got {x.shape}, {kernels.shape}")
@@ -78,19 +80,24 @@ def conv2d(x: np.ndarray, kernels: np.ndarray, bias: np.ndarray, tape: bool = Tr
     oh, ow = H - kh + 1, W - kw + 1
     n = (oh * W - kw + 1) * B
     views = _at_offsets(_rows(x), kh, kw, W, B, n)
-    full = np.empty((F, oh * W * B))
-    out = full[:, :n]  # the rest lies in the last row's wrapped columns
-    for start in range(0, n, _BLOCK):
-        cols = slice(start, start + _BLOCK)
-        o = out[:, cols]
-        if C <= 2:  # one GEMM over the windows, values in (a, b, c) order; per offset it would be C deep
-            np.matmul(kernels.reshape(-1, F).T, np.concatenate([v[:, cols] for v in views]), out=o)
-            o += bias[:, None]
-        else:  # bias first, then each offset's product in (a, b) order
-            o[:] = bias[:, None]
-            for k, v in zip(kernels.reshape(-1, C, F), views):
-                o += k.T @ v[:, cols]
-    return _swap(np.ascontiguousarray(full.reshape(F, oh, W, B)[:, :, :ow])), (x, kernels) if tape else None
+    rows = max(1, _BLOCK // (W * B))  # output rows per block
+    block = np.empty((F, rows, W, B))
+    out = np.empty((F, oh, ow, B))
+    for top in range(0, oh, rows):
+        first = top * W * B
+        last = min(first + rows * W * B, n)  # the last output row stops at its valid columns
+        for start in range(first, last, _BLOCK):
+            cols = slice(start, min(start + _BLOCK, last))
+            o = block.reshape(F, -1)[:, start - first:cols.stop - first]
+            if C <= 2:  # one GEMM over the windows, values in (a, b, c) order; per offset it would be C deep
+                np.matmul(kernels.reshape(-1, F).T, np.concatenate([v[:, cols] for v in views]), out=o)
+                o += bias[:, None]
+            else:  # bias first, then each offset's product in (a, b) order
+                o[:] = bias[:, None]
+                for k, v in zip(kernels.reshape(-1, C, F), views):
+                    o += k.T @ v[:, cols]
+        out[:, top:top + rows] = block[:, :oh - top, :ow]
+    return _swap(out), (x, kernels) if tape else None
 
 
 def conv2d_backward(cache, grad, input_grad: bool = True):

@@ -3,15 +3,17 @@
 Word pairs that survive a normalized edit-distance cutoff are aligned,
 aligned symbol pairs are counted, and the counts become a log-odds scoring
 matrix.  Realigning with that matrix and recounting is repeated until the
-matrix stops moving.  The resulting matrix scores new word pairs through
-ordinary global alignment, which reads each substitution score from the
-matrix and adds the gap penalty per gap.  The pseudocount, the gap penalty
-and each score of a matrix file are bounded where they enter, so no score overflows.
+matrix stops moving.  Each round aligns every distinct seed pair at once
+(``similarity.align_batch``), over words coded once per estimation.  The
+resulting matrix scores new word pairs through ordinary global alignment
+(``similarity.align``, one pair at a time), which reads each substitution
+score from the matrix and adds the gap penalty per gap.  The pseudocount,
+the gap penalty and each score of a matrix file are bounded where they
+enter, so no score overflows.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,18 +95,18 @@ def _counts_to_pmi(counts: np.ndarray, pseudocount: float) -> np.ndarray:
     return np.log2(joint) - np.log2(np.outer(marginal, marginal))
 
 
-def _count_pairs(seeds: list[tuple[str, str]], repeats, scores: np.ndarray, gap: float) -> np.ndarray:
+def _count_pairs(codes: np.ndarray, lengths: np.ndarray, seeds: np.ndarray, repeats: np.ndarray,
+                 scores: np.ndarray, gap: float) -> np.ndarray:
     """Symmetric counts of the symbol pairs that the seeds' alignments under ``scores`` and ``gap`` match up.
 
+    The seeds are rows (a, b) into the coded words (``similarity.code_words``).
     Each seed is aligned once, and its symbol pairs count ``repeats`` times;
     the weights are whole numbers, so the counts are exact.
     """
-    idx = phoneme.SYMBOL_INDEX
-    codes = [[idx[x] * N + idx[y] for x, y in similarity.align(a, b, scores, gap)[1]
-              if x != similarity.GAP and y != similarity.GAP] for a, b in seeds]
-    weights = np.repeat(repeats, [len(c) for c in codes])
-    counts = np.bincount(np.fromiter(itertools.chain.from_iterable(codes), dtype=np.int64),
-                         weights=weights, minlength=N * N).reshape(N, N).astype(np.float64)
+    _, rows, i, j = similarity.align_batch(codes, lengths, seeds, scores, gap)
+    a, b = seeds[rows].T
+    counts = np.bincount(codes[i, a] * N + codes[j, b], weights=repeats[rows], minlength=N * N)
+    counts = counts.reshape(N, N).astype(np.float64)  # no seeds give integer zeros
     return counts + counts.T
 
 
@@ -129,13 +131,18 @@ def estimate_pmi(pairs: list[tuple[str, str]], cfg: PMIConfig = PMIConfig()) -> 
     rows = seed_pairs(forms, index, cfg.initial_cutoff)
     if not rows.size:
         raise EmptySeedSet(f"no pair passed the cutoff {cfg.initial_cutoff} out of {len(pairs)}")
-    seeds = [(forms[a], forms[b]) for a, b in index[rows].tolist()]
     repeats = np.bincount(row, minlength=len(index))[rows]
+    used, seeds = np.unique(index[rows], return_inverse=True)  # the seeds' forms, coded once
+    codes, lengths = similarity.code_words([forms[k] for k in used])
+    seeds = seeds.reshape(-1, 2)
 
-    scores = _counts_to_pmi(_count_pairs(seeds, repeats, _EDIT_SCORES, -1.0), cfg.pseudocount)
+    def count(scores, gap):
+        return _count_pairs(codes, lengths, seeds, repeats, scores, gap)
+
+    scores = _counts_to_pmi(count(_EDIT_SCORES, -1.0), cfg.pseudocount)
 
     for iterations in range(1, cfg.max_iterations + 1):  # PMIConfig asks for at least one
-        new_scores = _counts_to_pmi(_count_pairs(seeds, repeats, scores, cfg.gap_penalty), cfg.pseudocount)
+        new_scores = _counts_to_pmi(count(scores, cfg.gap_penalty), cfg.pseudocount)
         delta = float(np.max(np.abs(new_scores - scores)))
         scores = new_scores
         if delta < cfg.convergence_tol:

@@ -11,11 +11,15 @@ every pair of the chunk at once.  One score-only DP fill gives five
 measures (Needleman-Wunsch global, Smith-Waterman local, semi-global with
 free end gaps, edit distance and LCS); it keeps two DP rows and takes each
 row's runs of gaps as a prefix max in log2(n + 1) doubling steps.  The
-n-gram measures pair up equal n-grams by occurrence rank.  :func:`align`
-is the one aligner that also returns the aligned symbol pairs.  It is
-global only and aligns ASJP words under a 35 x 35 substitution table plus
-a linear gap score: the form of the matrix that its caller, the PMI
-module, learns.
+n-gram measures pair up equal n-grams by occurrence rank.
+
+Two aligners also return the aligned symbols.  Both are global only and
+align ASJP words under a 35 x 35 substitution table plus a linear gap
+score: the form of the matrix that the PMI module learns.  :func:`align`
+takes one pair in pure Python; PMI scoring calls it.  :func:`align_batch`
+takes chunks of pairs coded by :func:`code_words`, pair-minor as above;
+PMI estimation calls it.  It makes align's float adds in align's order,
+so the two agree bit for bit, and align is its reference.
 """
 
 from __future__ import annotations
@@ -106,6 +110,104 @@ def align(a: str, b: str, scores: np.ndarray = UNIT_SCORES,
     return float(S[m][n]), pairs
 
 
+def code_words(words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """ASJP words as columns of inventory indices, and their lengths.
+
+    ``codes[i, k]`` is the ``phoneme.INVENTORY`` index of symbol i of word
+    k, and 0 past the word's end.
+    """
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    codes = np.zeros((int(lengths.max(initial=0)), len(words)), dtype=np.intp)
+    idx = phoneme.SYMBOL_INDEX
+    codes.T[np.arange(len(codes)) < lengths[:, None]] = [idx[x] for word in words for x in word]
+    return codes, lengths
+
+
+def align_batch(codes: np.ndarray, lengths: np.ndarray, index: np.ndarray, scores: np.ndarray,
+                gap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`align` of the word pairs (a, b) in the rows of ``index``, all at once.
+
+    The words are columns of ``codes`` with their ``lengths``, as
+    :func:`code_words` gives them.  Returns each pair's score and its
+    substitutions, the aligned pairs without a gap, as three arrays in no
+    set order: the row of ``index``, symbol i of word a and symbol j of
+    word b.  Chunks take the pairs in order of their longer word.  Each
+    DP row is filled with align's float adds, its runs of insertions by a
+    scan along the row, and each cell keeps the traceback step that align
+    would choose there.  So with finite scores and a gap other than -0.0,
+    scores and alignments equal align's bit for bit.
+    """
+    la, lb = lengths[index].T
+    order = np.argsort(np.maximum(la, lb), kind="stable")
+    score = np.empty(len(index))
+    found = [np.empty(0, dtype=np.intp)] * 3
+    for s in range(0, len(index), CHUNK):
+        chunk = order[s:s + CHUNK]
+        m, n = int(la[chunk].max()), int(lb[chunk].max())
+        a, b = index[chunk].T
+        score[chunk], steps = _align_chunk(codes[:m, a], codes[:n, b], la[chunk], lb[chunk], scores, gap)
+        r, i, j = _walk_back(steps, la[chunk], lb[chunk])
+        found = [np.concatenate(pair) for pair in zip(found, (chunk[r], i, j))]
+    return score, *found
+
+
+def _align_chunk(ca: np.ndarray, cb: np.ndarray, la: np.ndarray, lb: np.ndarray, scores: np.ndarray,
+                 gap: float) -> tuple[np.ndarray, np.ndarray]:
+    """The score of each pair r of words ca[:, r] and cb[:, r], of lengths la[r] and lb[r], and the
+    traceback step of each cell: ``steps[i - 1, j - 1, r]`` is 0 for a substitution, 1 for a deletion
+    (gap in b) and 2 for an insertion (gap in a).
+
+    Two DP rows of shape [n + 1, pairs] are kept.  Cells past a pair's
+    lengths are filled too, but no cell of the pair reads them.
+    """
+    (m, pairs), n = ca.shape, cb.shape[0]
+    r = np.arange(pairs)
+    flat = scores.ravel()
+    prev = np.repeat((np.arange(n + 1) * gap)[:, None], pairs, axis=1)
+    prev[0] = 0.0  # as align's S[0][0]: 0 * gap would be -0.0
+    cur = np.empty_like(prev)
+    left = np.empty(pairs)
+    ends = np.empty((m + 1, pairs))  # the cell in each pair's last column, per row
+    ends[0] = prev[lb, r]
+    steps = np.empty((m, n, pairs), dtype=np.int8)
+    for i in range(1, m + 1):
+        diag = prev[:-1] + flat[ca[i - 1] * len(scores) + cb]
+        up = prev[1:] + gap
+        # np.maximum keeps align's values: no cell is NaN or -0.0 (the corner
+        # is +0.0 and the gap is not -0.0), so equal scores have equal bits
+        row = cur
+        np.maximum(diag, up, out=row[1:])
+        row[0] = i * gap
+        for j in range(1, n + 1):  # runs of insertions, left to right
+            np.add(row[j - 1], gap, out=left)
+            np.maximum(row[j], left, out=row[j])
+        # align's traceback: the first step whose score reaches the cell
+        step = steps[i - 1]
+        step[:] = 2
+        np.copyto(step, 1, where=row[1:] == up)
+        np.copyto(step, 0, where=row[1:] == diag)
+        ends[i] = row[lb, r]
+        prev, cur = cur, prev
+    return ends[la, r], steps
+
+
+def _walk_back(steps: np.ndarray, la: np.ndarray, lb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The substitutions (pair r, symbol i, symbol j) on each pair's path from its last cell, all pairs
+    a step at a time; a pair leaves once it reaches row or column 0, whose steps are all gaps."""
+    r, i, j = np.arange(len(la)), la, lb
+    found = [(r[:0], i[:0], j[:0])]
+    while True:
+        inside = (i > 0) & (j > 0)
+        r, i, j = r[inside], i[inside], j[inside]
+        if not r.size:
+            break
+        step = steps[i - 1, j - 1, r]
+        sub = step == 0
+        found.append((r[sub], i[sub] - 1, j[sub] - 1))
+        i, j = i - (step != 2), j - (step != 1)
+    return tuple(np.concatenate(x) for x in zip(*found))
+
+
 # The score-only DP measures as (match, mismatch, gap, mode), where the mode
 # is "global", "local" or "semiglobal".  Edit distance is the negated global
 # score of its parametrisation.
@@ -121,7 +223,8 @@ DP_MEASURES = {
 _GRAMS = {"bigram": (0, 1), "trigram": (0, 1, 2), "xdice": (0, 2), "xxdice": (0, 2)}
 
 # string pairs per chunk (256 word pairs in three alphabets); it keeps each
-# chunk's arrays under 1 MB for words of up to 12 symbols
+# chunk's arrays under 1 MB for words of up to 12 symbols, and align_batch's
+# traceback steps, a byte per DP cell, under 1 MB for words of up to 36
 CHUNK = 768
 _NONE = -(1 << 24)  # below every reachable score
 

@@ -419,6 +419,21 @@ def test_scoring_forward_equals_the_taped_forward_bit_for_bit(arch, case):
     assert xa.tobytes() + xb.tobytes() == inputs  # ReLU runs in place on activations, never on the inputs
 
 
+# The traced peak of a 128-pair training step at the default spec, inputs
+# gathered in the call, with a margin of about 6%: it measured 6.12, 6.13 and
+# 4.68 MiB (Siamese-Euclid, Manhattan, 2-channel) where it was 7.44, 7.45 and
+# 6.00 MiB with conv2's gradient built at the output width and padded in a
+# copy, and each tape held until its trunk's backward returned.
+STEP_PEAK_MIB = {SIAMESE_EUCLID: 6.5, MANHATTAN: 6.5, TWO_CHANNEL: 5.0}
+
+# The traced peak of a 128-pair scoring chunk at the default spec, with a
+# margin of about 8%: at most conv2's input, one block of its output rows and
+# its output, and the first trunk's features.  It measured 2.95, 2.95 and
+# 3.03 MiB, where it was 3.50, 3.50 and 3.58 MiB with conv2's output computed
+# at the full input width in one buffer and its valid columns copied out.
+CHUNK_PEAK_MIB = {SIAMESE_EUCLID: 3.2, MANHATTAN: 3.2, TWO_CHANNEL: 3.25}
+
+
 def _traced_peak(fn) -> int:
     """The tracemalloc peak, in bytes, of what fn() allocates."""
     tracemalloc.start()
@@ -435,22 +450,12 @@ def test_a_scoring_chunk_holds_no_tape(arch):
     xa, xb = _sides(*_toy_pairs(neural_model.PREDICT_CHUNK)[:2])
     scoring = _traced_peak(lambda: net.forward(xa, xb))
     taped = _traced_peak(lambda: net.forward(xa, xb, training=True, rng=np.random.default_rng(0)))
-    # at most conv2's input, its full-width output buffer and its output, and the
-    # first trunk's features: 3.5 MiB at the default spec
-    assert scoring <= 3.8 * 2**20
+    assert scoring <= CHUNK_PEAK_MIB[arch] * 2**20
     _, (trunks, _, _) = net.forward(xa, xb, training=True, rng=np.random.default_rng(0))
     _, mask1, (a1, _), mask2, (_, idx), _ = trunks[0]
     assert idx.dtype == np.uint8
     if arch != TWO_CHANNEL:  # the second trunk runs without the first one's tape
         assert scoring + sum(a.nbytes for a in (a1, mask1, mask2, idx)) <= taped
-
-
-# The traced peak of a 128-pair training step at the default spec, inputs
-# gathered in the call, with a margin of about 6%: it measured 6.12, 6.13 and
-# 4.68 MiB (Siamese-Euclid, Manhattan, 2-channel) where it was 7.44, 7.45 and
-# 6.00 MiB with conv2's gradient built at the output width and padded in a
-# copy, and each tape held until its trunk's backward returned.
-STEP_PEAK_MIB = {SIAMESE_EUCLID: 6.5, MANHATTAN: 6.5, TWO_CHANNEL: 5.0}
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -233,16 +234,24 @@ def test_seed_pairs_equal_per_pair_edit_distance_cutoff(cutoff):
     assert [pair for pair, r in zip(pairs, row) if r in seeds] == _per_pair_seeds(pairs, cutoff)
 
 
+def _family_pairs(lexemes):
+    return [(p.a.form, p.b.form) for p in wordlists.generate_pairs(lexemes)]
+
+
 def test_matrix_equals_one_from_per_pair_seeds(monkeypatch):
-    pairs = _fixture_pairs()
-    got = pmi.estimate_pmi(pairs)
-    seeds = _per_pair_seeds(pairs, pmi.PMIConfig().initial_cutoff)
-    monkeypatch.setattr(pmi, "_count_pairs",
-                        lambda _seeds, _repeats, scores, gap: oracles.count_pairs_per_seed(seeds, scores, gap))
-    want = pmi.estimate_pmi(pairs)
-    assert np.array_equal(got.scores, want.scores)
-    assert (got.iterations, got.final_delta, got.converged) == (
-        want.iterations, want.final_delta, want.converged)
+    # the fixture, the default family, and a family spelled three times over (9-15 symbols)
+    default = synthetic.generate_family(30, 8, seed=7)
+    long_words = [dataclasses.replace(lex, form=lex.form * 3) for lex in synthetic.generate_family(10, 6, seed=12)]
+    for pairs in (_fixture_pairs(), _family_pairs(default), _family_pairs(long_words)):
+        got = pmi.estimate_pmi(pairs)
+        seeds = _per_pair_seeds(pairs, pmi.PMIConfig().initial_cutoff)
+        with monkeypatch.context() as patch:
+            patch.setattr(pmi, "_count_pairs", lambda _codes, _lengths, _seeds, _repeats, scores, gap:
+                          oracles.count_pairs_per_seed(seeds, scores, gap))
+            want = pmi.estimate_pmi(pairs)
+        assert np.array_equal(got.scores, want.scores)
+        assert (got.iterations, got.final_delta, got.converged) == (
+            want.iterations, want.final_delta, want.converged)
 
 
 N = len(phoneme.INVENTORY)
@@ -282,18 +291,23 @@ def test_weighted_counts_equal_one_alignment_per_seed(pool, picks, seed, gap):
         half = np.random.default_rng(seed).normal(0.0, 2.0, size=(N, N))
         table = half + half.T
     forms, index, row = wordlists.form_table(seeds)
-    got = pmi._count_pairs([(forms[a], forms[b]) for a, b in index.tolist()], np.bincount(row), table, gap)
+    got = pmi._count_pairs(*similarity.code_words(forms), index, np.bincount(row), table, gap)
     assert np.array_equal(got, oracles.count_pairs_per_seed(seeds, table, gap))
     assert got.dtype == np.float64
 
 
 # What MAX_GAP_PENALTY promises: with every score and the gap at its bound,
-# the alignment score of words of up to 40 symbols stays finite.
+# the alignment score of words of up to 40 symbols stays finite.  The batched
+# aligner also fills the cells past each pair's lengths; those stay finite too.
 @settings(deadline=None)
 @given(a=st.text(alphabet=phoneme.INVENTORY, max_size=40), b=st.text(alphabet=phoneme.INVENTORY, max_size=40),
        seed=st.integers(0, 2**32 - 1))
 def test_align_stays_finite_with_scores_and_gap_at_the_bound(a, b, seed):
     table = pmi.MAX_GAP_PENALTY * np.random.default_rng(seed).choice([-1.0, 1.0], size=(N, N))
-    with np.errstate(over="raise", invalid="raise", divide="raise"):
+    words = [a, b, "p" * 40]
+    index = np.array([[0, 1], [1, 0], [0, 2], [2, 1]])
+    with np.errstate(all="raise"):
         score, _ = similarity.align(a, b, table, -pmi.MAX_GAP_PENALTY)
+        batched = similarity.align_batch(*similarity.code_words(words), index, table, -pmi.MAX_GAP_PENALTY)[0]
     assert math.isfinite(score)
+    assert batched[0] == score and np.isfinite(batched).all()

@@ -111,6 +111,31 @@ def test_align_equals_callback_oracle(a, b, seed, table_gap):
     assert sim.align(a, b, table, gap) == oracles.global_align(a, b, sub, gap)
 
 
+@settings(deadline=None)
+@given(words=st.lists(st.text(alphabet=phoneme.INVENTORY, min_size=1, max_size=24), min_size=1, max_size=6),
+       picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=24),
+       seed=st.integers(0, 2**32 - 1), chunk=st.integers(1, 12),
+       # unit costs (estimation's first table) and integer scores force ties
+       table_gap=st.one_of(st.just(("unit", -1.0)), st.tuples(st.just("floats"), st.floats(-8.0, -0.01)),
+                           st.tuples(st.just("integers"), st.integers(-3, 0).map(float))))
+@example(words=["pVtV", "tVpVV", "p" * 24], picks=[(0, 1), (1, 0), (2, 0), (0, 2), (1, 1)], seed=0, chunk=2,
+         table_gap=("unit", -1.0))
+def test_align_batch_equals_align(words, picks, seed, chunk, table_gap):
+    # pairs repeat and come in both orders; a small chunk splits them across chunks
+    kind, gap = table_gap
+    table = np.eye(N) - 1.0 if kind == "unit" else _score_table(kind, seed)
+    index = np.array([(a % len(words), b % len(words)) for a, b in picks])
+    with mock.patch.object(sim, "CHUNK", chunk):
+        score, rows, i, j = sim.align_batch(*sim.code_words(words), index, table, gap)
+    want = [sim.align(words[a], words[b], table, gap) for a, b in index.tolist()]
+    assert np.array_equal(score.view(np.int64), np.array([s for s, _ in want]).view(np.int64))
+    for r, (_, pairs) in enumerate(want):
+        # align's substitutions, each at the number of symbols of a and of b aligned before it
+        subs = [(sum(x != sim.GAP for x, _ in pairs[:k]), sum(y != sim.GAP for _, y in pairs[:k]))
+                for k, xy in enumerate(pairs) if sim.GAP not in xy]
+        assert sorted(zip(i[rows == r].tolist(), j[rows == r].tolist())) == subs
+
+
 def _random_pairs(rng, count, max_len, alphabet="ptkV"):
     for _ in range(count):
         a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_len)))
