@@ -91,18 +91,30 @@ def _write_tsv(path: Path, header: list[str], rows) -> None:
 
 
 def _load_config(path: str | None) -> dict[str, str]:
-    """Flatten [section] key = value pairs into 'key' -> value."""
+    """Flatten the key = value pairs of every section, [DEFAULT] too, into 'key' -> value.
+
+    A key given in two places (two sections, or ``out-dir`` beside
+    ``out_dir``) must have the same value in both.
+    """
     if path is None:
         return {}
     import configparser
-    parser = configparser.ConfigParser(interpolation=None)  # values are literal: '%' is no escape
+    # values are literal: '%' is no escape; no header names the section "", so [DEFAULT]
+    # is read as any other section and lends no key to the others
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         read = parser.read(path, encoding="utf-8")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"bad config file {path}: {exc}") from exc
     if not read:
         raise UsageError(f"config file not found: {path}")
-    config = {k.replace("-", "_"): v for section in parser.sections() for k, v in parser.items(section)}
+    config, places = {}, {}
+    for section in parser.sections():
+        for name, value in parser.items(section):
+            key, place = name.replace("-", "_"), f"[{section}] {name} = {value}"
+            if config.setdefault(key, value) != value:
+                raise UsageError(f"config file {path} gives {key!r} two values: {places[key]} and {place}")
+            places.setdefault(key, place)
     unknown = sorted(set(config) - set(_OPTIONS))
     if unknown:
         raise UsageError(f"unknown config key(s) in {path}: {', '.join(unknown)}")

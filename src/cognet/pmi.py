@@ -3,13 +3,13 @@
 Word pairs that survive a normalized edit-distance cutoff are aligned,
 aligned symbol pairs are counted, and the counts become a log-odds scoring
 matrix.  Realigning with that matrix and recounting is repeated until the
-matrix stops moving.  Each round aligns every distinct seed pair at once
-(``similarity.align_batch``), over words coded once per estimation.  The
-resulting matrix scores new word pairs through ordinary global alignment
-(``similarity.align``, one pair at a time), which reads each substitution
-score from the matrix and adds the gap penalty per gap.  The pseudocount,
-the gap penalty and each score of a matrix file are bounded where they
-enter, so no score overflows.
+matrix stops moving.  The pairs are tabled and their forms coded once
+(``similarity.Words``); each round aligns every distinct seed pair at once
+(``similarity.align_batch``).  The resulting matrix scores new word pairs
+through ordinary global alignment (``similarity.align``, one pair at a
+time), which reads each substitution score from the matrix and adds the
+gap penalty per gap.  The pseudocount, the gap penalty and each score of a
+matrix file are bounded where they enter, so no score overflows.
 """
 
 from __future__ import annotations
@@ -95,26 +95,27 @@ def _counts_to_pmi(counts: np.ndarray, pseudocount: float) -> np.ndarray:
     return np.log2(joint) - np.log2(np.outer(marginal, marginal))
 
 
-def _count_pairs(codes: np.ndarray, lengths: np.ndarray, seeds: np.ndarray, repeats: np.ndarray,
-                 scores: np.ndarray, gap: float) -> np.ndarray:
+def _count_pairs(words: similarity.Words, seeds: np.ndarray, repeats: np.ndarray, scores: np.ndarray,
+                 gap: float) -> np.ndarray:
     """Symmetric counts of the symbol pairs that the seeds' alignments under ``scores`` and ``gap`` match up.
 
-    The seeds are rows (a, b) into the coded words (``similarity.code_words``).
-    Each seed is aligned once, and its symbol pairs count ``repeats`` times;
-    the weights are whole numbers, so the counts are exact.
+    The seeds are rows (a, b) into ``words``.  Each seed is aligned once,
+    and its symbol pairs count ``repeats`` times; the weights are whole
+    numbers, so the counts are exact.
     """
-    _, rows, i, j = similarity.align_batch(codes, lengths, seeds, scores, gap)
+    _, rows, i, j = similarity.align_batch(words, seeds, scores, gap)
     a, b = seeds[rows].T
+    codes = words.symbols()
     counts = np.bincount(codes[i, a] * N + codes[j, b], weights=repeats[rows], minlength=N * N)
     counts = counts.reshape(N, N).astype(np.float64)  # no seeds give integer zeros
     return counts + counts.T
 
 
-def seed_pairs(forms: list[str], index: np.ndarray, cutoff: float) -> np.ndarray:
-    """The rows of ``index`` whose nonempty forms' edit distance over the longer length is at most ``cutoff``."""
-    la, lb = np.array([len(f) for f in forms], dtype=np.int64)[index].T
+def seed_pairs(words: similarity.Words, index: np.ndarray, cutoff: float) -> np.ndarray:
+    """The rows of ``index`` whose nonempty words' edit distance over the longer length is at most ``cutoff``."""
+    la, lb = words.lengths[index].T
     rows = np.flatnonzero((la > 0) & (lb > 0))
-    edits = similarity.measure_table([(forms[a], forms[b]) for a, b in index[rows].tolist()], ("edit",))[:, 0]
+    edits = similarity.measure_batch(words, index[rows], ("edit",))[:, 0]
     return rows[edits / np.maximum(la, lb)[rows] <= cutoff]
 
 
@@ -128,21 +129,14 @@ def estimate_pmi(pairs: list[tuple[str, str]], cfg: PMIConfig = PMIConfig()) -> 
     after ``cfg.max_iterations`` realignments.
     """
     forms, index, row = wordlists.form_table(pairs)
-    rows = seed_pairs(forms, index, cfg.initial_cutoff)
+    words = similarity.Words(forms)  # coded once: the cutoff and every alignment read it
+    rows = seed_pairs(words, index, cfg.initial_cutoff)
     if not rows.size:
         raise EmptySeedSet(f"no pair passed the cutoff {cfg.initial_cutoff} out of {len(pairs)}")
-    repeats = np.bincount(row, minlength=len(index))[rows]
-    used, seeds = np.unique(index[rows], return_inverse=True)  # the seeds' forms, coded once
-    codes, lengths = similarity.code_words([forms[k] for k in used])
-    seeds = seeds.reshape(-1, 2)
-
-    def count(scores, gap):
-        return _count_pairs(codes, lengths, seeds, repeats, scores, gap)
-
-    scores = _counts_to_pmi(count(_EDIT_SCORES, -1.0), cfg.pseudocount)
-
+    seeds, repeats = index[rows], np.bincount(row, minlength=len(index))[rows]
+    scores = _counts_to_pmi(_count_pairs(words, seeds, repeats, _EDIT_SCORES, -1.0), cfg.pseudocount)
     for iterations in range(1, cfg.max_iterations + 1):  # PMIConfig asks for at least one
-        new_scores = _counts_to_pmi(count(scores, cfg.gap_penalty), cfg.pseudocount)
+        new_scores = _counts_to_pmi(_count_pairs(words, seeds, repeats, scores, cfg.gap_penalty), cfg.pseudocount)
         delta = float(np.max(np.abs(new_scores - scores)))
         scores = new_scores
         if delta < cfg.convergence_tol:

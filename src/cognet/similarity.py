@@ -2,10 +2,10 @@
 
 The measures operate on plain symbol strings, so they apply unchanged to
 ASJP words and to their coarser sound-class renderings.  They are computed
-in batches over a form table (``wordlists.form_table``):
-:func:`feature_matrix` renders each form once per alphabet, and
-:func:`measure_table` codes each distinct string once as a padded column
-of integers and handles a chunk of distinct pairs at a time.  Its arrays
+in batches: :class:`Words` codes the distinct strings of a form table
+(``wordlists.form_table``) once, as padded columns of code points, and
+:func:`measure_batch` measures a chunk of its (a, b) rows at a time;
+:func:`feature_matrix` renders each form once per alphabet.  The arrays
 are pair-minor: the pair axis is innermost, so each numpy op runs along
 every pair of the chunk at once.  One score-only DP fill gives five
 measures (Needleman-Wunsch global, Smith-Waterman local, semi-global with
@@ -17,9 +17,9 @@ Two aligners also return the aligned symbols.  Both are global only and
 align ASJP words under a 35 x 35 substitution table plus a linear gap
 score: the form of the matrix that the PMI module learns.  :func:`align`
 takes one pair in pure Python; PMI scoring calls it.  :func:`align_batch`
-takes chunks of pairs coded by :func:`code_words`, pair-minor as above;
-PMI estimation calls it.  It makes align's float adds in align's order,
-so the two agree bit for bit, and align is its reference.
+takes chunks of the rows of a :class:`Words`, pair-minor as above; PMI
+estimation calls it.  It makes align's float adds in align's order, so
+the two agree bit for bit, and align is its reference.
 """
 
 from __future__ import annotations
@@ -110,34 +110,21 @@ def align(a: str, b: str, scores: np.ndarray = UNIT_SCORES,
     return float(S[m][n]), pairs
 
 
-def code_words(words: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """ASJP words as columns of inventory indices, and their lengths.
-
-    ``codes[i, k]`` is the ``phoneme.INVENTORY`` index of symbol i of word
-    k, and 0 past the word's end.
-    """
-    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
-    codes = np.zeros((int(lengths.max(initial=0)), len(words)), dtype=np.intp)
-    idx = phoneme.SYMBOL_INDEX
-    codes.T[np.arange(len(codes)) < lengths[:, None]] = [idx[x] for word in words for x in word]
-    return codes, lengths
-
-
-def align_batch(codes: np.ndarray, lengths: np.ndarray, index: np.ndarray, scores: np.ndarray,
+def align_batch(words: Words, index: np.ndarray, scores: np.ndarray,
                 gap: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`align` of the word pairs (a, b) in the rows of ``index``, all at once.
+    """:func:`align` of the ASJP word pairs (a, b) of ``words`` in the rows of ``index``, all at once.
 
-    The words are columns of ``codes`` with their ``lengths``, as
-    :func:`code_words` gives them.  Returns each pair's score and its
-    substitutions, the aligned pairs without a gap, as three arrays in no
-    set order: the row of ``index``, symbol i of word a and symbol j of
-    word b.  Chunks take the pairs in order of their longer word.  Each
-    DP row is filled with align's float adds, its runs of insertions by a
-    scan along the row, and each cell keeps the traceback step that align
-    would choose there.  So with finite scores and a gap other than -0.0,
-    scores and alignments equal align's bit for bit.
+    Returns each pair's score and its substitutions, the aligned pairs
+    without a gap, as three arrays in no set order: the row of ``index``,
+    symbol i of word a and symbol j of word b.  Chunks take the pairs in
+    order of their longer word.  Each DP row is filled with align's float
+    adds, its runs of insertions by a scan along the row, and each cell
+    keeps the traceback step that align would choose there.  So with finite
+    scores and a gap other than -0.0, scores and alignments equal align's
+    bit for bit.
     """
-    la, lb = lengths[index].T
+    codes = words.symbols()
+    la, lb = words.lengths[index].T
     order = np.argsort(np.maximum(la, lb), kind="stable")
     score = np.empty(len(index))
     found = [np.empty(0, dtype=np.intp)] * 3
@@ -229,10 +216,16 @@ CHUNK = 768
 _NONE = -(1 << 24)  # below every reachable score
 
 
-class _Words:
+# each code point's INVENTORY index or -1, up to the last entry: a -1 that every larger code point reads
+_INVENTORY_INDEX = np.full(max(map(ord, phoneme.INVENTORY)) + 2, -1, dtype=np.intp)
+_INVENTORY_INDEX[[ord(x) for x in phoneme.INVENTORY]] = np.arange(len(phoneme.INVENTORY))
+
+
+class Words:
     """Distinct strings as columns of symbol codes padded with -1, with their lengths.
 
-    ``codes[i, k]`` is the code point of symbol i of string k.
+    ``codes[i, k]`` is the code point of symbol i of string k; the measures
+    read these, :func:`align_batch` the :meth:`symbols` of ASJP words.
     """
 
     def __init__(self, words: Sequence[str]):
@@ -257,6 +250,13 @@ class _Words:
             inside = np.arange(width)[:, None] < self.lengths - span + 1
             self._grams[offsets] = code, np.where(inside, rank, -1)
         return self._grams[offsets]
+
+    def symbols(self) -> np.ndarray:
+        """The codes of ASJP words as ``phoneme.INVENTORY`` indices, 0 past each end."""
+        symbols = np.where(self.codes < 0, 0, _INVENTORY_INDEX[np.minimum(self.codes, len(_INVENTORY_INDEX) - 1)])
+        if (symbols < 0).any():
+            raise ValueError("a word holds a symbol outside the ASJP inventory")
+        return symbols
 
 
 def _dp_scores(eq: np.ndarray, la: np.ndarray, lb: np.ndarray, params) -> list[np.ndarray]:
@@ -328,7 +328,7 @@ def _dp_scores(eq: np.ndarray, la: np.ndarray, lb: np.ndarray, params) -> list[n
     return list(out)
 
 
-def _gram_scores(words: _Words, offsets: tuple[int, ...], names: Sequence[str],
+def _gram_scores(words: Words, offsets: tuple[int, ...], names: Sequence[str],
                  ka: np.ndarray, kb: np.ndarray) -> dict[str, np.ndarray]:
     """The named measures of each pair that count one kind of n-gram: shared
     n-grams (bigram, trigram) or the (X)XDICE coefficient.
@@ -361,7 +361,7 @@ def _gram_scores(words: _Words, offsets: tuple[int, ...], names: Sequence[str],
     return out
 
 
-def _measure_chunk(words: _Words, ka: np.ndarray, kb: np.ndarray, names: Sequence[str]) -> np.ndarray:
+def _measure_chunk(words: Words, ka: np.ndarray, kb: np.ndarray, names: Sequence[str]) -> np.ndarray:
     """The named measures of the string pairs (ka[r], kb[r]) of one chunk, ka's strings by ascending length."""
     la, lb = words.lengths[ka], words.lengths[kb]
     eq = words.codes[:la.max(), ka][:, None, :] == words.codes[:lb.max(), kb][None, :, :]
@@ -378,22 +378,25 @@ def _measure_chunk(words: _Words, ka: np.ndarray, kb: np.ndarray, names: Sequenc
     return np.column_stack([values[name] for name in names]).astype(np.float64)
 
 
-def measure_table(pairs: Sequence[tuple[str, str]], names: Sequence[str] = MEASURES) -> np.ndarray:
-    """The named measures (from ``MEASURES``) of each string pair, one column each.
+def measure_batch(words: Words, index: np.ndarray, names: Sequence[str] = MEASURES) -> np.ndarray:
+    """The named measures (from ``MEASURES``) of the pairs (a, b) of ``words`` in the rows of ``index``.
 
-    Each distinct pair is measured once.  Chunks take the pairs in order of
-    their first string's length, so a chunk's DP rows stop near the length
-    of its words.
+    One column per name.  Chunks take the pairs in order of their first
+    string's length, so a chunk's DP rows stop near the length of its words.
     """
-    strings, index, row = wordlists.form_table(pairs)
     ka, kb = index.T
-    words = _Words(strings)
     order = np.argsort(words.lengths[ka], kind="stable")
     out = np.empty((len(index), len(names)))
     for s in range(0, len(index), CHUNK):
         chunk = order[s:s + CHUNK]
         out[chunk] = _measure_chunk(words, ka[chunk], kb[chunk], names)
-    return out[row]
+    return out
+
+
+def measure_table(pairs: Sequence[tuple[str, str]], names: Sequence[str] = MEASURES) -> np.ndarray:
+    """:func:`measure_batch` of string pairs, each distinct pair measured once."""
+    strings, index, row = wordlists.form_table(pairs)
+    return measure_batch(Words(strings), index, names)[row]
 
 
 def feature_matrix(forms: Sequence[str], index: np.ndarray) -> np.ndarray:

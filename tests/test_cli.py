@@ -569,6 +569,37 @@ def test_cli_flags_override_config(family_tsv, tmp_path):
     assert manifest["options"]["seed"] == 9
 
 
+def test_config_default_section_is_read_as_any_other(family_tsv, tmp_path):
+    # a file that holds only [DEFAULT] still supplies its keys
+    config = _write_config(tmp_path, f"[DEFAULT]\nseed = 3\nout = {tmp_path / 'f.tsv'}\n")
+    assert cli.run([*config, "featurize", "--data", str(family_tsv)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["options"]["seed"] == 3
+
+
+@pytest.mark.parametrize("text, places", [
+    ("[a]\nepochs = 1\n[b]\nepochs = 3\n", "[a] epochs = 1 and [b] epochs = 3"),
+    ("[run]\nout-dir = runs/a\nout_dir = runs/b\n", "[run] out-dir = runs/a and [run] out_dir = runs/b"),
+    ("[DEFAULT]\nepochs = 1\n[net]\nepochs = 3\n", "[DEFAULT] epochs = 1 and [net] epochs = 3"),
+])
+def test_config_option_given_two_values_is_a_usage_error_naming_both(family_tsv, tmp_path, capsys, text, places):
+    config = _write_config(tmp_path, f"[data]\ndata = {family_tsv}\nseed = 7\n{text}")
+    out = tmp_path / "run"
+    code = cli.run([*config, "train", "--system", "manhattan", "--out-dir", str(out)])
+    key = places.split()[1].replace("-", "_")
+    assert (code, capsys.readouterr().err) == (
+        1, f"cognet: usage error: config file {config[1]} gives {key!r} two values: {places}\n")
+    assert not out.exists()
+
+
+def test_config_option_given_one_value_in_two_places_is_accepted(family_tsv, tmp_path):
+    out = tmp_path / "f.tsv"
+    config = _write_config(tmp_path, f"[DEFAULT]\nseed = 4\nout = {out}\n[a]\nseed = 4\n[b]\nout = {out}\n"
+                                     f"data = {family_tsv}\n[c]\nseed = 4\n")
+    assert cli.run([*config, "featurize"]) == 0
+    assert json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))["options"]["seed"] == 4
+
+
 def test_missing_config_file_exits_1(capsys):
     assert cli.run(["--config", "/nonexistent.cfg", "featurize"]) == 1
 

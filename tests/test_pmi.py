@@ -229,9 +229,27 @@ def _fixture_pairs():
 def test_seed_pairs_equal_per_pair_edit_distance_cutoff(cutoff):
     pairs = _fixture_pairs()
     forms, index, row = wordlists.form_table(pairs)
-    seeds = pmi.seed_pairs(forms, index, cutoff)
+    seeds = pmi.seed_pairs(similarity.Words(forms), index, cutoff)
     # gathered back to every pair, repeats included, the seed rows pick the per-pair seeds
     assert [pair for pair, r in zip(pairs, row) if r in seeds] == _per_pair_seeds(pairs, cutoff)
+
+
+def test_estimation_tables_and_codes_its_pairs_once(monkeypatch):
+    # the cutoff and every round's alignments read one form table and one coding of its forms
+    tables, coded = [], []
+    form_table = wordlists.form_table
+
+    class Counted(similarity.Words):
+        def __init__(self, words):
+            coded.append(list(words))
+            super().__init__(words)
+
+    monkeypatch.setattr(wordlists, "form_table", lambda pairs: tables.append(pairs) or form_table(pairs))
+    monkeypatch.setattr(similarity, "Words", Counted)
+    pairs = _fixture_pairs()
+    assert pmi.estimate_pmi(pairs).iterations >= 1
+    assert tables == [pairs]
+    assert coded == [form_table(pairs)[0]]
 
 
 def _family_pairs(lexemes):
@@ -246,7 +264,7 @@ def test_matrix_equals_one_from_per_pair_seeds(monkeypatch):
         got = pmi.estimate_pmi(pairs)
         seeds = _per_pair_seeds(pairs, pmi.PMIConfig().initial_cutoff)
         with monkeypatch.context() as patch:
-            patch.setattr(pmi, "_count_pairs", lambda _codes, _lengths, _seeds, _repeats, scores, gap:
+            patch.setattr(pmi, "_count_pairs", lambda _words, _seeds, _repeats, scores, gap:
                           oracles.count_pairs_per_seed(seeds, scores, gap))
             want = pmi.estimate_pmi(pairs)
         assert np.array_equal(got.scores, want.scores)
@@ -291,7 +309,7 @@ def test_weighted_counts_equal_one_alignment_per_seed(pool, picks, seed, gap):
         half = np.random.default_rng(seed).normal(0.0, 2.0, size=(N, N))
         table = half + half.T
     forms, index, row = wordlists.form_table(seeds)
-    got = pmi._count_pairs(*similarity.code_words(forms), index, np.bincount(row), table, gap)
+    got = pmi._count_pairs(similarity.Words(forms), index, np.bincount(row), table, gap)
     assert np.array_equal(got, oracles.count_pairs_per_seed(seeds, table, gap))
     assert got.dtype == np.float64
 
@@ -308,6 +326,6 @@ def test_align_stays_finite_with_scores_and_gap_at_the_bound(a, b, seed):
     index = np.array([[0, 1], [1, 0], [0, 2], [2, 1]])
     with np.errstate(all="raise"):
         score, _ = similarity.align(a, b, table, -pmi.MAX_GAP_PENALTY)
-        batched = similarity.align_batch(*similarity.code_words(words), index, table, -pmi.MAX_GAP_PENALTY)[0]
+        batched = similarity.align_batch(similarity.Words(words), index, table, -pmi.MAX_GAP_PENALTY)[0]
     assert math.isfinite(score)
     assert batched[0] == score and np.isfinite(batched).all()

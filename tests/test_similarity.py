@@ -126,7 +126,7 @@ def test_align_batch_equals_align(words, picks, seed, chunk, table_gap):
     table = np.eye(N) - 1.0 if kind == "unit" else _score_table(kind, seed)
     index = np.array([(a % len(words), b % len(words)) for a, b in picks])
     with mock.patch.object(sim, "CHUNK", chunk):
-        score, rows, i, j = sim.align_batch(*sim.code_words(words), index, table, gap)
+        score, rows, i, j = sim.align_batch(sim.Words(words), index, table, gap)
     want = [sim.align(words[a], words[b], table, gap) for a, b in index.tolist()]
     assert np.array_equal(score.view(np.int64), np.array([s for s, _ in want]).view(np.int64))
     for r, (_, pairs) in enumerate(want):
@@ -134,6 +134,16 @@ def test_align_batch_equals_align(words, picks, seed, chunk, table_gap):
         subs = [(sum(x != sim.GAP for x, _ in pairs[:k]), sum(y != sim.GAP for _, y in pairs[:k]))
                 for k, xy in enumerate(pairs) if sim.GAP not in xy]
         assert sorted(zip(i[rows == r].tolist(), j[rows == r].tolist())) == subs
+
+
+def test_symbols_are_inventory_indices_and_refuse_any_other_symbol():
+    words = sim.Words(["pVt", "", "7"])
+    idx = phoneme.SYMBOL_INDEX
+    assert words.symbols().T.tolist() == [[idx["p"], idx["V"], idx["t"]], [0, 0, 0], [idx["7"], 0, 0]]
+    assert words.codes[1:, 2].tolist() == [-1, -1]  # the measures still read the padding as -1
+    for word in ("pat", "p\u00e9", "p\U0001f600"):  # an unparsed vowel, past the last ASJP code point, astral
+        with pytest.raises(ValueError, match="outside the ASJP inventory"):
+            sim.Words(["pVt", word]).symbols()
 
 
 def _random_pairs(rng, count, max_len, alphabet="ptkV"):
