@@ -206,23 +206,30 @@ class Model:
                 rng: np.random.Generator | None = None):
         """Score each pair: probability for log-loss heads, distance for Euclid.
 
-        Trunk, pair layer, then the dense head unless the distance is the
-        score.  Returns (scores, tape).  Training keeps each trunk's tape for
-        backward, as ``_trunk`` describes; scoring keeps no backward state at
-        all, and its tape is None.
+        Trunk, then :meth:`_top`.  Returns (scores, tape).  Training keeps
+        each trunk's tape for backward, as ``_trunk`` describes; scoring
+        keeps no backward state at all, and its tape is None.
         """
-        arch = self.spec.architecture
-        if arch == TWO_CHANNEL:  # one trunk pass over the pair as two channels
-            h, trunk = self._trunk(np.stack([xa, xb], axis=-1), training)
-            trunks, cpair = [trunk], None
+        if self.spec.architecture == TWO_CHANNEL:  # one trunk pass over the pair as two channels
+            fa, trunk = self._trunk(np.stack([xa, xb], axis=-1), training)
+            fb, trunks = None, [trunk]
         else:  # one trunk pass per word, with shared weights
             (fa, ca), (fb, cb) = self._trunk(xa[..., None], training), self._trunk(xb[..., None], training)
             trunks = [ca, cb]
-            h, cpair = ops.euclid(fa, fb) if arch == SIAMESE_EUCLID else ops.abs_diff(fa, fb)
+        h, cpair, chead = self._top(fa, fb, training, rng)
+        return h, (trunks, cpair, chead) if training else None
+
+    def _top(self, fa: np.ndarray, fb: np.ndarray | None, training: bool, rng):
+        """(scores, pair cache, head cache) above the trunk: the Siamese pair layer on the words' features
+        ``fa`` and ``fb`` (2-channel: the pair's ``fa``, ``fb`` None), then the dense head unless the
+        distance is the score."""
+        arch = self.spec.architecture
+        pair = ops.euclid if arch == SIAMESE_EUCLID else ops.abs_diff
+        h, cpair = (fa, None) if fb is None else pair(fa, fb)
         chead = None
         if arch != SIAMESE_EUCLID:
             h, chead = self._head(h, training, rng)
-        return h, (trunks, cpair, chead) if training else None
+        return h, cpair, chead
 
     def loss_and_grads(self, xa: np.ndarray, xb: np.ndarray, y: np.ndarray,
                        margin: float = 1.0, rng: np.random.Generator | None = None):
@@ -251,19 +258,33 @@ class Model:
             self._trunk_backward(trunks, gflats, grads)
         return loss, grads
 
+    def _embed(self, forms: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The trunk's features of ``forms[rows]``, one tape-free pass over the distinct rows."""
+        seen = np.zeros(forms.shape[0], dtype=bool)
+        seen[rows] = True  # a mask over the table: np.unique sorts, and raised the peak RSS
+        flat, _ = self._trunk(forms[np.flatnonzero(seen)][..., None], tape=False)
+        return flat[(np.cumsum(seen) - 1)[rows]]
+
     def predict(self, forms: np.ndarray, index: np.ndarray) -> np.ndarray:
         """Pair scores in [0, 1]; dropout disabled.
 
         ``forms`` and ``index`` are as :func:`encode_pairs` returns them.
-        Pairs are gathered and scored PREDICT_CHUNK rows of ``index`` at a
-        time, so memory is the form table plus one chunk.  Siamese-Euclid
-        returns exp(-D): a monotone score, not a calibrated probability.
-        No pairs give an empty (0,) array.
+        Pairs are scored PREDICT_CHUNK rows of ``index`` at a time, so
+        memory is the form table plus one chunk.  A Siamese chunk runs the
+        trunk once per side, over that side's distinct forms, and gathers
+        each pair's features from them: a word's embedding does not depend
+        on its partner.  2-channel gathers both sides of every pair, its
+        trunk's input.  Siamese-Euclid returns exp(-D): a monotone score,
+        not a calibrated probability.  No pairs give an empty (0,) array.
         """
-        out = np.concatenate([np.zeros(0)] + [
-            self.forward(forms[index[i:i + PREDICT_CHUNK, 0]], forms[index[i:i + PREDICT_CHUNK, 1]])[0]
-            for i in range(0, index.shape[0], PREDICT_CHUNK)
-        ])
+        out = [np.zeros(0)]
+        for i in range(0, index.shape[0], PREDICT_CHUNK):
+            a, b = index[i:i + PREDICT_CHUNK].T
+            if self.spec.architecture == TWO_CHANNEL:
+                out.append(self.forward(forms[a], forms[b])[0])
+            else:
+                out.append(self._top(self._embed(forms, a), self._embed(forms, b), False, None)[0])
+        out = np.concatenate(out)
         if self.spec.architecture == SIAMESE_EUCLID:
             return np.exp(-out)
         return out

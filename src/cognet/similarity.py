@@ -403,12 +403,15 @@ def feature_matrix(forms: Sequence[str], index: np.ndarray) -> np.ndarray:
     """The [n, 33] features of the ASJP word pairs ``(forms[a], forms[b])``, one per row ``(a, b)`` of ``index``.
 
     Columns follow ``FEATURE_NAMES``.  Each form is rendered once per
-    alphabet; the length features come from the ASJP transcriptions.
+    alphabet, and all renderings are coded as one :class:`Words`; the
+    length features come from the ASJP transcriptions.
     """
     if not all(forms):
         raise ValueError("similarity features require nonempty words")
-    rendered = [[phoneme.to_sound_class(f, phoneme.SCHEMES[alph]) for f in forms] for alph in ALPHABETS]
-    table = measure_table([(r[a], r[b]) for a, b in index.tolist() for r in rendered])
+    words = Words([phoneme.to_sound_class(f, phoneme.SCHEMES[alph]) for alph in ALPHABETS for f in forms])
+    # alphabet k's rendering of form i is string k * len(forms) + i; a pair's rows, one per alphabet, in order
+    offsets = np.arange(len(ALPHABETS)) * len(forms)
+    table = measure_batch(words, (index[:, None, :] + offsets[:, None]).reshape(-1, 2))
     n = len(index)
     # measure-major: the measure index varies slowest
     measures = table.reshape(n, len(ALPHABETS), len(MEASURES)).transpose(0, 2, 1)

@@ -11,8 +11,9 @@ also by im2col over channels-last [B,H,W,C] arrays, the layout the
 production ops used before they stored activations batch-minor; max
 pooling takes numpy's argmax over each window.  ConvNet inputs are
 rendered as a copy of each side of every pair, and trained on by slicing
-those copies per batch.  The batched DP scores are also computed
-pair-major, one DP row of every pair at a time with the gap runs taken by
+those copies per batch; scoring gathers both sides of every pair of a
+chunk and runs the whole forward on them.  The batched DP scores are also
+computed pair-major, one DP row of every pair at a time with the gap runs taken by
 ``np.maximum.accumulate``: the layout the production engine used before it
 put the pair axis innermost.  The similarity features
 are computed one pair at a time, with Python dynamic programs (the global,
@@ -405,6 +406,17 @@ def train_per_side(model, pairs, cfg):
             adadelta_step(model.params, grads, state)
         history.append(total / xa.shape[0])
     return model.params, history
+
+
+def predict_per_pair(model, forms, index, chunk: int):
+    """``Model.predict`` as each chunk of ``chunk`` index rows gathers both sides of every pair and runs
+    ``forward``: a Siamese form is embedded once per pair it is in."""
+    out = [np.zeros(0)]
+    for i in range(0, index.shape[0], chunk):
+        rows = index[i:i + chunk]
+        out.append(model.forward(forms[rows[:, 0]], forms[rows[:, 1]])[0])
+    out = np.concatenate(out)
+    return np.exp(-out) if model.spec.architecture == "siamese_euclid" else out
 
 
 def edit_distance_dp(a: str, b: str) -> int:

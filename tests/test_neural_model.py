@@ -26,11 +26,12 @@ from cognet.neural import (
     train,
 )
 
-from cognet import synthetic, wordlists
+from cognet import phoneme, synthetic, wordlists
 from cognet.artifact import ArtifactError
 from cognet.wordlists import Lexeme, WordPair
 from conftest import max_rel_err, numeric_grad
-from oracles import conv2d_backward_im2col, conv2d_im2col, encode_pairs_per_side, train_per_side
+from oracles import (conv2d_backward_im2col, conv2d_im2col, encode_pairs_per_side, predict_per_pair,
+                     train_per_side)
 
 
 def _toy_pairs(n=20, seed=0):
@@ -248,8 +249,38 @@ def test_chunked_predict_equals_one_forward(arch):
     out, _ = net.forward(*_sides(forms, index), training=False)
     expected = np.exp(-out) if arch == SIAMESE_EUCLID else out
     assert scores.shape == (n,)
-    assert np.allclose(scores, expected, rtol=1e-12, atol=0)
+    assert scores.tobytes() == expected.tobytes()
     assert np.array_equal(scores, net.predict(forms, index))
+
+
+@st.composite
+def _scored_tables(draw):
+    """(pad_len, forms, index): a few random words rendered at pad_len, some longer than it, and
+    index rows over them.  n is 0, 1 or a few, or past a chunk with a ragged tail; each chunk
+    repeats forms, and the rows either side of the first chunk boundary are one pair."""
+    pad_len = draw(st.integers(4, 10))
+    words = draw(st.lists(st.text(alphabet=phoneme.INVENTORY, min_size=1, max_size=pad_len + 6),
+                          min_size=1, max_size=12))
+    chunk = neural_model.PREDICT_CHUNK
+    n = draw(st.one_of(st.integers(0, 3), st.integers(chunk + 1, 2 * chunk + 40)))
+    index = np.random.default_rng(draw(st.integers(0, 2**16))).integers(0, len(words), size=(n, 2))
+    if n > chunk:
+        index[chunk] = index[chunk - 1]
+    return pad_len, neural_model.render(words, pad_len), index
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+@settings(max_examples=25, deadline=None)
+@given(table=_scored_tables(), seed=st.integers(0, 2**16))
+def test_predict_equals_the_per_pair_oracle_bit_for_bit(arch, table, seed):
+    pad_len, forms, index = table
+    net = build(ModelSpec(arch, pad_len=pad_len), seed=seed)
+    rng = np.random.default_rng(seed)
+    for v in net.params.values():
+        v += rng.normal(scale=0.1, size=v.shape)  # nonzero biases too
+    scores = net.predict(forms, index)
+    assert scores.shape == (index.shape[0],)
+    assert scores.tobytes() == predict_per_pair(net, forms, index, neural_model.PREDICT_CHUNK).tobytes()
 
 
 @pytest.mark.parametrize("arch", [SIAMESE_EUCLID, MANHATTAN, TWO_CHANNEL])
@@ -431,6 +462,10 @@ STEP_PEAK_MIB = {SIAMESE_EUCLID: 6.5, MANHATTAN: 6.5, TWO_CHANNEL: 5.0}
 # its output, and the first trunk's features.  It measured 2.95, 2.95 and
 # 3.03 MiB, where it was 3.50, 3.50 and 3.58 MiB with conv2's output computed
 # at the full input width in one buffer and its valid columns copied out.
+# ``predict`` also gathers a chunk's inputs from the form table.  A Siamese
+# side's distinct forms measured 3.11 and 3.11 MiB, where both sides of every
+# pair measured 3.27 and 3.27 MiB; 2-channel still gathers both sides of every
+# pair, its trunk's input, and measured 3.34 MiB.
 CHUNK_PEAK_MIB = {SIAMESE_EUCLID: 3.2, MANHATTAN: 3.2, TWO_CHANNEL: 3.25}
 
 
@@ -451,6 +486,9 @@ def test_a_scoring_chunk_holds_no_tape(arch):
     scoring = _traced_peak(lambda: net.forward(xa, xb))
     taped = _traced_peak(lambda: net.forward(xa, xb, training=True, rng=np.random.default_rng(0)))
     assert scoring <= CHUNK_PEAK_MIB[arch] * 2**20
+    forms, index, _ = _toy_pairs(neural_model.PREDICT_CHUNK)  # each side's forms distinct: the most a pass takes
+    pair_inputs = xa.nbytes + xb.nbytes if arch == TWO_CHANNEL else 0
+    assert _traced_peak(lambda: net.predict(forms, index)) <= CHUNK_PEAK_MIB[arch] * 2**20 + pair_inputs
     _, (trunks, _, _) = net.forward(xa, xb, training=True, rng=np.random.default_rng(0))
     _, mask1, (a1, _), mask2, (_, idx), _ = trunks[0]
     assert idx.dtype == np.uint8
@@ -491,6 +529,29 @@ def test_trunk_ops_keep_caches_only_for_training_and_relu_runs_in_place(arch, mo
         ["conv2d", "relu", "conv2d", "relu", "maxpool2"] * trunk_passes + head
     assert not any(cached for _, cached, _ in scoring) and all(cached for _, cached, _ in calls)
     assert all(in_place for name, _, in_place in scoring + calls if name == "relu")
+
+
+@pytest.mark.parametrize("arch", [SIAMESE_EUCLID, MANHATTAN])
+def test_a_siamese_chunk_embeds_each_distinct_form_of_a_side_once(arch, monkeypatch):
+    inputs = []
+    conv2d = neural_model.ops.conv2d
+
+    def recorded(x, *args, **kwargs):
+        inputs.append(x)
+        return conv2d(x, *args, **kwargs)
+
+    monkeypatch.setattr(neural_model.ops, "conv2d", recorded)
+    net = build(ModelSpec(arch), seed=5)
+    rng = np.random.default_rng(8)
+    forms = (rng.random((40, 10, 16)) > 0.5).astype(float)
+    index = rng.integers(0, 30, size=(neural_model.PREDICT_CHUNK + 44, 2))  # forms 30-39 in no pair
+    net.predict(forms, index)
+    chunks = [index[i:i + neural_model.PREDICT_CHUNK] for i in range(0, len(index), neural_model.PREDICT_CHUNK)]
+    sides = [forms[np.unique(chunk[:, side])] for chunk in chunks for side in (0, 1)]
+    assert all(len(side) < neural_model.PREDICT_CHUNK for side in sides)
+    assert len(inputs) == 2 * len(sides)  # conv1 and conv2 of one trunk pass per side of each chunk
+    for conv1, conv2, side in zip(inputs[0::2], inputs[1::2], sides):
+        assert conv1[..., 0].tobytes() == side.tobytes() and conv2.shape[0] == len(side)
 
 
 @pytest.mark.parametrize("field, bound", sorted(neural_model.MAX_SIZES.items()))
