@@ -15,13 +15,20 @@ from __future__ import annotations
 import argparse
 import ctypes
 import dataclasses
-import hashlib
 import json
 import sys
 import traceback
 from pathlib import Path
 
 import numpy as np
+
+try:  # the interpreter's own SHA-256, as random.py takes its sha512: hashlib loads OpenSSL
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 # the layers every system runs; each system's own layers are imported where it runs
 from . import artifact, metrics, svm, wordlists
@@ -75,7 +82,7 @@ class _Options(dict):
     def __getitem__(self, key):
         self.read[key] = value = super().__getitem__(key)
         if key in _INPUTS and value and value not in self.inputs:
-            self.inputs[value] = hashlib.sha256(Path(value).read_bytes()).hexdigest()
+            self.inputs[value] = sha256(Path(value).read_bytes()).hexdigest()
         return value
 
 
@@ -250,8 +257,10 @@ def features_for(system: str, pairs: list[wordlists.WordPair], artifacts: dict):
         return (neural_model.render(forms, artifacts["net"].spec.pad_len), index), row
     if system == "pmi_svm":
         from . import pmi
-        return np.array([pmi.pmi_features(forms[a], forms[b], artifacts["pmi_matrix"])
-                         for a, b in index.tolist()]), row
+        feats = np.empty((len(index), len(pmi.FEATURE_NAMES)))
+        for k, (a, b) in enumerate(index.tolist()):
+            feats[k] = pmi.pmi_features(forms[a], forms[b], artifacts["pmi_matrix"])
+        return feats, row
     from . import similarity
     return similarity.feature_matrix(forms, index), row
 
@@ -327,6 +336,7 @@ def _train_system(options: dict, training: dict, train_pairs: list[wordlists.Wor
         artifacts["pmi_matrix"] = matrix
     feats, row = features_for(system, train_pairs, artifacts)
     X = feats[row]  # every repeat stays a training row
+    del feats  # only X is read from here on
     y = np.array([p.label for p in train_pairs])
     search = grid_search_cv(X, y, C_grid=options["c_grid"], folds=options["folds"],
                             seed=seed, passes=options["svm_passes"])

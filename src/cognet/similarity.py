@@ -378,18 +378,21 @@ def _measure_chunk(words: Words, ka: np.ndarray, kb: np.ndarray, names: Sequence
     return np.column_stack([values[name] for name in names]).astype(np.float64)
 
 
-def measure_batch(words: Words, index: np.ndarray, names: Sequence[str] = MEASURES) -> np.ndarray:
-    """The named measures (from ``MEASURES``) of the pairs (a, b) of ``words`` in the rows of ``index``.
+def measure_batch(words: Words, index: np.ndarray, names: Sequence[str] = MEASURES,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The named measures (from ``MEASURES``) of the pairs (a, b) of ``words`` in ``index``, [..., 2].
 
-    One column per name.  Chunks take the pairs in order of their first
-    string's length, so a chunk's DP rows stop near the length of its words.
+    One value per name along the last axis of the result, [..., len(names)],
+    written into ``out`` when it is given.  Chunks take the pairs in order
+    of their first string's length, so a chunk's DP rows stop near the
+    length of its words.
     """
-    ka, kb = index.T
+    ka, kb = index.reshape(-1, 2).T
     order = np.argsort(words.lengths[ka], kind="stable")
-    out = np.empty((len(index), len(names)))
-    for s in range(0, len(index), CHUNK):
+    out = np.empty((*index.shape[:-1], len(names))) if out is None else out
+    for s in range(0, len(ka), CHUNK):
         chunk = order[s:s + CHUNK]
-        out[chunk] = _measure_chunk(words, ka[chunk], kb[chunk], names)
+        out[np.unravel_index(chunk, index.shape[:-1])] = _measure_chunk(words, ka[chunk], kb[chunk], names)
     return out
 
 
@@ -404,20 +407,22 @@ def feature_matrix(forms: Sequence[str], index: np.ndarray) -> np.ndarray:
 
     Columns follow ``FEATURE_NAMES``.  Each form is rendered once per
     alphabet, and all renderings are coded as one :class:`Words`; the
-    length features come from the ASJP transcriptions.
+    length features come from the ASJP transcriptions.  The measures are
+    written into the result a chunk at a time.
     """
     if not all(forms):
         raise ValueError("similarity features require nonempty words")
     words = Words([phoneme.to_sound_class(f, phoneme.SCHEMES[alph]) for alph in ALPHABETS for f in forms])
-    # alphabet k's rendering of form i is string k * len(forms) + i; a pair's rows, one per alphabet, in order
-    offsets = np.arange(len(ALPHABETS)) * len(forms)
-    table = measure_batch(words, (index[:, None, :] + offsets[:, None]).reshape(-1, 2))
-    n = len(index)
-    # measure-major: the measure index varies slowest
-    measures = table.reshape(n, len(ALPHABETS), len(MEASURES)).transpose(0, 2, 1)
-    measures = measures.reshape(n, len(MEASURES) * len(ALPHABETS))  # not (n, -1): n may be 0
-    la, lb = np.array([len(f) for f in forms], dtype=np.float64)[index].T
-    return np.column_stack([measures, la, lb, np.abs(la - lb)])
+    # alphabet k's rendering of form i is string k * len(forms) + i; a pair's rows, one per alphabet
+    rows = index[:, None, :] + (np.arange(len(ALPHABETS)) * len(forms))[:, None]
+    out = np.empty((len(index), len(FEATURE_NAMES)))
+    # measure-major: column m * 3 + k holds measure m in alphabet k
+    measures = out[:, :len(MEASURES) * len(ALPHABETS)].reshape(len(index), len(MEASURES), len(ALPHABETS))
+    measure_batch(words, rows, out=measures.transpose(0, 2, 1))
+    lengths = np.fromiter(map(len, forms), dtype=np.float64, count=len(forms))
+    out[:, -3:-1] = lengths[index]
+    np.abs(out[:, -3] - out[:, -2], out=out[:, -1])
+    return out
 
 
 @dataclass(frozen=True)

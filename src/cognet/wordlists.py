@@ -37,7 +37,7 @@ class NoPairs(artifact.DataError):
     """A word list from which ``generate_pairs`` makes no pair."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Lexeme:
     family: str
     language: str
@@ -46,7 +46,7 @@ class Lexeme:
     cognate_class: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordPair:
     """An unordered within-concept pair, stored with a <= b by (language, form)."""
 

@@ -449,11 +449,14 @@ def _cli_modules(*args: str) -> tuple[str, list[str]]:
     return code, modules
 
 
+# the manifest digests its inputs with the interpreter's own SHA-256; hashlib would load OpenSSL
+OPENSSL = ("hashlib", "_hashlib")
+
 # per system: a layer its evaluate loads, and the prefixes of modules it must not load
 EVALUATE_LOADS = {
-    "ortho_svm": ("cognet.similarity", ("cognet.neural", "cognet.pmi")),
-    "pmi_svm": ("cognet.pmi", ("cognet.neural",)),
-    **{system: ("cognet.neural.model", ("cognet.similarity", "cognet.pmi", "numpy.random"))
+    "ortho_svm": ("cognet.similarity", ("cognet.neural", "cognet.pmi", *OPENSSL)),
+    "pmi_svm": ("cognet.pmi", ("cognet.neural", *OPENSSL)),
+    **{system: ("cognet.neural.model", ("cognet.similarity", "cognet.pmi", "numpy.random", *OPENSSL))
        for system in cli.NEURAL_SYSTEMS},
 }
 
@@ -469,6 +472,34 @@ def test_evaluate_imports_only_the_layers_its_system_runs(system, every_system, 
     used, unused = EVALUATE_LOADS[system]
     assert code == "0" and used in modules
     assert [m for m in modules if m.startswith(unused)] == []
+
+
+@pytest.mark.parametrize("command", [["featurize", "--out", "features.tsv"], ["pmi-train", "--out", "pmi.tsv"]])
+def test_featurize_and_pmi_train_load_no_openssl(command, family_tsv, tmp_path):
+    out = str(tmp_path / command[-1])
+    code, modules = _cli_modules(*command[:-1], out, "--data", str(family_tsv), "--seed", "3")
+    assert code == "0" and (tmp_path / "manifest.json").exists()
+    assert [m for m in modules if m.startswith(OPENSSL)] == []
+
+
+# Runs the CLI on ARGS... with the interpreter's own SHA-256 modules blocked,
+# then prints the module of the digest it took.
+CLI_WITHOUT_BUILTIN_SHA256 = """
+import sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from cognet import cli
+assert cli.run(sys.argv[1:]) == 0
+print(cli.sha256.__module__)
+"""
+
+
+def test_manifest_digest_falls_back_to_hashlib_without_the_builtin_sha256(family_tsv, tmp_path):
+    out = tmp_path / "features.tsv"
+    shown = _python(CLI_WITHOUT_BUILTIN_SHA256, "featurize", "--data", str(family_tsv), "--out", str(out),
+                    "--seed", "3")
+    assert shown.splitlines()[-1] == "_hashlib"
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"] == {str(family_tsv): hashlib.sha256(family_tsv.read_bytes()).hexdigest()}
 
 
 @pytest.mark.parametrize("args, code", [(["--help"], "0"),

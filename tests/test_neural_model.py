@@ -26,7 +26,7 @@ from cognet.neural import (
     train,
 )
 
-from cognet import phoneme, synthetic, wordlists
+from cognet import cli, phoneme, pmi, similarity, synthetic, wordlists
 from cognet.artifact import ArtifactError
 from cognet.wordlists import Lexeme, WordPair
 from conftest import max_rel_err, numeric_grad
@@ -468,6 +468,15 @@ STEP_PEAK_MIB = {SIAMESE_EUCLID: 6.5, MANHATTAN: 6.5, TWO_CHANNEL: 5.0}
 # pair, its trunk's input, and measured 3.34 MiB.
 CHUNK_PEAK_MIB = {SIAMESE_EUCLID: 3.2, MANHATTAN: 3.2, TWO_CHANNEL: 3.25}
 
+# The traced peak of the SVM featurizers on 5,000 random pairs of 300 random
+# words, as a multiple of the feature matrix's bytes, with a margin of about
+# 9%.  ``feature_matrix`` fills its [n, 33] result a chunk at a time and
+# measured 2.49x, where holding the whole measure table, its transposed copy
+# and a ``column_stack`` measured 3.32x.  The pmi branch of ``features_for``
+# fills a preallocated [u, 4] array and measured 5.72x, all of it the form
+# table's, where a list of row lists measured 10.3x.
+FEATURE_PEAK_BYTES = {"ortho_svm": 2.7, "pmi_svm": 6.25}
+
 
 def _traced_peak(fn) -> int:
     """The tracemalloc peak, in bytes, of what fn() allocates."""
@@ -494,6 +503,22 @@ def test_a_scoring_chunk_holds_no_tape(arch):
     assert idx.dtype == np.uint8
     if arch != TWO_CHANNEL:  # the second trunk runs without the first one's tape
         assert scoring + sum(a.nbytes for a in (a1, mask1, mask2, idx)) <= taped
+
+
+@pytest.mark.parametrize("system", sorted(FEATURE_PEAK_BYTES))
+def test_the_svm_featurizers_hold_little_beyond_their_output(system):
+    rng = np.random.default_rng(0)
+    forms = ["".join(rng.choice(list(phoneme.INVENTORY), size=rng.integers(3, 13))) for _ in range(300)]
+    index = rng.integers(0, len(forms), (5000, 2))
+    if system == "ortho_svm":
+        featurize = lambda: similarity.feature_matrix(forms, index)
+    else:
+        lexemes = [Lexeme("f", f"L{i}", "c", form, "c:a") for i, form in enumerate(forms)]
+        pairs = [WordPair(lexemes[a], lexemes[b], 0) for a, b in index.tolist()]
+        artifacts = {"pmi_matrix": pmi.PMIMatrix(similarity.UNIT_SCORES, -1.0)}
+        featurize = lambda: cli.features_for(system, pairs, artifacts)[0]
+    out = featurize()  # outside the trace: the first call fills lazy lookup tables
+    assert _traced_peak(featurize) <= FEATURE_PEAK_BYTES[system] * out.nbytes
 
 
 @pytest.mark.parametrize("arch", ARCHITECTURES)
