@@ -13,8 +13,10 @@ exception no check expected; its traceback is printed).
 from __future__ import annotations
 
 import argparse
+import atexit
 import ctypes
 import dataclasses
+import gc
 import json
 import sys
 import traceback
@@ -472,6 +474,9 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
+    # every output is closed (by `with` or write_text) before run returns, so none waits on a finalizer:
+    # the shutdown's collections can skip all the process holds, and the OS frees its memory
+    atexit.register(gc.freeze)
     try:
         code = run()
     except Exception:  # a bug, not a usage (1) or data (2) error

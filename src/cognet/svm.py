@@ -182,7 +182,7 @@ def _stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     """Assign each sample a fold id, dealing each class out round-robin."""
     rng = np.random.default_rng(seed)
     assignment = np.empty(len(y), dtype=np.int64)
-    for cls in np.unique(y):
+    for cls in np.flatnonzero(np.bincount(y)):  # the classes present, ascending; np.unique loads numpy.ma
         idx = np.flatnonzero(y == cls)
         rng.shuffle(idx)
         assignment[idx] = np.arange(len(idx)) % folds

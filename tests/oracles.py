@@ -23,7 +23,8 @@ Python and sums precision in a loop.  The PMI symbol-pair counts align
 every seed, repeats included, and count without weights.  The exact SVM
 fit tries every active set of a few distinct rows; the Newton SVM fit sums
 over every sample and finds each step's length by bisection, and the grid
-search makes one separate Newton fit per C and fold.
+search makes one separate Newton fit per C and fold.  Stratified folds deal
+out the classes that ``np.unique`` finds.
 """
 
 from __future__ import annotations
@@ -656,6 +657,17 @@ def svm_fit_newton(X, y, C: float = 1.0, passes: int = 2000) -> svm.LinearModel:
             lo, hi = (mid, hi) if slope(mid) < 0.0 else (lo, mid)
         theta = theta + hi * s
     return svm.LinearModel(weights=theta[:-1], bias=float(theta[-1]), mean=mean, std=std, C=C)
+
+
+def stratified_folds_unique(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
+    """``svm._stratified_folds`` over the classes ``np.unique`` finds, as it was before it counted them."""
+    rng = np.random.default_rng(seed)
+    assignment = np.empty(len(y), dtype=np.int64)
+    for cls in np.unique(y):
+        idx = np.flatnonzero(y == cls)
+        rng.shuffle(idx)
+        assignment[idx] = np.arange(len(idx)) % folds
+    return assignment
 
 
 def grid_search_cv_separate(X, y, C_grid=(0.01, 0.1, 1.0, 10.0, 100.0), folds: int = 10,

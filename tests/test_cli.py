@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -480,6 +481,50 @@ def test_featurize_and_pmi_train_load_no_openssl(command, family_tsv, tmp_path):
     code, modules = _cli_modules(*command[:-1], out, "--data", str(family_tsv), "--seed", "3")
     assert code == "0" and (tmp_path / "manifest.json").exists()
     assert [m for m in modules if m.startswith(OPENSSL)] == []
+
+
+# np.unique imports numpy.ma; dealing the stratified folds no longer calls it
+@pytest.mark.parametrize("system", svm.SYSTEMS)
+def test_svm_training_loads_no_numpy_ma(system, family_tsv, tmp_path):
+    code, modules = _cli_modules("train", "--data", str(family_tsv), "--system", system, "--out-dir", str(tmp_path),
+                                 "--seed", "3", "--svm-passes", "50")
+    assert code == "0" and (tmp_path / "model.txt").exists()
+    assert [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
+
+
+def test_main_freezes_the_heap_only_at_interpreter_exit(family_tsv, tmp_path, monkeypatch):
+    registered = []
+    monkeypatch.setattr(cli.atexit, "register", registered.append)
+    monkeypatch.setattr(sys, "argv", ["cognet", "featurize", "--data", str(family_tsv),
+                                      "--out", str(tmp_path / "f.tsv"), "--seed", "1"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 0 and registered == [gc.freeze]
+    assert gc.get_freeze_count() == 0  # the caller's objects stay collectable
+
+
+# Runs `python -m cognet.cli ARGS...` and prints, after the exit handlers
+# registered later have run, how many objects are frozen.
+FROZEN_AT_EXIT = """
+import atexit
+import gc
+import runpy
+atexit.register(lambda: print(gc.get_freeze_count()))  # runs after the handlers the CLI registers
+runpy.run_module("cognet.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize("system, outputs", [("ortho_svm", ("cv_results.tsv",)),
+                                             ("manhattan", ("loss_history.tsv",))])
+def test_a_process_that_freezes_at_exit_writes_the_bytes_of_an_in_process_run(system, outputs, family_tsv,
+                                                                              tmp_path):
+    args = ["pipeline", "--data", str(family_tsv), "--system", system, "--mode", "cross-concept", "--seed", "5",
+            "--epochs", "2", "--c-grid", "0.1,1,10", "--folds", "5", "--svm-passes", "200"]
+    frozen = _python(FROZEN_AT_EXIT, *args, "--out-dir", str(tmp_path / "process"))
+    assert int(frozen.splitlines()[-1]) > 0
+    assert cli.run([*args, "--out-dir", str(tmp_path / "in-process")]) == 0
+    for name in ("report.tsv", "model.txt", *outputs):
+        assert (tmp_path / "process" / name).read_bytes() == (tmp_path / "in-process" / name).read_bytes(), name
 
 
 # Runs the CLI on ARGS... with the interpreter's own SHA-256 modules blocked,

@@ -170,6 +170,16 @@ def test_grid_search_fold_partition():
         assert counts.max() - counts.min() <= 1
 
 
+# 0/1 labels where either class may be absent: counting the classes deals
+# the same folds, through the same shuffles, as np.unique's classes did.
+@settings(deadline=None)
+@given(y=st.lists(st.integers(0, 1), max_size=60), folds=st.integers(2, 12), seed=st.integers(0, 2**32 - 1))
+def test_stratified_folds_equal_the_unique_classes_oracle(y, folds, seed):
+    y = np.array(y, dtype=np.int64)
+    np.testing.assert_array_equal(svm._stratified_folds(y, folds, seed),
+                                  oracles.stratified_folds_unique(y, folds, seed))
+
+
 def test_grid_search_shuffled_labels_near_chance():
     rng = np.random.default_rng(14)
     X = rng.normal(size=(80, 5))
