@@ -113,12 +113,13 @@ SCHEMES = {
 
 
 class UnknownSymbol(ValueError):
-    """A transcription character outside the ASJP inventory."""
+    """A transcription character outside the ASJP inventory, or (``char`` empty) a transcription with no symbol."""
 
     def __init__(self, char: str, position: int):
         self.char = char
         self.position = position
-        super().__init__(f"unknown ASJP symbol {char!r} at position {position}")
+        super().__init__(f"unknown ASJP symbol {char!r} at position {position}" if char
+                         else "no ASJP symbol is left once the modifiers are stripped")
 
 
 def parse_word(transcription: str, counters: dict | None = None) -> str:
@@ -126,12 +127,11 @@ def parse_word(transcription: str, counters: dict | None = None) -> str:
 
     Vowel letters collapse to ``V``; modifier characters are stripped (the
     strip count goes to ``counters['modifier_chars']`` when a dict is
-    passed).  Raises :class:`UnknownSymbol` for anything else outside the
-    inventory, carrying the offending character and its position in the
-    original transcription.
+    passed, and only for a word that parses).  Raises :class:`UnknownSymbol`
+    for anything else outside the inventory, carrying the offending character
+    and its position in the original transcription, and for a transcription
+    that is empty once its modifiers are stripped.
     """
-    if not transcription:
-        raise UnknownSymbol("", 0)
     out = []
     stripped = 0
     for pos, ch in enumerate(transcription):
@@ -143,12 +143,12 @@ def parse_word(transcription: str, counters: dict | None = None) -> str:
             out.append(ch)
         else:
             raise UnknownSymbol(ch, pos)
+    if not out:
+        raise UnknownSymbol("", 0)
     if stripped:
         logger.debug("stripped %d modifier char(s) from %r", stripped, transcription)
         if counters is not None:
             counters["modifier_chars"] = counters.get("modifier_chars", 0) + stripped
-    if not out:
-        raise UnknownSymbol(transcription[0], 0)
     return "".join(out)
 
 

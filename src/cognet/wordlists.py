@@ -101,11 +101,12 @@ def load_wordlist(path, counters: dict | None = None) -> list[Lexeme]:
 
     Rows with invalid transcriptions are skipped; exact duplicate rows are
     dropped.  When a ``counters`` dict is passed it receives
-    ``skipped_rows`` and ``duplicate_rows`` tallies.
+    ``skipped_rows`` and ``duplicate_rows`` tallies, and ``modifier_chars``,
+    the modifiers stripped from the rows kept.
     """
     lexemes: list[Lexeme] = []
     seen: set[tuple] = set()
-    skipped = duplicates = 0
+    skipped = duplicates = modifiers = 0
     header_seen = False
     for lineno, line in enumerate(artifact.read_text(path).split("\n"), 1):
         if not line.strip() or line.startswith("#"):
@@ -119,8 +120,9 @@ def load_wordlist(path, counters: dict | None = None) -> list[Lexeme]:
         if len(fields) != len(HEADER) or any(not f.strip() for f in fields):
             raise SchemaError(path, lineno, f"expected {len(HEADER)} nonempty fields, got {fields!r}")
         family, language, concept, raw_form, cognate_class = (f.strip() for f in fields)
+        row: dict = {}
         try:
-            form = phoneme.parse_word(raw_form, counters)
+            form = phoneme.parse_word(raw_form, row)
         except phoneme.UnknownSymbol as exc:
             logger.warning("skipping %s line %d: %s", path, lineno, exc)
             skipped += 1
@@ -130,6 +132,7 @@ def load_wordlist(path, counters: dict | None = None) -> list[Lexeme]:
             duplicates += 1
             continue
         seen.add(key)
+        modifiers += row.get("modifier_chars", 0)
         lexemes.append(Lexeme(family, language, concept, form, cognate_class))
     if not header_seen:
         raise SchemaError(path, 1, "missing header")
@@ -138,6 +141,7 @@ def load_wordlist(path, counters: dict | None = None) -> list[Lexeme]:
     if counters is not None:
         counters["skipped_rows"] = counters.get("skipped_rows", 0) + skipped
         counters["duplicate_rows"] = counters.get("duplicate_rows", 0) + duplicates
+        counters["modifier_chars"] = counters.get("modifier_chars", 0) + modifiers
     return lexemes
 
 
@@ -209,6 +213,8 @@ def split(pairs: list[WordPair], lexemes: list[Lexeme], spec: SplitSpec) -> tupl
     else:
         train = [p for p in pairs if p.family in spec.train_families]
         test = [p for p in pairs if p.family in spec.test_families]
-    if not train or not test:
-        raise EmptySide("a split side has no pairs")
+    for side, side_pairs, families in (("train", train, spec.train_families), ("test", test, spec.test_families)):
+        if not side_pairs:
+            named = f" (families {', '.join(sorted(families))})" if spec.mode == CROSS_FAMILY else ""
+            raise EmptySide(f"the {side} side{named} has no pairs")
     return train, test

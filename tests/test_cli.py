@@ -89,7 +89,8 @@ def test_word_list_schema_error_names_file_and_line(tmp_path, capsys):
     data.write_text("fam\tL1\thand\tpat\tc1\n", encoding="utf-8")
     code = cli.run(["featurize", "--data", str(data), "--out", str(tmp_path / "f.tsv"), "--seed", "1"])
     assert code == 2
-    assert f"data error: {data}:1: expected header" in capsys.readouterr().err
+    assert capsys.readouterr().err == (f"cognet: data error: {data}:1: expected header "
+                                       f"{list(wordlists.HEADER)}\n")
 
 
 def test_word_list_that_is_not_utf8_names_file_and_line(family_tsv, tmp_path, capsys):
@@ -238,16 +239,85 @@ def test_pipeline_cross_family_requires_disjoint_sets(family_tsv, tmp_path):
     assert not (tmp_path / "xfam").exists()
 
 
-def test_pipeline_rerun_is_byte_identical(family_tsv, tmp_path):
-    args = [
-        "pipeline", "--data", str(family_tsv), "--system", "manhattan",
-        "--mode", "cross-concept", "--seed", "11", "--epochs", "2",
-    ]
-    dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-    assert cli.run(args + ["--out-dir", str(dir_a)]) == 0
-    assert cli.run(args + ["--out-dir", str(dir_b)]) == 0
-    for name in ("report.txt", "report.tsv", "model.txt", "loss_history.tsv"):
-        assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+# 16 lexemes of 17 to 24 symbols, longer than any synthetic word and than
+# --pad-len: language, concept, ASJP form and cognate class
+LONG_WORDS = """
+L1 c1 patakumenilosaritu c1:a
+L2 c1 batagumenilozaridu c1:a
+L3 c1 patakumenilosaritukapa c1:a
+L4 c1 sorimavekunilatopese c1:b
+L1 c2 kolomanitesurapivonade c2:a
+L2 c2 golomanidezurabivonate c2:a
+L3 c2 kolomanitesurapiv c2:a
+L4 c2 tivusanepolikamuredosa c2:b
+L1 c3 merisatovakulinepodatu c3:a
+L2 c3 merizadofagulinebodatu c3:a
+L3 c3 nuvakesitolamiperoso c3:b
+L4 c3 merisatovakulinepodatuk c3:a
+L1 c4 sunapetirokomavilesu c4:a
+L2 c4 zunabediroGomafilezu c4:a
+L3 c4 sunapetirokomavilesukata c4:a
+L4 c4 dakorimesupalivetona c4:b
+"""
+
+
+@pytest.fixture(scope="module")
+def long_tsv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("long") / "long.tsv"
+    rows = [wordlists.HEADER, *(["lng", *row.split()] for row in LONG_WORDS.strip().split("\n"))]
+    path.write_text("".join("\t".join(row) + "\n" for row in rows), encoding="utf-8")
+    assert {len(lex.form) for lex in wordlists.load_wordlist(path)} <= set(range(17, 25))
+    return path
+
+
+# Each command that a same-seed rerun repeats byte for byte: its arguments
+# besides --data and --seed, and every file it writes (MODEL is the root of
+# the every_system fixture). Outputs are relative to the run's working
+# directory, so the two runs' manifests match too.
+def _in_run(*names: str) -> list[str]:
+    return [f"run/{name}" for name in ("manifest.json", *names)]
+
+
+_TRAINED = {"ortho_svm": ["model.txt", "cv_results.tsv"],
+            "pmi_svm": ["model.txt", "cv_results.tsv", "pmi_matrix.tsv"],
+            **{system: ["model.txt", "loss_history.tsv"] for system in cli.NEURAL_SYSTEMS}}
+_REPORTED = ["report.tsv", "report.txt"]
+_TRAINS = ["--out-dir", "run", "--epochs", "2", *QUICK_SVM]
+_GIVEN_MATRIX = ["--pmi-matrix", "MODEL/pmi_svm/pmi_matrix.tsv"]
+RERUNS = {
+    "featurize": (["featurize", "--out", "features.tsv"], ["features.tsv", "manifest.json"]),
+    "pmi-train": (["pmi-train", "--out", "pmi.tsv"], ["manifest.json", "pmi.tsv"]),
+    # one batch of all pairs per step
+    "train-manhattan-one-batch": (["train", "--system", "manhattan", *_TRAINS, "--batch-size", "1024"],
+                                  _in_run(*_TRAINED["manhattan"])),
+    "pipeline-pmi_svm-given-matrix": (["pipeline", "--system", "pmi_svm", "--mode", "cross-concept", *_TRAINS,
+                                       *_GIVEN_MATRIX], _in_run(*_TRAINED["pmi_svm"], *_REPORTED)),
+}
+for _system in cli.SYSTEMS:
+    RERUNS[f"train-{_system}"] = (["train", "--system", _system, *_TRAINS], _in_run(*_TRAINED[_system]))
+    RERUNS[f"pipeline-{_system}"] = (["pipeline", "--system", _system, "--mode", "cross-concept", *_TRAINS],
+                                     _in_run(*_TRAINED[_system], *_REPORTED))
+    RERUNS[f"evaluate-{_system}"] = (["evaluate", "--system", _system, "--out-dir", "run",
+                                      "--model", f"MODEL/{_system}/model.txt",
+                                      *(_GIVEN_MATRIX if _system == "pmi_svm" else [])], _in_run(*_REPORTED))
+
+
+@pytest.mark.parametrize("words", ["family_tsv", "long_tsv"])
+@pytest.mark.parametrize("case", sorted(RERUNS))
+def test_same_seed_rerun_is_byte_identical(case, words, every_system, tmp_path, monkeypatch, request):
+    args, outputs = RERUNS[case]
+    args = [a.replace("MODEL", str(every_system)) for a in args]
+    args += ["--data", str(request.getfixturevalue(words)), "--seed", "11"]
+    written = []
+    for run in (tmp_path / "a", tmp_path / "b"):
+        run.mkdir()
+        monkeypatch.chdir(run)
+        assert cli.run(args) == 0
+        written.append({path.relative_to(run).as_posix(): path.read_bytes()
+                        for path in run.rglob("*") if path.is_file()})
+    assert sorted(written[0]) == sorted(outputs)
+    for name in outputs:
+        assert written[0][name] == written[1][name], name
 
 
 @pytest.mark.parametrize("command", ["pipeline", "train"])
@@ -309,7 +379,7 @@ def test_overflowing_gap_penalty_is_a_usage_error_naming_it(command, family_tsv,
         args += ["--out", str(out / "pmi.tsv")]
     assert cli.run([command, *args]) == 1
     assert capsys.readouterr().err == "cognet: usage error: --gap-penalty -1e+308 is not in [-1e+300, 0)\n"
-    assert not list(out.glob("report.*")) and not list(out.glob("pmi*.tsv"))
+    assert not out.exists()
 
 
 def test_pmi_matrix_with_gap_penalty_past_its_bound_is_a_data_error_naming_its_line(family_tsv, tmp_path,
@@ -488,7 +558,7 @@ def test_featurize_and_pmi_train_load_no_openssl(command, family_tsv, tmp_path):
 def test_svm_training_loads_no_numpy_ma(system, family_tsv, tmp_path):
     code, modules = _cli_modules("train", "--data", str(family_tsv), "--system", system, "--out-dir", str(tmp_path),
                                  "--seed", "3", "--svm-passes", "50")
-    assert code == "0" and (tmp_path / "model.txt").exists()
+    assert code == "0" and (tmp_path / "model.txt").exists() and "cognet.svm" in modules
     assert [m for m in modules if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
 
 
@@ -988,7 +1058,7 @@ def test_network_size_past_its_bound_is_a_usage_error_naming_it(command, option,
         args += ["--mode", "cross-concept"]
     assert cli.run(args) == 1
     assert capsys.readouterr().err == f"cognet: usage error: {option} {value} is not in [1, {bound}]\n"
-    assert not (tmp_path / "run" / "model.txt").exists()
+    assert not (tmp_path / "run").exists()
     with pytest.raises(neural_model.InvalidSpec, match=f"^{field} {value} is not in"):  # the library names its field
         neural_model.ModelSpec("two_channel", **{field: int(value)})
 

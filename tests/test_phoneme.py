@@ -54,10 +54,11 @@ def test_parse_word_strips_modifiers_and_counts():
 
 
 def test_parse_word_empty_or_modifier_only_raises():
-    with pytest.raises(phoneme.UnknownSymbol):
-        phoneme.parse_word("")
-    with pytest.raises(phoneme.UnknownSymbol):
-        phoneme.parse_word("~~")
+    for raw in ("", "~~", "-"):
+        counters = {}
+        with pytest.raises(phoneme.UnknownSymbol, match="^no ASJP symbol is left once the modifiers are stripped$"):
+            phoneme.parse_word(raw, counters)
+        assert counters == {}  # a word that does not parse strips nothing
 
 
 def test_parse_is_idempotent_on_rendered_words():

@@ -44,10 +44,13 @@ def test_load_valid_rows(tmp_path):
 
 def test_load_skips_unparseable_forms(tmp_path):
     counters = {}
-    path = _write(tmp_path, "fam\tL1\thand\tf@t\tA\nfam\tL2\thand\tpot\tA\n")
+    # a bad symbol, a form of modifiers only and a bad symbol after a modifier are skipped;
+    # only the modifiers of the rows kept are counted, not those of a dropped duplicate
+    path = _write(tmp_path, "fam\tL1\thand\tf@t\tA\nfam\tL2\thand\tpot\tA\nfam\tL3\thand\t~~\tA\n"
+                            "fam\tL4\thand\tpa~Q\tA\nfam\tL5\thand\tpo~t\tA\nfam\tL5\thand\tpo\"t\tA\n")
     lexemes = load_wordlist(path, counters)
-    assert len(lexemes) == 1
-    assert counters["skipped_rows"] == 1
+    assert [lex.language for lex in lexemes] == ["L2", "L5"]
+    assert counters == {"skipped_rows": 3, "duplicate_rows": 1, "modifier_chars": 1}
 
 
 def test_load_deduplicates_rows(tmp_path):
@@ -209,9 +212,12 @@ def test_cross_family_overlap_raises():
 def test_cross_family_empty_side_raises():
     lexemes = _family(4, family="famA")
     pairs = generate_pairs(lexemes)
-    with pytest.raises(EmptySide):
+    with pytest.raises(EmptySide, match=r"^the test side \(families famC, famD\) has no pairs$"):
         split(pairs, lexemes, SplitSpec(CROSS_FAMILY, train_families=frozenset({"famA"}),
-                                        test_families=frozenset({"famC"})))
+                                        test_families=frozenset({"famD", "famC"})))
+    with pytest.raises(EmptySide, match=r"^the train side \(families famC\) has no pairs$"):
+        split(pairs, lexemes, SplitSpec(CROSS_FAMILY, train_families=frozenset({"famC"}),
+                                        test_families=frozenset({"famA"})))
 
 
 def test_label_soundness_rederivable():
