@@ -236,27 +236,50 @@ class Model:
         """Mean loss over the batch, with dropout on, and gradients for every parameter.
 
         Siamese-Euclid trains its distance with the contrastive loss, the
-        others their probability with the log loss.
+        others their probability with the log loss.  A Siamese step runs the
+        taped trunk once per side, over that side's distinct rows, keyed by
+        their bytes in order of first appearance, and gathers each pair's
+        features from them: a word's embedding does not depend on its
+        partner.  Backward sums each distinct row's feature gradient over its
+        repeats, in batch order, before that side's trunk backward.  A side
+        that repeats no row runs on its rows as they are, with no gather or
+        sum.  2-channel's trunk reads the pair, so it runs on every pair.
         """
-        arch = self.spec.architecture
-        n = xa.shape[0]
         grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        out, (trunks, cpair, chead) = self.forward(xa, xb, training=True, rng=rng)
-        if arch == SIAMESE_EUCLID:
-            with np.errstate(over="ignore"):  # train reports an overflowed loss, naming the margin
-                loss = float(losses.contrastive_loss(out, y, margin).mean())
-            gflats = list(ops.euclid_backward(cpair, losses.contrastive_loss_grad(out, y, margin) / n))
+        if self.spec.architecture == TWO_CHANNEL:
+            out, (trunks, cpair, chead) = self.forward(xa, xb, training=True, rng=rng)
+            inverses = [None]
         else:
-            loss = float(losses.log_loss(out, y).mean())
-            gflats = [self._head_backward(chead, losses.log_loss_grad(out, y) / n, grads)]
-            if arch == MANHATTAN:
-                gflats = list(ops.abs_diff_backward(cpair, gflats[0]))
+            trunks, features, inverses = [], [], []
+            for x in (xa, xb):
+                rows, inverse = _distinct_rows(x)
+                flat, tape = self._trunk(rows[..., None])
+                trunks.append(tape)
+                inverses.append(inverse)
+                features.append(flat if inverse is None else flat[inverse])
+                del rows, flat, tape  # the tape is freed once its backward pops it
+            out, cpair, chead = self._top(*features, True, rng)
+            del features
+        loss, gflats = self._top_backward(out, cpair, chead, y, margin, grads)
         del cpair, chead  # read by now; the trunks' backward passes are the step's peak
+        gflats = [g if inverse is None else _summed(g, inverse) for g, inverse in zip(gflats, inverses)]
         # the last trunk first, as its forward ran last: the newest tape is freed first and the heap
         # is reused like a stack; two trunks' gradients sum to the same bits in either order
         while trunks:
             self._trunk_backward(trunks, gflats, grads)
         return loss, grads
+
+    def _top_backward(self, out, cpair, chead, y, margin: float, grads: dict[str, np.ndarray]):
+        """The batch's mean loss on the scores ``out``, and the gradient of each trunk pass's flat
+        features, in pass order; the head's parameter gradients go into ``grads``."""
+        arch, n = self.spec.architecture, out.shape[0]
+        if arch == SIAMESE_EUCLID:
+            with np.errstate(over="ignore"):  # train reports an overflowed loss, naming the margin
+                loss = float(losses.contrastive_loss(out, y, margin).mean())
+            return loss, list(ops.euclid_backward(cpair, losses.contrastive_loss_grad(out, y, margin) / n))
+        loss = float(losses.log_loss(out, y).mean())
+        gh = self._head_backward(chead, losses.log_loss_grad(out, y) / n, grads)
+        return loss, list(ops.abs_diff_backward(cpair, gh)) if arch == MANHATTAN else [gh]
 
     def _embed(self, forms: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """The trunk's features of ``forms[rows]``, one tape-free pass over the distinct rows."""
@@ -288,6 +311,24 @@ class Model:
         if self.spec.architecture == SIAMESE_EUCLID:
             return np.exp(-out)
         return out
+
+
+def _distinct_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The distinct rows of ``x``, keyed by their bytes in order of first appearance, and each row's
+    index among them; ``x`` itself and None when no row repeats."""
+    keys, inverse = wordlists.distinct(row.tobytes() for row in x)
+    if len(keys) == len(x):
+        return x, None
+    return np.frombuffer(b"".join(keys), dtype=x.dtype).reshape(len(keys), *x.shape[1:]), inverse
+
+
+def _summed(g: np.ndarray, inverse: np.ndarray) -> np.ndarray:
+    """Row j of the result is the sum of the rows i of [n, w] ``g`` with ``inverse[i] == j``, added from
+    zero in the order of i: ``np.add.at`` over the flat array, which took half the time of one over rows."""
+    w = g.shape[1]
+    total = np.zeros((inverse.max() + 1) * w)
+    np.add.at(total, (inverse[:, None] * w + np.arange(w)).ravel(), g.ravel())
+    return total.reshape(-1, w)
 
 
 def build(spec: ModelSpec, seed: int = 0) -> Model:

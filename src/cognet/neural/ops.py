@@ -161,23 +161,32 @@ def maxpool2(x: np.ndarray, tape: bool = True):
     """2x2 window max with stride 2; an odd last row or column is dropped.
 
     The cache is x's shape and each window's argmax, 0-3 in row-major order
-    as uint8; ties go to the first maximum, as with argmax.
+    as uint8; ties go to the first maximum, as with argmax.  The max is
+    taken over each window's top pair, its bottom pair, then the two; the
+    index is bit 1 "the bottom pair won" and bit 0 "the winning pair's
+    right element won", each from a strict comparison, so a tie keeps the
+    earlier position.
     """
     if x.ndim != 4:
         raise ShapeMismatch(f"maxpool2 expects [B,H,W,F], got {x.shape}")
-    _, H, W, _ = x.shape
+    B, H, W, F = x.shape
     oh, ow = H // 2, W // 2
     if oh == 0 or ow == 0:
         raise ShapeMismatch(f"input {H}x{W} too small for 2x2 pooling")
     t = _swap(x)
-    out = t[:, :2 * oh:2, :2 * ow:2].copy()  # every window's element at position 0
-    idx = np.zeros(out.shape, dtype=np.uint8) if tape else None
-    for k in range(1, 4):  # the other positions, in row-major order
-        i, j = divmod(k, 2)
-        at_k = t[:, i:2 * oh:2, j:2 * ow:2]
-        if tape:
-            np.putmask(idx, at_k > out, k)  # strict: a tie keeps the earlier position
-        np.maximum(out, at_k, out=out)
+    at = [t[:, i:2 * oh:2, j:2 * ow:2] for i in (0, 1) for j in (0, 1)]  # window positions 0-3
+    shape = (F, oh, ow, B)  # every result batch-minor, whatever x's layout
+    top = np.maximum(at[0], at[1], out=np.empty(shape))
+    out = np.maximum(at[2], at[3], out=np.empty(shape))
+    idx = None
+    if tape:
+        idx = np.greater(at[1], at[0], out=np.empty(shape, dtype=np.uint8))
+        right = np.greater(at[3], at[2], out=np.empty(shape, dtype=np.uint8))
+        lower = np.greater(out, top, out=np.empty(shape, dtype=np.uint8))
+        np.bitwise_and(right ^ idx, lower, out=right)  # bit 0: the bottom pair's where it won, else the top's
+        idx ^= right
+        idx |= lower << 1
+    np.maximum(top, out, out=out)
     return _swap(out), (x.shape, _swap(idx)) if tape else None
 
 

@@ -11,7 +11,8 @@ also by im2col over channels-last [B,H,W,C] arrays, the layout the
 production ops used before they stored activations batch-minor; max
 pooling takes numpy's argmax over each window.  ConvNet inputs are
 rendered as a copy of each side of every pair, and trained on by slicing
-those copies per batch; scoring gathers both sides of every pair of a
+those copies per batch, each step running every row of both sides through
+the trunk; scoring gathers both sides of every pair of a
 chunk and runs the whole forward on them.  The batched DP scores are also
 computed pair-major, one DP row of every pair at a time with the gap runs taken by
 ``np.maximum.accumulate``: the layout the production engine used before it
@@ -391,8 +392,20 @@ def encode_pairs_per_side(pairs, pad_len: int = 10):
     return xa, xb, np.array([p.label for p in pairs], dtype=np.float64)
 
 
+def loss_and_grads_per_pair(model, xa, xb, y, margin: float = 1.0, rng=None):
+    """``Model.loss_and_grads`` as every row of both sides goes through the trunk, repeats included: a
+    Siamese word is embedded, and its gradient taken back through the trunk, once per pair it is in."""
+    grads = {k: np.zeros_like(v) for k, v in model.params.items()}
+    out, (trunks, cpair, chead) = model.forward(xa, xb, training=True, rng=rng)
+    loss, gflats = model._top_backward(out, cpair, chead, y, margin, grads)
+    while trunks:
+        model._trunk_backward(trunks, gflats, grads)
+    return loss, grads
+
+
 def train_per_side(model, pairs, cfg):
-    """``neural.model.train`` over (xa, xb, y), each batch sliced from the per-side copies."""
+    """``neural.model.train`` over (xa, xb, y), each batch sliced from the per-side copies and its step
+    taken by :func:`loss_and_grads_per_pair`."""
     xa, xb, y = pairs
     rng = np.random.default_rng(cfg.seed)
     state = AdadeltaState.for_params(model.params)
@@ -402,7 +415,7 @@ def train_per_side(model, pairs, cfg):
         total = 0.0
         for start in range(0, xa.shape[0], cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
-            loss, grads = model.loss_and_grads(xa[batch], xb[batch], y[batch], margin=cfg.margin, rng=rng)
+            loss, grads = loss_and_grads_per_pair(model, xa[batch], xb[batch], y[batch], cfg.margin, rng)
             total += loss * len(batch)
             adadelta_step(model.params, grads, state)
         history.append(total / xa.shape[0])
